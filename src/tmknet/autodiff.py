@@ -2,8 +2,11 @@
 
 A Tape records operations as they execute; Tape.backward replays them in
 reverse, accumulating vector-Jacobian products into Variable.grad. One tape
-serves one forward/backward pair: recording is cheap, tapes are discarded
-after each step.
+serves one forward/backward pair: backward releases the recorded graph as it
+goes, dropping each op's saved arrays and each intermediate gradient once
+they have been passed on. Afterwards only the grad-requiring leaves keep
+`.grad`, and the tape holds no reference to any Variable, so a step's memory
+is freed by reference counting, without the cyclic collector.
 
 Implemented operations cover the network end to end: broadcasting arithmetic,
 (batched) matmul, 2-D cross-correlation with stride and dilation, LeakyReLU,
@@ -100,7 +103,10 @@ class Tape:
     def backward(self, loss: Variable) -> None:
         """Populate .grad on every grad-requiring leaf reachable from `loss`.
 
-        Unreachable leaves receive zeros. A tape can run backward once.
+        Unreachable leaves receive zeros. A tape can run backward once: it
+        consumes the recorded graph, so every op's saved arrays are released
+        as soon as its vector-Jacobian product has run, and intermediate
+        Variables are left with `grad` None. Only leaves keep `.grad`.
         """
         if loss.tape is not self:
             raise ValueError("loss was recorded on a different tape")
@@ -115,25 +121,30 @@ class Tape:
         # held by reference (it may alias op-internal arrays), later ones
         # force a fresh owned buffer
         owned: set[int] = set()
-        for out, parents, backward_fn in reversed(self._nodes):
-            if out.grad is None:
+        nodes = self._nodes
+        while nodes:
+            out, parents, backward_fn = nodes.pop()
+            g, out.grad = out.grad, None
+            owned.discard(id(out))  # `out` may be freed and its id reused
+            if g is None:
                 continue
-            grads = backward_fn(out.grad)
-            for p, g in zip(parents, grads):
-                if g is None or not p.requires_grad:
+            for p, gp in zip(parents, backward_fn(g)):
+                if gp is None or not p.requires_grad:
                     continue
                 if p.grad is None:
-                    p.grad = g
+                    p.grad = gp
                 elif id(p) in owned:
-                    p.grad += g
+                    p.grad += gp
                 else:
-                    p.grad = p.grad + g
+                    p.grad = p.grad + gp
                     owned.add(id(p))
+            g = gp = None  # hold no gradient into the next op's backward
         for leaf in self._grad_leaves:
             if leaf.grad is None:
                 leaf.grad = np.zeros_like(leaf.value)
             elif leaf.grad.base is not None or not leaf.grad.flags.owndata:
                 leaf.grad = leaf.grad.copy()
+        self._grad_leaves = []
 
 
 def _lift(tape: Tape, x) -> Variable:
@@ -251,15 +262,20 @@ def concat(parts: list[Variable], axis: int) -> Variable:
 
 
 def gather(a: Variable, idx, axis: int) -> Variable:
-    """Select indices along one axis; backward scatter-adds."""
+    """Select indices along one axis; backward scatter-adds (a plain scatter
+    when the indices are unique, which gives the same sums)."""
     idx = np.asarray(idx, dtype=np.intp)
     va = a.value
+    unique = np.unique(idx).size == idx.size
 
     def backward(g):
         gx = np.zeros_like(va)
         sel = [slice(None)] * va.ndim
         sel[axis] = idx
-        np.add.at(gx, tuple(sel), g)
+        if unique:
+            gx[tuple(sel)] = g
+        else:
+            np.add.at(gx, tuple(sel), g)
         return (gx,)
 
     return a.tape.record((a,), np.take(va, idx, axis=axis), backward)
@@ -405,15 +421,20 @@ def conv2d(
         parents = (x, w)
 
     def backward(g):
-        gw = np.tensordot(g, patches, axes=([0, 2, 3], [0, 2, 3]))
-        gx = np.zeros_like(vx)
-        # scatter per kernel tap: strided slices never overlap within a tap
-        for i in range(kh):
-            for j in range(kw):
-                contrib = np.tensordot(g, vw[:, :, i, j], axes=([1], [0]))
-                gx[:, :,
-                   i * dh: i * dh + (oh - 1) * sh + 1: sh,
-                   j * dw: j * dw + (ow - 1) * sw + 1: sw] += contrib.transpose(0, 3, 1, 2)
+        # only the gradients some parent needs; the stem's first convs read
+        # the constant input signal
+        gw = gx = None
+        if w.requires_grad:
+            gw = np.tensordot(g, patches, axes=([0, 2, 3], [0, 2, 3]))
+        if x.requires_grad:
+            gx = np.zeros_like(vx)
+            # scatter per kernel tap: strided slices never overlap within a tap
+            for i in range(kh):
+                for j in range(kw):
+                    contrib = np.tensordot(g, vw[:, :, i, j], axes=([1], [0]))
+                    gx[:, :,
+                       i * dh: i * dh + (oh - 1) * sh + 1: sh,
+                       j * dw: j * dw + (ow - 1) * sw + 1: sw] += contrib.transpose(0, 3, 1, 2)
         if bias is not None:
             return gx, gw, g.sum(axis=(0, 2, 3))
         return gx, gw
@@ -424,25 +445,43 @@ def conv2d(
 def max_pool_time(x: Variable, size: int) -> Variable:
     """Non-overlapping max pooling along the last axis (kernel = stride = size).
 
-    Ties route the gradient to the earliest index in the window.
+    Ties route the gradient to the earliest index in the window; in a window
+    holding NaN, the output is NaN and the first NaN gets the gradient.
     """
     vx = x.value
     *lead, t = vx.shape
     ot = t // size
     if ot < 1:
         raise ValueError(f"pool size {size} exceeds axis length {t}")
-    windows = vx[..., : ot * size].reshape(*lead, ot, size)
-    arg = windows.argmax(axis=-1)  # first max wins on ties
-    out = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
+    n = ot * size
+    # column k holds the k-th sample of every window; the running maximum and
+    # the winner index live in the input's memory order, so each pass streams
+    peak = vx[..., 0:n:size].copy(order="K")
+    arg = np.zeros_like(peak, dtype=np.min_scalar_type(size - 1)) if x.requires_grad else None
+    for k in range(1, size):
+        col = vx[..., k:n:size]
+        if arg is not None:
+            # k beats every earlier index; strict, so a tie keeps the earliest
+            np.maximum(arg, np.multiply(col > peak, k, dtype=arg.dtype), out=arg)
+        np.maximum(peak, col, out=peak)
+    if arg is not None and np.isnan(peak).any():
+        arg[...] = vx[..., :n].reshape(*lead, ot, size).argmax(axis=-1)
 
     def backward(g):
-        gw = np.zeros_like(windows)
-        np.put_along_axis(gw, arg[..., None], g[..., None], axis=-1)
-        gx = np.zeros_like(vx)
-        gx[..., : ot * size] = gw.reshape(*lead, ot * size)
+        # the winner gets g bit for bit, the others +0.0: AND g's bits with
+        # an all-ones or all-zeros word
+        gbits = np.empty_like(arg, dtype=np.float64)
+        gbits[...] = g
+        gbits = gbits.view(np.uint64)
+        gx = np.empty_like(vx)
+        gx[..., n:] = 0.0
+        for k in range(size):
+            keep = (arg == k).astype(np.uint64)
+            np.negative(keep, out=keep)
+            np.bitwise_and(gbits, keep, out=gx[..., k:n:size].view(np.uint64))
         return (gx,)
 
-    return x.tape.record((x,), out, backward)
+    return x.tape.record((x,), np.ascontiguousarray(peak), backward)
 
 
 def log_softmax(a: Variable) -> Variable:

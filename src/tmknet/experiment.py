@@ -439,10 +439,21 @@ def load_checkpoint(path: str | Path) -> tuple[TMKNet, RunConfig, DatasetManifes
     raw = path.read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path} is not a tmknet checkpoint (bad magic)")
+    if len(raw) < 16:
+        raise DataError(f"{path} is truncated: {len(raw)} bytes, "
+                        f"shorter than the 16-byte preamble")
     version, header_len = struct.unpack("<IQ", raw[4:16])
     if version != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {version}")
-    header = json.loads(raw[16:16 + header_len].decode("utf-8"))
+    try:
+        header = json.loads(raw[16:16 + header_len].decode("utf-8"))
+    except ValueError as exc:  # both UnicodeDecodeError and JSONDecodeError
+        raise DataError(f"{path}: checkpoint header is not UTF-8 JSON ({exc})") from exc
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: checkpoint header is not a JSON object")
+    missing = [k for k in ("config", "manifest", "entries", "domain_kinds") if k not in header]
+    if missing:
+        raise DataError(f"{path}: checkpoint header lacks {missing}")
     payload = raw[16 + header_len:]
 
     cfg_doc = dict(header["config"])

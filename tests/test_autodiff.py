@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -80,6 +83,36 @@ class TestTapeMechanics:
         tape.backward(loss)
         with pytest.raises(RuntimeError):
             tape.backward(loss)
+
+    def test_backward_releases_graph(self, rng):
+        tape = Tape()
+        a = tape.leaf(rng.normal(size=(3, 4)), requires_grad=True)
+        b = tape.leaf(rng.normal(size=(4, 2)), requires_grad=True)
+        c = tape.constant(rng.normal(size=(3, 2)))
+        y = ad.matmul(a, b)
+        z = ad.leaky_relu(ad.add(y, c), 0.1)
+        loss = ad.sum_(ad.mul(z, z))
+        tape.backward(loss)
+        assert a.grad.shape == (3, 4) and b.grad.shape == (4, 2)
+        assert y.grad is None and z.grad is None and loss.grad is None and c.grad is None
+        with pytest.raises(RuntimeError):
+            tape.backward(loss)
+
+    def test_graph_freed_without_cyclic_collector(self, rng):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            tape = Tape()
+            ref = weakref.ref(tape)
+            a = tape.leaf(rng.normal(size=(3,)), requires_grad=True)
+            tape.backward(ad.sum_(ad.mul(ad.exp(a), a)))
+            grad = a.grad
+            del tape, a
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+        assert grad.shape == (3,)
 
     def test_sum_grad_is_ones(self, rng):
         tape = Tape()
@@ -210,17 +243,20 @@ class TestMatmulOps:
         check_grads(build, {"w": rng.normal(size=(3, 5)), "c": spd}, subsample=40, rng=rng)
 
 
+CONV_CASES = pytest.mark.parametrize(
+    "xshape,wshape,stride,dilation",
+    [
+        ((2, 1, 4, 16), (3, 1, 1, 5), (1, 1), (1, 1)),   # time kernel
+        ((2, 3, 8, 6), (4, 3, 8, 1), (1, 1), (1, 1)),    # global sensor kernel
+        ((2, 3, 8, 6), (4, 3, 4, 1), (4, 1), (1, 1)),    # strided sensor kernel
+        ((2, 3, 8, 6), (4, 3, 2, 1), (1, 1), (4, 1)),    # dilated sensor kernel
+        ((1, 2, 9, 11), (2, 2, 3, 3), (2, 3), (2, 2)),   # general case
+    ],
+)
+
+
 class TestConv:
-    @pytest.mark.parametrize(
-        "xshape,wshape,stride,dilation",
-        [
-            ((2, 1, 4, 16), (3, 1, 1, 5), (1, 1), (1, 1)),   # time kernel
-            ((2, 3, 8, 6), (4, 3, 8, 1), (1, 1), (1, 1)),    # global sensor kernel
-            ((2, 3, 8, 6), (4, 3, 4, 1), (4, 1), (1, 1)),    # strided sensor kernel
-            ((2, 3, 8, 6), (4, 3, 2, 1), (1, 1), (4, 1)),    # dilated sensor kernel
-            ((1, 2, 9, 11), (2, 2, 3, 3), (2, 3), (2, 2)),   # general case
-        ],
-    )
+    @CONV_CASES
     def test_grad_matches_fd(self, xshape, wshape, stride, dilation, rng):
         def build(tape, v):
             y = ad.conv2d(v["x"], v["w"], v["b"], stride=stride, dilation=dilation)
@@ -232,6 +268,27 @@ class TestConv:
             "b": rng.normal(size=(wshape[0],)),
         }
         check_grads(build, arrays, subsample=30, rng=rng)
+
+    @CONV_CASES
+    def test_constant_operand_leaves_other_grads_bit_identical(
+        self, xshape, wshape, stride, dilation, rng
+    ):
+        x, w, b = rng.normal(size=xshape), rng.normal(size=wshape), rng.normal(size=wshape[0])
+
+        def grads(x_grad, w_grad):
+            tape = Tape()
+            xv = tape.leaf(x, requires_grad=x_grad)
+            wv = tape.leaf(w, requires_grad=w_grad)
+            bv = tape.leaf(b, requires_grad=True)
+            y = ad.conv2d(xv, wv, bv, stride=stride, dilation=dilation)
+            tape.backward(ad.sum_(ad.mul(y, y)))
+            return xv.grad, wv.grad, bv.grad
+
+        gx, gw, gb = grads(True, True)
+        _, gw_const_x, gb_const_x = grads(False, True)
+        gx_const_w, _, gb_const_w = grads(True, False)
+        assert np.array_equal(gw_const_x, gw) and np.array_equal(gb_const_x, gb)
+        assert np.array_equal(gx_const_w, gx) and np.array_equal(gb_const_w, gb)
 
     def test_identity_kernel(self, rng):
         x = rng.uniform(0.5, 1.5, size=(2, 1, 3, 7))
@@ -246,6 +303,30 @@ class TestConv:
         w = tape.leaf(rng.normal(size=(1, 1, 1, 5)))
         with pytest.raises(ValueError):
             ad.conv2d(x, w)
+
+
+def pool_reference(vx, size, g):
+    """Max pooling by argmax over a reshaped copy of the windows, with the
+    gradient put back at the argmax: values and gradient of `max_pool_time`."""
+    *lead, t = vx.shape
+    ot = t // size
+    windows = vx[..., : ot * size].reshape(*lead, ot, size)
+    arg = windows.argmax(axis=-1)  # first max wins on ties
+    out = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
+    gw = np.zeros_like(windows)
+    np.put_along_axis(gw, arg[..., None], g[..., None], axis=-1)
+    gx = np.zeros_like(vx)
+    gx[..., : ot * size] = gw.reshape(*lead, ot * size)
+    return out, gx
+
+
+def tied_conv_output(rng, t):
+    """Integer-valued (2, 4, 3, t) conv output, full of ties; conv2d returns
+    it channels-last in memory, so it is not C-contiguous."""
+    tape = Tape()
+    x = tape.constant(rng.integers(-2, 3, size=(2, 1, 3, t + 2)).astype(float))
+    w = tape.constant(rng.integers(-1, 2, size=(4, 1, 1, 3)).astype(float))
+    return ad.conv2d(x, w).value
 
 
 class TestPooling:
@@ -269,6 +350,38 @@ class TestPooling:
 
         x = rng.normal(size=(2, 2, 3, 9))
         check_grads(build, {"x": x}, tol=1e-3)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    @pytest.mark.parametrize("t", [12, 13, 15])
+    @pytest.mark.parametrize("layout", ["c", "conv"])
+    def test_matches_argmax_reference(self, size, t, layout, rng):
+        if layout == "conv":
+            vx = tied_conv_output(rng, t)
+            assert not vx.flags.c_contiguous
+        else:
+            vx = rng.integers(-2, 3, size=(2, 4, 3, t)).astype(float)
+        tape = Tape()
+        x = tape.leaf(vx, requires_grad=True)
+        out = ad.max_pool_time(x, size)
+        g = rng.normal(size=out.shape)
+        tape.backward(ad.sum_(ad.mul(out, g)))
+        ref_out, ref_gx = pool_reference(vx, size, g)
+        assert np.array_equal(out.value, ref_out)
+        assert out.value.strides == ref_out.strides  # later sums run in memory order
+        assert np.array_equal(x.grad, ref_gx)
+        assert x.grad.tobytes() == ref_gx.tobytes()  # +0.0 off the winners, as the reference
+
+    def test_nan_window_matches_argmax_reference(self, rng):
+        vx = rng.normal(size=(2, 3, 10))
+        vx[0, 1, 2] = vx[1, 2, 1] = vx[1, 2, 3] = np.nan
+        tape = Tape()
+        x = tape.leaf(vx, requires_grad=True)
+        out = ad.max_pool_time(x, 4)
+        g = rng.normal(size=out.shape)
+        tape.backward(ad.sum_(ad.mul(out, g)))
+        ref_out, ref_gx = pool_reference(vx, 4, g)
+        assert np.array_equal(out.value, ref_out, equal_nan=True)
+        assert np.array_equal(x.grad, ref_gx)
 
 
 class TestSpectralOps:
@@ -317,6 +430,19 @@ class TestGatherConcat:
             return ad.sum_(ad.mul(y, y))
 
         check_grads(build, {"x": rng.normal(size=(2, 4, 3))})
+
+    @pytest.mark.parametrize("axis,idx", [(0, [1, 0]), (1, [3, 0, 2]), (1, [2, 0, 2]), (2, [2, 1, 0])])
+    def test_gather_grad_matches_add_at(self, axis, idx, rng):
+        x = rng.normal(size=(2, 4, 3))
+        g = rng.normal(size=np.take(x, idx, axis=axis).shape)
+        tape = Tape()
+        xv = tape.leaf(x, requires_grad=True)
+        tape.backward(ad.sum_(ad.mul(ad.gather(xv, idx, axis=axis), g)))
+        expected = np.zeros_like(x)
+        sel = [slice(None)] * x.ndim
+        sel[axis] = idx
+        np.add.at(expected, tuple(sel), g)
+        assert np.array_equal(xv.grad, expected)
 
     def test_concat_grad(self, rng):
         def build(tape, v):

@@ -105,6 +105,13 @@ class TestErrorPaths:
         assert main(["train", "--data", str(tmp_path / "missing"),
                      "--out", str(tmp_path / "r"), *TRAIN_FLAGS]) == 2
 
+    def test_short_checkpoint_exits_two(self, dataset, tmp_path, capsys):
+        short = tmp_path / "short.tmk"
+        short.write_bytes(b"TMKN" + b"\x01" * 6)
+        assert main(["adapt", "--checkpoint", str(short), "--data", str(dataset),
+                     "--out", str(tmp_path / "a")]) == 2
+        assert "data error:" in capsys.readouterr().err
+
 
 class TestSaliencyExport:
     def test_saliency_outputs(self, dataset, trained_run, tmp_path):

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -258,6 +261,34 @@ class TestCheckpoint:
         (tmp_path / "bad.tmk").write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(DataError):
             load_checkpoint(tmp_path / "bad.tmk")
+
+    def test_shorter_than_preamble(self, tmp_path):
+        (tmp_path / "short.tmk").write_bytes(b"TMKN" + b"\x01" * 6)
+        with pytest.raises(DataError, match="preamble"):
+            load_checkpoint(tmp_path / "short.tmk")
+
+    @pytest.mark.parametrize("header,match", [(b"\xff\xfe{}", "UTF-8 JSON"),
+                                              (b'{"config": ', "UTF-8 JSON"),
+                                              (b"[1, 2]", "JSON object")])
+    def test_header_not_json_object(self, tmp_path, header, match):
+        blob = b"TMKN" + struct.pack("<IQ", 1, len(header)) + header
+        (tmp_path / "bad.tmk").write_bytes(blob)
+        with pytest.raises(DataError, match=match):
+            load_checkpoint(tmp_path / "bad.tmk")
+
+    @pytest.mark.parametrize("key", ["config", "manifest", "entries", "domain_kinds"])
+    def test_header_missing_key(self, tmp_path, trained, key):
+        cfg, model, _ = trained
+        save_checkpoint(tmp_path / "ck.tmk", model, cfg, MANIFEST)
+        blob = (tmp_path / "ck.tmk").read_bytes()
+        (header_len,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16:16 + header_len])
+        del header[key]
+        raw = json.dumps(header).encode("utf-8")
+        (tmp_path / "ck.tmk").write_bytes(blob[:4] + struct.pack("<IQ", 1, len(raw)) + raw
+                                          + blob[16 + header_len:])
+        with pytest.raises(DataError, match=key):
+            load_checkpoint(tmp_path / "ck.tmk")
 
     def test_truncated_payload(self, tmp_path, trained):
         cfg, model, _ = trained

@@ -1,7 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from tmknet import autodiff as ad
+from tmknet import model as model_module
 from tmknet.autodiff import Tape
 from tmknet.backbone import BackboneConfig
 from tmknet.errors import ConfigError
@@ -46,6 +50,45 @@ class TestForward:
         a = toy_model.predict_logits(x, ids)
         b = toy_model.predict_logits(x, ids)
         assert np.array_equal(a, b)
+
+    def test_eval_independent_of_batch_make_up(self, toy_model, rng):
+        x = rng.normal(size=(6, 8, 64))
+        ids = ["0/0", "0/1", "0/0", "0/1", "0/1", "0/0"]
+        toy_model.loss_and_grads(x, np.arange(6) % 4, ids)  # init stats
+        batch = toy_model.predict_logits(x, ids)
+        single = np.concatenate([toy_model.predict_logits(x[i:i + 1], ids[i:i + 1])
+                                 for i in range(len(ids))])
+        perm = rng.permutation(len(ids))
+        permuted = np.empty_like(batch)
+        permuted[perm] = toy_model.predict_logits(x[perm], [ids[i] for i in perm])
+        assert np.abs(permuted - batch).max() <= 1e-15
+        # the MSS conv's GEMM rounds differently for one row than for six
+        # (1e-16 before DSBN), and this small random network amplifies that
+        # to about 1e-11 at the logits
+        assert np.abs(single - batch).max() <= 1e-10
+        for other in (single, permuted):
+            assert np.array_equal(other.argmax(axis=1), batch.argmax(axis=1))
+
+    def test_training_step_frees_tape_without_cyclic_collector(self, toy_model, rng,
+                                                                monkeypatch):
+        tapes = []
+
+        class WatchedTape(Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(weakref.ref(self))
+
+        monkeypatch.setattr(model_module, "Tape", WatchedTape)
+        x = rng.normal(size=(4, 8, 64))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            loss, grads = toy_model.loss_and_grads(x, np.arange(4), ["0/0", "0/0", "0/1", "0/1"])
+            assert len(tapes) == 1 and tapes[0]() is None
+        finally:
+            if enabled:
+                gc.enable()
+        assert np.isfinite(loss) and set(grads) == set(toy_model.params.names())
 
     def test_adapt_then_eval_on_target(self, toy_model, rng):
         x = rng.normal(size=(4, 8, 64))
