@@ -4,7 +4,8 @@ momentum running statistics, tangent-space projection, and the linear head.
 
 The batch Frechet statistics computed inside the normalization layer are part
 of the differentiated graph; the per-domain running statistics are inference
-state updated out-of-band and never enter the tape.
+state updated out-of-band and never enter the tape. Adaptation runs the same
+batch statistics on a tape that records no gradients.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from . import geometry, linalg
+from . import geometry
 from .autodiff import Variable
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 
 __all__ = [
     "BackboneConfig",
@@ -25,6 +26,7 @@ __all__ = [
     "bimap",
     "reeig",
     "logeig",
+    "batch_stats",
     "spdbn_normalize",
     "dsbn_forward",
     "classify",
@@ -82,6 +84,30 @@ def logeig(h: Variable) -> Variable:
     return ad.sym_fn(h, "log")
 
 
+def batch_stats(z: Variable) -> tuple[Variable, Variable, Variable]:
+    """Batch Frechet statistics of one domain group (b, n, n).
+
+    Returns (g_b, v_b, logm): the mean exp(mean_j log Z_j), which is one
+    Karcher step from the identity; the dispersion sqrt(mean_j ||logm_j||_F^2);
+    and logm_j = log(g_b^{-1/2} Z_j g_b^{-1/2}), the batch at the tangent space
+    of its mean, ready for `_rescale`.
+    """
+    g_b = ad.sym_fn(ad.mean(ad.sym_fn(z, "log"), axis=0), "exp")
+    inv_sqrt = ad.sym_fn(g_b, "inv_sqrt")
+    logm = ad.sym_fn(ad.matmul(ad.matmul(inv_sqrt, z), inv_sqrt), "log")
+    v_b = ad.power(ad.mean(ad.sum_(ad.mul(logm, logm), axis=(1, 2))), 0.5)
+    return g_b, v_b, logm
+
+
+def _rescale(logm: Variable, v_ref: Variable, g_phi: Variable, v_phi: Variable,
+             eps_var: float) -> Variable:
+    """g_phi^{1/2} exp(p logm) g_phi^{1/2} with p = v_phi / (v_ref + eps_var)."""
+    p = ad.div(v_phi, ad.add(v_ref, eps_var))
+    powed = ad.sym_fn(ad.mul(logm, p), "exp")
+    sqrt_phi = ad.sym_fn(g_phi, "sqrt")
+    return ad.matmul(ad.matmul(sqrt_phi, powed), sqrt_phi)
+
+
 def spdbn_normalize(
     z: Variable,
     g_ref: Variable,
@@ -97,12 +123,8 @@ def spdbn_normalize(
     the exponent stays differentiable.
     """
     inv_sqrt_ref = ad.sym_fn(g_ref, "inv_sqrt")
-    m = ad.matmul(ad.matmul(inv_sqrt_ref, z), inv_sqrt_ref)
-    logm = ad.sym_fn(m, "log")
-    p = ad.div(v_phi, ad.add(v_ref, eps_var))
-    powed = ad.sym_fn(ad.mul(logm, p), "exp")
-    sqrt_phi = ad.sym_fn(g_phi, "sqrt")
-    return ad.matmul(ad.matmul(sqrt_phi, powed), sqrt_phi)
+    logm = ad.sym_fn(ad.matmul(ad.matmul(inv_sqrt_ref, z), inv_sqrt_ref), "log")
+    return _rescale(logm, v_ref, g_phi, v_phi, eps_var)
 
 
 # --- domain-specific running statistics -----------------------------------------
@@ -177,20 +199,13 @@ class DsbnState:
         return out
 
 
-def _batch_stats_np(values: np.ndarray) -> tuple[np.ndarray, float]:
-    """One-iteration Karcher mean from identity and dispersion, numpy only."""
-    g_b = linalg.sym_fn(linalg.sym_fn(values, "log").mean(axis=0), "exp")
-    v_sq = geometry.frechet_variance(values, g_b)
-    return g_b, float(np.sqrt(v_sq))
-
-
 def dsbn_forward(
     h: Variable,
     domain_ids: list[str],
     state: DsbnState,
     mode: str,
-    g_phi: Variable,
-    v_phi: Variable,
+    g_phi: Variable | None = None,
+    v_phi: Variable | None = None,
     eps_var: float = 1e-5,
 ) -> Variable | None:
     """Domain-specific SPD batch normalization.
@@ -198,25 +213,15 @@ def dsbn_forward(
     train: group samples by domain (source only), normalize each group with
       its differentiable batch statistics and fold those statistics into the
       running ones.
-    adapt: update running statistics of target domains from the batch; no
-      gradients; returns None (the normalized output is not used).
+    adapt: fold the batch statistics of target domains into their running
+      ones; returns None (no output, so g_phi and v_phi are not read).
     eval: normalize each sample with its domain's stored running statistics.
     """
     if len(domain_ids) != h.value.shape[0]:
         raise ValueError("one domain id per sample is required")
+    if mode not in ("train", "adapt", "eval"):
+        raise ValueError(f"unknown dsbn mode {mode!r}")
     ids = np.asarray(domain_ids, dtype=object)
-
-    if mode == "adapt":
-        for d in dict.fromkeys(domain_ids):
-            st = state._get(d)
-            if st.kind != "target":
-                raise ConfigError(f"adapt is restricted to target domains, got {d!r}")
-            grp = h.value[ids == d]
-            if grp.shape[0] < 2:
-                raise ValueError(f"adapt needs >= 2 samples per domain, got {grp.shape[0]}")
-            g_b, v_b = _batch_stats_np(grp)
-            state.update(d, g_b, v_b)
-        return None
 
     order: list[np.ndarray] = []
     outs: list[Variable] = []
@@ -224,37 +229,26 @@ def dsbn_forward(
         idx = np.where(ids == d)[0]
         st = state._get(d)
         grp = ad.gather(h, idx, axis=0)
-        if mode == "train":
-            if st.kind != "source":
-                raise ConfigError(f"train-mode normalization is restricted to source "
-                                  f"domains, got {d!r}")
-            if idx.size < 2:
-                raise ValueError(f"train needs >= 2 samples per domain, got {idx.size}")
-            logz = ad.sym_fn(grp, "log")
-            g_b = ad.sym_fn(ad.mean(logz, axis=0), "exp")
-            inv_sqrt = ad.sym_fn(g_b, "inv_sqrt")
-            logm = ad.sym_fn(ad.matmul(ad.matmul(inv_sqrt, grp), inv_sqrt), "log")
-            v_b = ad.power(ad.mean(ad.sum_(ad.mul(logm, logm), axis=(1, 2))), 0.5)
-            p = ad.div(v_phi, ad.add(v_b, eps_var))
-            powed = ad.sym_fn(ad.mul(logm, p), "exp")
-            sqrt_phi = ad.sym_fn(g_phi, "sqrt")
-            out = ad.matmul(ad.matmul(sqrt_phi, powed), sqrt_phi)
-            state.update(d, g_b.value, float(v_b.value))
-        elif mode == "eval":
+        if mode == "eval":
             g_run, v_run = state.stats(d)
-            out = spdbn_normalize(
-                grp,
-                h.tape.constant(g_run),
-                h.tape.constant(v_run),
-                g_phi,
-                v_phi,
-                eps_var,
-            )
+            out = spdbn_normalize(grp, h.tape.constant(g_run), h.tape.constant(v_run),
+                                  g_phi, v_phi, eps_var)
         else:
-            raise ValueError(f"unknown dsbn mode {mode!r}")
+            kind = "source" if mode == "train" else "target"
+            if st.kind != kind:
+                raise ConfigError(f"{mode} mode is restricted to {kind} domains, got {d!r}")
+            if idx.size < 2:
+                raise ValueError(f"{mode} needs >= 2 samples per domain, got {idx.size}")
+            g_b, v_b, logm = batch_stats(grp)
+            state.update(d, g_b.value, float(v_b.value))
+            if mode == "adapt":
+                continue
+            out = _rescale(logm, v_b, g_phi, v_phi, eps_var)
         order.append(idx)
         outs.append(out)
 
+    if mode == "adapt":
+        return None
     merged = ad.concat(outs, axis=0) if len(outs) > 1 else outs[0]
     perm = np.concatenate(order)
     return ad.gather(merged, np.argsort(perm, kind="stable"), axis=0)

@@ -16,7 +16,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -108,17 +108,12 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         doc["ablation"] = [v for v in args.ablation.split(",") if v]
     if "seed" not in doc:
         doc["seed"] = _default_seed()
-    doc["r_resolution"] = tuple(doc.get("r_resolution", RunConfig().r_resolution))
-    doc["ablation"] = tuple(doc.get("ablation", ()))
-    return RunConfig(**doc)
+    return RunConfig.from_doc(doc)
 
 
 def _write_run_dir(out: Path, cfg: RunConfig) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    doc = asdict(cfg)
-    doc["r_resolution"] = list(cfg.r_resolution)
-    doc["ablation"] = list(cfg.ablation)
-    snapshot = {"config": doc, "seed": cfg.seed, "config_hash": cfg.hash(),
+    snapshot = {"config": cfg.to_doc(), "seed": cfg.seed, "config_hash": cfg.hash(),
                 "build_id": build_id(cfg.hash())}
     (out / "config.json").write_text(json.dumps(snapshot, indent=2))
 

@@ -260,12 +260,6 @@ class DomainBatchSampler:
         return max(1, total // self.batch_size)
 
 
-def sample_batch(trials: list[Trial], batch_size: int, domains_per_batch: int,
-                 rng: np.random.Generator):
-    """One domain-balanced batch (convenience wrapper over the sampler)."""
-    return DomainBatchSampler(trials, batch_size, domains_per_batch, rng).next_batch()
-
-
 # --- synthetic generator -------------------------------------------------------------
 
 @dataclass
@@ -464,10 +458,14 @@ def load_dataset(path: str | Path) -> tuple[DatasetManifest, list[Trial]]:
                     f"trials.f32 truncated: trial {row['trial_id']} needs bytes "
                     f"[{offset}, {end}) of {len(blob)}"
                 )
+            label = int(row["label_id"])
+            if not 0 <= label < manifest.n_classes:
+                raise DataError(f"trial {row['trial_id']} has label_id {label}, outside "
+                                f"[0, {manifest.n_classes})")
             signal = np.frombuffer(blob[offset:end], dtype="<f4").reshape(c, t)
             trials.append(Trial(
                 signal=signal.copy(),
-                label=int(row["label_id"]),
+                label=label,
                 domain=(int(row["subject"]), int(row["session"])),
                 trial_id=int(row["trial_id"]),
             ))

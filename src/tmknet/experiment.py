@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,7 @@ from .stem import MSS_KERNELS, StemConfig
 
 CHECKPOINT_MAGIC = b"TMKN"
 CHECKPOINT_VERSION = 1
+INFER_CHUNK = 256  # rows per eval-mode forward in chunked inference
 
 ABLATION_VARIANTS = (
     "no_mrt",
@@ -77,11 +78,17 @@ class RunConfig:
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError("val_fraction must lie in [0, 1)")
 
+    def to_doc(self) -> dict:
+        """The fields as a JSON-ready dict; tuple fields become lists."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> "RunConfig":
+        """Inverse of `to_doc`; absent fields take their defaults."""
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
+
     def hash(self) -> str:
-        doc = asdict(self)
-        doc["r_resolution"] = list(self.r_resolution)
-        doc["ablation"] = list(self.ablation)
-        blob = json.dumps(doc, sort_keys=True).encode()
+        blob = json.dumps(self.to_doc(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -223,16 +230,11 @@ def train(cfg: RunConfig, manifest: DatasetManifest,
     return model, val_report
 
 
-def _validation_loss(model: TMKNet, trials: list[Trial], batch_size: int = 256) -> float:
+def _validation_loss(model: TMKNet, trials: list[Trial]) -> float:
     """Mean eval-mode cross-entropy over a labeled trial list."""
     total = 0.0
-    for start in range(0, len(trials), batch_size):
-        chunk = trials[start: start + batch_size]
-        x = np.stack([t.signal for t in chunk]).astype(np.float64)
-        ids = [domain_key(t.domain) for t in chunk]
-        logits = model.predict_logits(x, ids)
-        shift = logits - logits.max(axis=1, keepdims=True)
-        logp = shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
+    for chunk, logits, _ in _predict_chunks(model, trials):
+        logp = ad.log_softmax(Tape().constant(logits)).value
         labels = np.array([t.label for t in chunk])
         total += -logp[np.arange(len(chunk)), labels].sum()
     return total / len(trials)
@@ -258,17 +260,26 @@ def adapt(model: TMKNet, signals: np.ndarray, domain: tuple[int, int],
         model.adapt_batch(chunk, [key] * chunk.shape[0])
 
 
-def evaluate(model: TMKNet, trials: list[Trial], manifest: DatasetManifest,
-             batch_size: int = 256) -> MetricsReport:
+def _predict_chunks(model: TMKNet, trials: list[Trial], capture: bool = False):
+    """Eval-mode logits over `trials`, INFER_CHUNK rows per forward.
+
+    Yields (chunk, logits, captured): `captured` holds the chunk's pre- and
+    post-DSBN matrices when `capture` is set, and is None otherwise.
+    """
+    for start in range(0, len(trials), INFER_CHUNK):
+        chunk = trials[start: start + INFER_CHUNK]
+        x = np.stack([t.signal for t in chunk]).astype(np.float64)
+        captured = {} if capture else None
+        logits = model.predict_logits(x, [domain_key(t.domain) for t in chunk], captured)
+        yield chunk, logits, captured
+
+
+def evaluate(model: TMKNet, trials: list[Trial], manifest: DatasetManifest) -> MetricsReport:
     """Eval-mode predictions against labels; pure given (model, trials)."""
     if not trials:
         raise DataError("no trials to evaluate")
     preds = []
-    for start in range(0, len(trials), batch_size):
-        chunk = trials[start: start + batch_size]
-        x = np.stack([t.signal for t in chunk]).astype(np.float64)
-        ids = [domain_key(t.domain) for t in chunk]
-        logits = model.predict_logits(x, ids)
+    for _, logits, _ in _predict_chunks(model, trials):
         preds.extend(np.argmax(logits, axis=1).tolist())
     y_true = [t.label for t in trials]
     return report_from_predictions(y_true, preds, manifest.n_classes)
@@ -323,8 +334,7 @@ def _tangent_vector(mats: np.ndarray) -> np.ndarray:
     return mats[:, iu[0], iu[1]] * scale
 
 
-def export_features(model: TMKNet, trials: list[Trial],
-                    batch_size: int = 256) -> tuple[list[str], list[list]]:
+def export_features(model: TMKNet, trials: list[Trial]) -> tuple[list[str], list[list]]:
     """Tangent-space features immediately before and after the DSBN layer.
 
     Returns (header, rows) ready for CSV: trial id, label, domain, then the
@@ -335,14 +345,9 @@ def export_features(model: TMKNet, trials: list[Trial],
     header = (["trial_id", "label", "subject", "session"]
               + [f"pre_{i}" for i in range(dim)] + [f"post_{i}" for i in range(dim)])
     rows: list[list] = []
-    for start in range(0, len(trials), batch_size):
-        chunk = trials[start: start + batch_size]
-        x = np.stack([t.signal for t in chunk]).astype(np.float64)
-        ids = [domain_key(t.domain) for t in chunk]
-        capture: dict = {}
-        model.predict_logits(x, ids, capture=capture)
-        pre = _tangent_vector(sym_fn(capture["pre_dsbn"], "log"))
-        post = _tangent_vector(sym_fn(capture["post_dsbn"], "log"))
+    for chunk, _, captured in _predict_chunks(model, trials, capture=True):
+        pre = _tangent_vector(sym_fn(captured["pre_dsbn"], "log"))
+        post = _tangent_vector(sym_fn(captured["post_dsbn"], "log"))
         for i, t in enumerate(chunk):
             rows.append([t.trial_id, t.label, t.domain[0], t.domain[1],
                          *pre[i].tolist(), *post[i].tolist()])
@@ -376,7 +381,7 @@ def ablate(cfg: RunConfig, manifest: DatasetManifest, trials: list[Trial],
     results = []
     for name in ["full", *variants]:
         flags = () if name == "full" else (name,)
-        variant_cfg = RunConfig(**{**asdict(cfg), "ablation": flags})
+        variant_cfg = replace(cfg, ablation=flags)
         _, _, target_report = run_uda(variant_cfg, manifest, trials)
         results.append((name, target_report))
     return results
@@ -411,12 +416,9 @@ def save_checkpoint(path: str | Path, model: TMKNet, cfg: RunConfig,
 
     manifest_doc = asdict(manifest)
     manifest_doc["domains"] = [list(d) for d in manifest.domains]
-    cfg_doc = asdict(cfg)
-    cfg_doc["r_resolution"] = list(cfg.r_resolution)
-    cfg_doc["ablation"] = list(cfg.ablation)
     header = json.dumps({
         "format_version": CHECKPOINT_VERSION,
-        "config": cfg_doc,
+        "config": cfg.to_doc(),
         "config_hash": cfg.hash(),
         "seed": cfg.seed,
         "manifest": manifest_doc,
@@ -454,18 +456,24 @@ def load_checkpoint(path: str | Path) -> tuple[TMKNet, RunConfig, DatasetManifes
     missing = [k for k in ("config", "manifest", "entries", "domain_kinds") if k not in header]
     if missing:
         raise DataError(f"{path}: checkpoint header lacks {missing}")
+    for key in ("config", "manifest", "domain_kinds"):
+        if not isinstance(header[key], dict):
+            raise DataError(f"{path}: checkpoint header field {key!r} is not a JSON object")
+    entries = header["entries"]
+    if not isinstance(entries, list) or not all(map(_is_entry, entries)):
+        raise DataError(f"{path}: checkpoint header field 'entries' is not a list of "
+                        "{kind, name, shape, offset} objects")
     payload = raw[16 + header_len:]
 
-    cfg_doc = dict(header["config"])
-    cfg_doc["r_resolution"] = tuple(cfg_doc["r_resolution"])
-    cfg_doc["ablation"] = tuple(cfg_doc["ablation"])
-    cfg = RunConfig(**cfg_doc)
-    manifest = DatasetManifest(**header["manifest"])
-
-    model = TMKNet(build_model_config(manifest, cfg), seed=cfg.seed)
+    try:
+        cfg = RunConfig.from_doc(header["config"])
+        manifest = DatasetManifest(**header["manifest"])
+        model = TMKNet(build_model_config(manifest, cfg), seed=cfg.seed)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: checkpoint header does not describe a model ({exc})") from exc
     values: dict[str, np.ndarray] = {}
     state: dict[str, np.ndarray] = {}
-    for e in header["entries"]:
+    for e in entries:
         count = int(np.prod(e["shape"])) if e["shape"] else 1
         start = e["offset"]
         arr = np.frombuffer(payload[start: start + 8 * count], dtype="<f8")
@@ -476,6 +484,23 @@ def load_checkpoint(path: str | Path) -> tuple[TMKNet, RunConfig, DatasetManifes
     missing = set(model.params.names()) - set(values)
     if missing:
         raise DataError(f"checkpoint is missing parameters: {sorted(missing)}")
+    for name in model.params.names():
+        want = model.params[name].value.shape
+        if values[name].shape != want:
+            raise DataError(f"checkpoint parameter {name} has shape "
+                            f"{values[name].shape}, the model needs {want}")
     model.params.load_values(values)
-    model.load_state_arrays(state, header["domain_kinds"])
+    try:
+        model.load_state_arrays(state, header["domain_kinds"])
+    except KeyError as exc:
+        raise DataError(f"checkpoint is missing state entry {exc}") from exc
     return model, cfg, manifest
+
+
+def _is_entry(e) -> bool:
+    """An entry-table row: {kind, name, shape, offset} with a non-negative
+    integer shape and offset."""
+    return (isinstance(e, dict) and isinstance(e.get("kind"), str)
+            and isinstance(e.get("name"), str) and isinstance(e.get("shape"), list)
+            and all(type(n) is int and n >= 0 for n in e["shape"])
+            and type(e.get("offset")) is int and e["offset"] >= 0)

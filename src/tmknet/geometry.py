@@ -12,7 +12,6 @@ from .errors import NumericalError
 from .linalg import sym_eig, sym_fn, symmetrize
 
 __all__ = [
-    "is_spd",
     "check_spd",
     "airm_dist",
     "geo_mean",
@@ -21,19 +20,7 @@ __all__ = [
     "parallel_transport",
     "log_map",
     "exp_map",
-    "tangent_mean_at",
 ]
-
-
-def is_spd(m: np.ndarray, sym_rtol: float = 1e-10) -> bool:
-    m = np.asarray(m)
-    if m.shape[-1] != m.shape[-2]:
-        return False
-    scale = np.abs(m).max(initial=0.0)
-    if scale > 0 and np.abs(m - np.swapaxes(m, -1, -2)).max() > sym_rtol * scale:
-        return False
-    lam = np.linalg.eigvalsh(symmetrize(m))
-    return bool(lam.min(initial=np.inf) > 0.0)
 
 
 def check_spd(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -106,15 +93,6 @@ def exp_map(base: np.ndarray, s_tan: np.ndarray) -> np.ndarray:
     s = sym_fn(base, "sqrt", eig=e)
     inv_s = sym_fn(base, "inv_sqrt", eig=e)
     return symmetrize(s @ sym_fn(symmetrize(inv_s @ s_tan @ inv_s), "exp") @ s)
-
-
-def tangent_mean_at(batch: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Mean of log(g^{-1/2} Z_j g^{-1/2}) over the batch.
-
-    This is the (whitened-coordinate) gradient direction of the Frechet
-    objective at g; its Frobenius norm is the flow's stopping measure.
-    """
-    return sym_fn(_whiten(g, batch), "log").mean(axis=0)
 
 
 def karcher_mean(

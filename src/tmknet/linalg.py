@@ -29,20 +29,10 @@ __all__ = [
     "sym_fn",
     "sym_fn_vjp",
     "symmetrize",
-    "apply_batched",
-    "as_tensor",
 ]
 
 # Relative eigen-gap below which the Loewner quotient degenerates to f'.
 EIG_GAP_RTOL = 1e-10
-
-
-def as_tensor(x) -> np.ndarray:
-    """Coerce to a C-contiguous float64 array and reject non-finite entries."""
-    a = np.ascontiguousarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
-        raise NumericalError("tensor contains NaN or Inf")
-    return a
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -187,15 +177,3 @@ def sym_fn_vjp(
     inner = ut @ symmetrize(upstream) @ u
     return symmetrize(u @ (k * inner) @ ut)
 
-
-def apply_batched(op, batch: np.ndarray) -> np.ndarray:
-    """Apply `op` to each slice along the leading axis and restack.
-
-    Results are identical to serial application by construction; an empty
-    batch maps to an empty batch of the same trailing shape.
-    """
-    batch = np.asarray(batch)
-    if batch.shape[0] == 0:
-        probe_shape = batch.shape[1:]
-        return np.empty((0,) + probe_shape, dtype=np.float64)
-    return np.stack([op(batch[i]) for i in range(batch.shape[0])])

@@ -91,6 +91,20 @@ class TMKNet:
             for name, p in self.params.items()
         }
 
+    def features(self, tape: Tape, x: Variable, mode: str,
+                 pvars: dict[str, Variable]) -> Variable:
+        """Stem, covariance pooling, BiMap and ReEig on (b, c, t) input
+        signals: the SPD matrices that enter DSBN. `mode` is the stem's."""
+        b, c, t = x.value.shape
+        if c != self.cfg.stem.sensors:
+            raise ConfigError(f"expected {self.cfg.stem.sensors} sensors, got {c}")
+        z = ad.reshape(x, (b, 1, c, t))
+        z = stem.mrt_forward(z, pvars, self.cfg.stem, self.mrt_bn, mode)
+        z = stem.mss_forward(z, pvars, self.cfg.stem, self.mss_bn, mode)
+        h = bk.cov_pool(z, self.cfg.backbone.cov_lambda)
+        h = bk.bimap(h, pvars["bimap.weight"])
+        return bk.reeig(h, self.cfg.backbone.eps_reeig)
+
     def forward(
         self,
         tape: Tape,
@@ -109,16 +123,7 @@ class TMKNet:
             raise ValueError(f"unknown forward mode {mode!r}")
         if pvars is None:
             pvars = self.param_vars(tape, trainable=(mode == "train"))
-        b, c, t = x.value.shape
-        if c != self.cfg.stem.sensors:
-            raise ConfigError(f"expected {self.cfg.stem.sensors} sensors, got {c}")
-
-        z = ad.reshape(x, (b, 1, c, t))
-        z = stem.mrt_forward(z, pvars, self.cfg.stem, self.mrt_bn, mode)
-        z = stem.mss_forward(z, pvars, self.cfg.stem, self.mss_bn, mode)
-        h = bk.cov_pool(z, self.cfg.backbone.cov_lambda)
-        h = bk.bimap(h, pvars["bimap.weight"])
-        h = bk.reeig(h, self.cfg.backbone.eps_reeig)
+        h = self.features(tape, x, mode, pvars)
         if capture is not None:
             capture["pre_dsbn"] = h.value.copy()
         v_phi = ad.exp(pvars["dsbn.log_v_phi"])
@@ -163,17 +168,9 @@ class TMKNet:
         nothing is recorded for differentiation.
         """
         tape = Tape()
-        pvars = self.param_vars(tape, trainable=False)
-        b, c, t = x.shape
-        z = ad.reshape(tape.constant(x), (b, 1, c, t))
-        z = stem.mrt_forward(z, pvars, self.cfg.stem, self.mrt_bn, "eval")
-        z = stem.mss_forward(z, pvars, self.cfg.stem, self.mss_bn, "eval")
-        h = bk.cov_pool(z, self.cfg.backbone.cov_lambda)
-        h = bk.bimap(h, pvars["bimap.weight"])
-        h = bk.reeig(h, self.cfg.backbone.eps_reeig)
-        v_phi = ad.exp(pvars["dsbn.log_v_phi"])
-        bk.dsbn_forward(h, self._bn_ids(domain_ids), self.dsbn, "adapt",
-                        pvars["dsbn.g_phi"], v_phi, self.cfg.backbone.eps_var)
+        h = self.features(tape, tape.constant(x), "eval",
+                          self.param_vars(tape, trainable=False))
+        bk.dsbn_forward(h, self._bn_ids(domain_ids), self.dsbn, "adapt")
 
     # --- state snapshot ---------------------------------------------------------
 

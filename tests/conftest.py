@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from tmknet.geometry import frechet_variance, karcher_mean
+
 
 def random_spd(rng, n, eig_range=(0.5, 3.0), min_gap=0.0):
     """SPD matrix with a controlled spectrum and random orthogonal frame."""
@@ -10,6 +12,13 @@ def random_spd(rng, n, eig_range=(0.5, 3.0), min_gap=0.0):
         lam = lo + np.cumsum(rng.uniform(min_gap, (hi - lo) / n, size=n))
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     return (q * lam) @ q.T
+
+
+def batch_stats_oracle(x):
+    """Numpy oracle for DSBN's batch statistics: one Karcher step from the
+    identity, and the root Frechet variance about it."""
+    g = karcher_mean(x, iters=1)
+    return g, float(np.sqrt(frechet_variance(x, g)))
 
 
 def random_sym(rng, n, scale=1.0):

@@ -13,7 +13,7 @@ import pytest
 from tmknet import autodiff as ad
 from tmknet import linalg
 from tmknet.autodiff import Tape
-from tmknet.backbone import BackboneConfig, DsbnState, _batch_stats_np, bimap, cov_pool, dsbn_forward, logeig, reeig
+from tmknet.backbone import BackboneConfig, DsbnState, bimap, cov_pool, dsbn_forward, logeig, reeig
 from tmknet.data import SynthSpec, leave_one_session_out, save_dataset, load_dataset, synth_generate
 from tmknet.experiment import (
     RunConfig,
@@ -32,7 +32,7 @@ from tmknet.metrics import wilcoxon_signed_rank
 from tmknet.model import TMKNet
 from tmknet.optim import adam_step
 
-from conftest import random_spd, random_sym
+from conftest import batch_stats_oracle, random_spd, random_sym
 
 
 # --- shared desk-scale experiment fixture -------------------------------------------
@@ -308,21 +308,21 @@ def test_criterion_04_spdbn_centering_oracle():
     z = tape.constant(np.stack([np.eye(2), np.diag([np.e ** 4, np.e ** 4])]))
     out = dsbn_forward(z, ["a", "a"], st, "train", tape.constant(np.eye(2)),
                        tape.constant(1.0), 1e-5)
-    remean = _batch_stats_np(out.value)[0]
+    remean = batch_stats_oracle(out.value)[0]
     assert np.abs(remean - np.eye(2)).max() <= 1e-10
 
     # random batches: distance of the re-estimated mean to identity shrinks >= 50%
     rng = np.random.default_rng(404)
     for _ in range(10):
         batch = np.stack([random_spd(rng, 10, eig_range=(0.3, 4.0)) for _ in range(64)])
-        g_before = _batch_stats_np(batch)[0]
+        g_before = batch_stats_oracle(batch)[0]
         d_before = airm_dist(g_before, np.eye(10))
         st = DsbnState(10)
         st.register("a", "source")
         tape = Tape()
         out = dsbn_forward(tape.constant(batch), ["a"] * 64, st, "train",
                            tape.constant(np.eye(10)), tape.constant(1.0), 1e-5)
-        g_after = _batch_stats_np(out.value)[0]
+        g_after = batch_stats_oracle(out.value)[0]
         d_after = airm_dist(g_after, np.eye(10))
         assert d_after <= 0.5 * d_before, (d_after, d_before)
     print("\ncriterion 4 SPDBN centering oracle: PASS")

@@ -7,7 +7,6 @@ from tmknet.autodiff import Tape
 from tmknet.backbone import (
     BackboneConfig,
     DsbnState,
-    _batch_stats_np,
     bimap,
     classify,
     cov_pool,
@@ -19,7 +18,7 @@ from tmknet.backbone import (
 from tmknet.errors import ConfigError
 from tmknet.geometry import airm_dist, geo_mean
 
-from conftest import random_spd, random_sym
+from conftest import batch_stats_oracle, random_spd, random_sym
 
 
 def const(tape, x):
@@ -159,7 +158,7 @@ class TestSpdbnNormalize:
         out = self._run(z, g_ref, v_ref, np.eye(2), v_ref + eps, eps)  # p = 1
         assert np.allclose(out[0], np.diag([np.e ** -2, np.e ** -2]))
         assert np.allclose(out[1], np.diag([np.e ** 2, np.e ** 2]))
-        remean = _batch_stats_np(out)[0]
+        remean = batch_stats_oracle(out)[0]
         assert np.allclose(remean, np.eye(2), atol=1e-10)
 
     def test_output_spd(self, rng):
@@ -214,8 +213,8 @@ class TestBatchStats:
     def test_congruence_equivariance(self, rng):
         z = np.stack([random_spd(rng, 4) for _ in range(6)])
         q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
-        g1, v1 = _batch_stats_np(z)
-        g2, v2 = _batch_stats_np(q @ z @ q.T)
+        g1, v1 = batch_stats_oracle(z)
+        g2, v2 = batch_stats_oracle(q @ z @ q.T)
         assert np.abs(q @ g1 @ q.T - g2).max() < 1e-8
         assert abs(v1 - v2) < 1e-8
 
@@ -231,7 +230,7 @@ class TestDsbnForward:
         tape = Tape()
         g_phi, v_phi = self._phi(tape, 2)
         out = dsbn_forward(const(tape, z), ["a", "a"], st, "train", g_phi, v_phi)
-        remean = _batch_stats_np(out.value)[0]
+        remean = batch_stats_oracle(out.value)[0]
         assert np.abs(remean - np.eye(2)).max() <= 1e-10
 
     def test_train_then_eval_constant_target(self, rng):
@@ -255,10 +254,33 @@ class TestDsbnForward:
         tape = Tape()
         g_phi, v_phi = self._phi(tape, 3)
         dsbn_forward(const(tape, batch), ["t"] * 5, st, "adapt", g_phi, v_phi)
-        g_b, v_b = _batch_stats_np(batch)
+        g_b, v_b = batch_stats_oracle(batch)
         g_run, v_run = st.stats("t")
         assert np.allclose(g_run, g_b)  # gamma at first update is 1
         assert abs(v_run - v_b) < 1e-12
+
+    def test_train_and_adapt_fold_in_identical_statistics(self, rng):
+        # a fresh source domain updated in train mode and a fresh target
+        # domain updated in adapt mode see one batch: same bytes
+        for k, n in ((2, 3), (5, 4), (12, 6), (30, 8)):
+            batch = np.stack([random_spd(rng, n, eig_range=(0.2, 5.0)) for _ in range(k)])
+            st = DsbnState(n)
+            st.register("s", "source")
+            st.register("t", "target")
+            tape = Tape()
+            g_phi, v_phi = self._phi(tape, n)
+            dsbn_forward(const(tape, batch), ["s"] * k, st, "train", g_phi, v_phi)
+            dsbn_forward(const(tape, batch), ["t"] * k, st, "adapt", g_phi, v_phi)
+            (g_s, v_s), (g_t, v_t) = st.stats("s"), st.stats("t")
+            assert g_s.tobytes() == g_t.tobytes(), (k, n)
+            assert v_s == v_t, (k, n, v_s - v_t)
+
+    def test_adapt_needs_no_bias_parameters(self, rng):
+        st = DsbnState(3)
+        st.register("t", "target")
+        batch = np.stack([random_spd(rng, 3) for _ in range(4)])
+        assert dsbn_forward(const(Tape(), batch), ["t"] * 4, st, "adapt") is None
+        assert st.domains["t"].steps == 1
 
     def test_adapt_on_source_rejected(self, rng):
         st = DsbnState(3)
@@ -329,7 +351,7 @@ class TestDsbnForward:
         g_phi = const(tape, np.eye(4))
         v_phi = const(tape, 0.5)
         out = dsbn_forward(const(tape, batch), ["a"] * 16, st, "train", g_phi, v_phi)
-        g_b, v_b = _batch_stats_np(out.value)
+        g_b, v_b = batch_stats_oracle(out.value)
         assert abs(v_b - 0.5) < 0.05
 
 

@@ -1,5 +1,7 @@
 import csv
 import json
+import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +113,34 @@ class TestErrorPaths:
         assert main(["adapt", "--checkpoint", str(short), "--data", str(dataset),
                      "--out", str(tmp_path / "a")]) == 2
         assert "data error:" in capsys.readouterr().err
+
+
+    def test_checkpoint_header_wrong_type_exits_two(self, dataset, trained_run, tmp_path,
+                                                    capsys):
+        blob = (trained_run / "checkpoint.tmk").read_bytes()
+        (header_len,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16:16 + header_len])
+        header["config"] = 5
+        raw = json.dumps(header).encode("utf-8")
+        bad = tmp_path / "bad.tmk"
+        bad.write_bytes(blob[:4] + struct.pack("<IQ", 1, len(raw)) + raw
+                        + blob[16 + header_len:])
+        assert main(["adapt", "--checkpoint", str(bad), "--data", str(dataset),
+                     "--out", str(tmp_path / "a")]) == 2
+        assert "data error:" in capsys.readouterr().err
+
+    def test_label_out_of_range_exits_two(self, dataset, trained_run, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        with open(data / "index.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[1][2] = "3"  # three classes: label ids 0..2
+        with open(data / "index.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert main(["eval", "--checkpoint", str(trained_run / "checkpoint.tmk"),
+                     "--data", str(data), "--domain", "0/0",
+                     "--out", str(tmp_path / "e")]) == 2
+        assert "label_id" in capsys.readouterr().err
 
 
 class TestSaliencyExport:

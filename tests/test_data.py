@@ -11,7 +11,6 @@ from tmknet.data import (
     hampel,
     leave_one_session_out,
     load_dataset,
-    sample_batch,
     save_dataset,
     synth_generate,
     window,
@@ -173,7 +172,7 @@ class TestSampler:
     def test_balanced_batches(self, rng):
         domains = [(0, s) for s in range(5)]
         trials = make_trials(rng, domains)
-        x, y, doms = sample_batch(trials, 50, 5, np.random.default_rng(3))
+        x, y, doms = DomainBatchSampler(trials, 50, 5, np.random.default_rng(3)).next_batch()
         assert x.shape[0] == 50
         counts = {d: doms.count(d) for d in set(doms)}
         assert all(v == 10 for v in counts.values())
@@ -181,13 +180,13 @@ class TestSampler:
 
     def test_single_domain_batches(self, rng):
         trials = make_trials(rng, [(0, 0), (0, 1)], per_domain=60)
-        x, y, doms = sample_batch(trials, 50, 1, np.random.default_rng(3))
+        x, y, doms = DomainBatchSampler(trials, 50, 1, np.random.default_rng(3)).next_batch()
         assert len(set(doms)) == 1 and len(doms) == 50
 
     def test_deterministic_under_seed(self, rng):
         trials = make_trials(rng, [(0, 0), (0, 1)], per_domain=60)
-        a = sample_batch(trials, 20, 2, np.random.default_rng(11))
-        b = sample_batch(trials, 20, 2, np.random.default_rng(11))
+        a = DomainBatchSampler(trials, 20, 2, np.random.default_rng(11)).next_batch()
+        b = DomainBatchSampler(trials, 20, 2, np.random.default_rng(11)).next_batch()
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]) and a[2] == b[2]
 
     def test_all_domains_visited_each_epoch(self, rng):
@@ -203,12 +202,12 @@ class TestSampler:
     def test_indivisible_batch_rejected(self, rng):
         trials = make_trials(rng, [(0, 0), (0, 1)])
         with pytest.raises(ConfigError):
-            sample_batch(trials, 50, 3, np.random.default_rng(0))
+            DomainBatchSampler(trials, 50, 3, np.random.default_rng(0)).next_batch()
 
     def test_too_many_domains_rejected(self, rng):
         trials = make_trials(rng, [(0, 0)])
         with pytest.raises(ConfigError):
-            sample_batch(trials, 50, 5, np.random.default_rng(0))
+            DomainBatchSampler(trials, 50, 5, np.random.default_rng(0)).next_batch()
 
 
 class TestSynthGenerate:
@@ -297,6 +296,15 @@ class TestStoreIO:
         doc["format_version"] = 99
         (tmp_path / "ds" / "manifest.json").write_text(json.dumps(doc))
         with pytest.raises(DataError):
+            load_dataset(tmp_path / "ds")
+
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_label_out_of_range(self, tmp_path, label):
+        spec = SynthSpec(n_classes=2, sensors=4, n_domains=1, trials_per_cell=2, seed=3)
+        manifest, trials = synth_generate(spec)
+        trials[1].label = label
+        save_dataset(tmp_path / "ds", manifest, trials)
+        with pytest.raises(DataError, match="label_id"):
             load_dataset(tmp_path / "ds")
 
     def test_corrupt_manifest(self, tmp_path):

@@ -276,18 +276,67 @@ class TestCheckpoint:
         with pytest.raises(DataError, match=match):
             load_checkpoint(tmp_path / "bad.tmk")
 
+    @staticmethod
+    def _edit_header(path, edit):
+        """Rewrite a checkpoint's JSON header through `edit(header)`."""
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16:16 + header_len])
+        edit(header)
+        raw = json.dumps(header).encode("utf-8")
+        path.write_bytes(blob[:4] + struct.pack("<IQ", 1, len(raw)) + raw
+                         + blob[16 + header_len:])
+
     @pytest.mark.parametrize("key", ["config", "manifest", "entries", "domain_kinds"])
     def test_header_missing_key(self, tmp_path, trained, key):
         cfg, model, _ = trained
         save_checkpoint(tmp_path / "ck.tmk", model, cfg, MANIFEST)
-        blob = (tmp_path / "ck.tmk").read_bytes()
-        (header_len,) = struct.unpack("<Q", blob[8:16])
-        header = json.loads(blob[16:16 + header_len])
-        del header[key]
-        raw = json.dumps(header).encode("utf-8")
-        (tmp_path / "ck.tmk").write_bytes(blob[:4] + struct.pack("<IQ", 1, len(raw)) + raw
-                                          + blob[16 + header_len:])
+        self._edit_header(tmp_path / "ck.tmk", lambda h: h.pop(key))
         with pytest.raises(DataError, match=key):
+            load_checkpoint(tmp_path / "ck.tmk")
+
+    @pytest.mark.parametrize("key,value", [
+        ("config", 5),
+        ("config", {"r_resolution": 5}),
+        ("config", {"no_such_field": 1}),
+        ("manifest", [1, 2]),
+        ("manifest", {"name": "x"}),
+        ("domain_kinds", "0/0"),
+        ("entries", {"kind": "param"}),
+        ("entries", [5]),
+        ("entries", [{"kind": "param", "name": "head.bias", "shape": [3]}]),
+        ("entries", [{"kind": "param", "name": "head.bias", "shape": ["3"], "offset": 0}]),
+        ("entries", [{"kind": "param", "name": "head.bias", "shape": [3], "offset": -8}]),
+    ], ids=["config-int", "config-bad-field-type", "config-unknown-field",
+            "manifest-list", "manifest-incomplete", "domain-kinds-str", "entries-object",
+            "entries-int-row", "entry-no-offset", "entry-shape-str", "entry-negative-offset"])
+    def test_header_field_wrong_type(self, tmp_path, trained, key, value):
+        cfg, model, _ = trained
+        save_checkpoint(tmp_path / "ck.tmk", model, cfg, MANIFEST)
+        self._edit_header(tmp_path / "ck.tmk", lambda h: h.update({key: value}))
+        with pytest.raises(DataError):
+            load_checkpoint(tmp_path / "ck.tmk")
+
+    def test_param_shape_mismatch(self, tmp_path, trained):
+        # same element count, transposed shape: a silent reshape would load it
+        cfg, model, _ = trained
+        save_checkpoint(tmp_path / "ck.tmk", model, cfg, MANIFEST)
+
+        def transpose_head(header):
+            for e in header["entries"]:
+                if e["name"] == "head.weight":
+                    e["shape"] = e["shape"][::-1]
+
+        self._edit_header(tmp_path / "ck.tmk", transpose_head)
+        with pytest.raises(DataError, match="head.weight"):
+            load_checkpoint(tmp_path / "ck.tmk")
+
+    def test_missing_state_entry(self, tmp_path, trained):
+        cfg, model, _ = trained
+        save_checkpoint(tmp_path / "ck.tmk", model, cfg, MANIFEST)
+        self._edit_header(tmp_path / "ck.tmk", lambda h: h.update(
+            entries=[e for e in h["entries"] if e["name"] != "state.mss_bn.var"]))
+        with pytest.raises(DataError, match="state.mss_bn.var"):
             load_checkpoint(tmp_path / "ck.tmk")
 
     def test_truncated_payload(self, tmp_path, trained):
@@ -301,3 +350,23 @@ class TestCheckpoint:
     def test_config_hash_stable(self):
         assert quick_cfg().hash() == quick_cfg().hash()
         assert quick_cfg().hash() != quick_cfg(seed=6).hash()
+
+
+class TestRunConfigDoc:
+    def test_hash_values_pinned(self):
+        assert RunConfig().hash() == "66c94f21dbfe3a01"
+        assert RunConfig(ablation=("no_mss",), r_resolution=(0.0625,),
+                         cov_lambda=0.5).hash() == "4a28b1cb0671abe8"
+
+    @pytest.mark.parametrize("cfg", [
+        RunConfig(),
+        RunConfig(ablation=("no_mss", "no_dilated"), r_resolution=(0.0625,), cov_lambda=0.5,
+                  shared_bn=True, adaptation="interleaved"),
+    ], ids=["default", "tuples-and-flags"])
+    def test_json_round_trip(self, cfg):
+        doc = cfg.to_doc()
+        assert isinstance(doc["r_resolution"], list) and isinstance(doc["ablation"], list)
+        assert RunConfig.from_doc(json.loads(json.dumps(doc))) == cfg
+
+    def test_absent_fields_take_defaults(self):
+        assert RunConfig.from_doc({"epochs": 3}) == RunConfig(epochs=3)

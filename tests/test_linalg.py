@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tmknet.errors import NumericalError
-from tmknet.linalg import SymEig, apply_batched, sym_eig, sym_fn, sym_fn_vjp, symmetrize
+from tmknet.linalg import SymEig, sym_eig, sym_fn, sym_fn_vjp, symmetrize
 
 from conftest import random_spd, random_sym, rel_err
 
@@ -154,19 +154,3 @@ class TestSymFnVjp:
         out = sym_fn_vjp(m, "log", u)
         assert np.allclose(out, 0.5 * np.eye(3))
 
-
-class TestApplyBatched:
-    def test_single(self, rng):
-        m = random_spd(rng, 4)[None]
-        out = apply_batched(lambda z: sym_fn(z, "log"), m)
-        assert np.array_equal(out[0], sym_fn(m[0], "log"))
-
-    def test_empty(self):
-        out = apply_batched(lambda z: z, np.empty((0, 3, 3)))
-        assert out.shape == (0, 3, 3)
-
-    def test_equals_serial_bit_exact(self, rng):
-        batch = np.stack([random_spd(rng, 5) for _ in range(8)])
-        out = apply_batched(lambda z: sym_fn(z, "log"), batch)
-        serial = np.stack([sym_fn(batch[i], "log") for i in range(8)])
-        assert np.array_equal(out, serial)
