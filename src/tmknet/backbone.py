@@ -42,6 +42,8 @@ class BackboneConfig:
     eps_var: float = 1e-5
 
     def __post_init__(self):
+        if self.n_b < 1 or self.n_c < 1:
+            raise ConfigError("n_b and n_c must be positive")
         if self.cov_lambda is not None and self.cov_lambda <= 0:
             raise ConfigError("cov_lambda must be positive")
         if self.eps_reeig <= 0 or self.eps_var <= 0:
@@ -84,6 +86,12 @@ def logeig(h: Variable) -> Variable:
     return ad.sym_fn(h, "log")
 
 
+def _log_whitened(z: Variable, g: Variable) -> Variable:
+    """log(g^{-1/2} Z g^{-1/2}): the batch at the tangent space of g."""
+    inv_sqrt = ad.sym_fn(g, "inv_sqrt")
+    return ad.sym_fn(ad.matmul(ad.matmul(inv_sqrt, z), inv_sqrt), "log")
+
+
 def batch_stats(z: Variable) -> tuple[Variable, Variable, Variable]:
     """Batch Frechet statistics of one domain group (b, n, n).
 
@@ -93,8 +101,7 @@ def batch_stats(z: Variable) -> tuple[Variable, Variable, Variable]:
     of its mean, ready for `_rescale`.
     """
     g_b = ad.sym_fn(ad.mean(ad.sym_fn(z, "log"), axis=0), "exp")
-    inv_sqrt = ad.sym_fn(g_b, "inv_sqrt")
-    logm = ad.sym_fn(ad.matmul(ad.matmul(inv_sqrt, z), inv_sqrt), "log")
+    logm = _log_whitened(z, g_b)
     v_b = ad.power(ad.mean(ad.sum_(ad.mul(logm, logm), axis=(1, 2))), 0.5)
     return g_b, v_b, logm
 
@@ -122,9 +129,7 @@ def spdbn_normalize(
     p = v_phi / (v_ref + eps_var); the matrix power runs as exp(p * log M) so
     the exponent stays differentiable.
     """
-    inv_sqrt_ref = ad.sym_fn(g_ref, "inv_sqrt")
-    logm = ad.sym_fn(ad.matmul(ad.matmul(inv_sqrt_ref, z), inv_sqrt_ref), "log")
-    return _rescale(logm, v_ref, g_phi, v_phi, eps_var)
+    return _rescale(_log_whitened(z, g_ref), v_ref, g_phi, v_phi, eps_var)
 
 
 # --- domain-specific running statistics -----------------------------------------
@@ -189,14 +194,6 @@ class DsbnState:
             raise ConfigError(f"domain {domain_id!r} has no accumulated statistics; "
                               "train or adapt on it first")
         return st.g_run, st.v_run
-
-    def copy(self) -> "DsbnState":
-        out = DsbnState(self.n, self.gamma_source, self.gamma_target)
-        out.domains = {
-            k: _DomainStats(v.kind, v.g_run.copy(), v.v_run, v.steps)
-            for k, v in self.domains.items()
-        }
-        return out
 
 
 def dsbn_forward(

@@ -72,7 +72,8 @@ _CONFIG_FLAGS = {
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with RunConfig fields; flags override it")
+    p.add_argument("--config", help="JSON file with RunConfig fields, or a run's "
+                   "config.json snapshot; flags override it")
     defaults = RunConfig()
     for name, typ in _CONFIG_FLAGS.items():
         flag = "--" + name.replace("_", "-")
@@ -93,8 +94,12 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
             raise DataError(f"--config file not found: {path}")
         try:
             doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # both UnicodeDecodeError and JSONDecodeError
             raise DataError(f"--config {path} is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise DataError(f"--config {path} is not a JSON object")
+        if isinstance(doc.get("config"), dict):  # a run directory's config.json
+            doc = doc["config"]
         unknown = set(doc) - valid
         if unknown:
             raise ConfigError(f"--config {path} has unknown keys: {sorted(unknown)}")
@@ -183,7 +188,6 @@ def _cmd_adapt(args) -> int:
         raise DataError(f"no trials for target domain {target} in {args.data}")
     adapt(model, signals.astype(np.float64), target, batch_size=cfg.batch_size)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_run_dir(out, cfg)
     save_checkpoint(out / "checkpoint.tmk", model, cfg, manifest)
     print(f"adapted statistics for domain {domain_key(target)}; "
@@ -237,7 +241,6 @@ def _cmd_saliency(args) -> int:
         raise DataError(f"trial id {args.trial_id} not present in {args.data}")
     sal, per_sensor = saliency(model, match[0], args.target_class)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_run_dir(out, cfg)
     np.savetxt(out / "saliency.csv", sal, delimiter=",")
     with open(out / "saliency_per_sensor.csv", "w", newline="") as fh:
@@ -255,7 +258,6 @@ def _cmd_export_features(args) -> int:
     _, trials = _load_data(args.data)
     header, rows = export_features(model, trials)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_run_dir(out, cfg)
     with open(out / "features.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -11,6 +11,7 @@ Dataset directory format (format_version 1):
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -20,6 +21,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 FORMAT_VERSION = 1
+INDEX_COLUMNS = ("trial_id", "byte_offset", "label_id", "subject", "session")
 
 
 @dataclass
@@ -47,6 +49,10 @@ class DatasetManifest:
             if any(not 0 <= i < self.sensors for i in ids):
                 raise ConfigError("muscle-group indices must lie in [0, sensors)")
         self.domains = [tuple(d) for d in self.domains]
+
+    def to_doc(self) -> dict:
+        """The fields as a JSON-ready dict; domain pairs become lists."""
+        return {**asdict(self), "domains": [list(d) for d in self.domains]}
 
     @property
     def n_classes(self) -> int:
@@ -405,9 +411,8 @@ def synth_generate(spec: SynthSpec) -> tuple[DatasetManifest, list[Trial]]:
 def save_dataset(path: str | Path, manifest: DatasetManifest, trials: list[Trial]) -> None:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    doc = asdict(manifest)
-    doc["domains"] = [list(d) for d in manifest.domains]
-    (path / "manifest.json").write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    (path / "manifest.json").write_text(json.dumps(manifest.to_doc(), indent=2),
+                                        encoding="utf-8")
 
     offset = 0
     rows = []
@@ -420,55 +425,75 @@ def save_dataset(path: str | Path, manifest: DatasetManifest, trials: list[Trial
 
     with open(path / "index.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["trial_id", "byte_offset", "label_id", "subject", "session"])
+        writer.writerow(INDEX_COLUMNS)
         writer.writerows(rows)
+
+
+def _read_store_file(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def _index_rows(path: Path):
+    """Yield the INDEX_COLUMNS of each index.csv row as integers; a malformed
+    file or row raises DataError naming the file and line."""
+    try:
+        reader = csv.reader(io.StringIO(_read_store_file(path).decode("utf-8"), newline=""))
+        header = next(reader, [])
+        missing = [k for k in INDEX_COLUMNS if k not in header]
+        if missing:
+            raise DataError(f"{path}: header lacks columns {missing}")
+        cols = [header.index(k) for k in INDEX_COLUMNS]
+        for row in reader:
+            if not row:
+                continue
+            try:
+                values = tuple(int(row[i]) for i in cols)
+            except (IndexError, ValueError):
+                raise DataError(f"{path} line {reader.line_num}: {row} does not hold "
+                                f"integer {', '.join(INDEX_COLUMNS)}") from None
+            yield values
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path} is not a UTF-8 CSV file ({exc})") from exc
 
 
 def load_dataset(path: str | Path) -> tuple[DatasetManifest, list[Trial]]:
     path = Path(path)
     manifest_path = path / "manifest.json"
-    if not manifest_path.exists():
-        raise DataError(f"no manifest.json under {path}")
     try:
-        doc = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        doc = json.loads(_read_store_file(manifest_path).decode("utf-8"))
+    except ValueError as exc:  # both UnicodeDecodeError and JSONDecodeError
         raise DataError(f"corrupt manifest.json: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{manifest_path} is not a JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise DataError(f"unknown dataset format version {version!r} "
                         f"(expected {FORMAT_VERSION})")
     try:
         manifest = DatasetManifest(**doc)
-    except TypeError as exc:
-        raise DataError(f"manifest.json is missing fields: {exc}") from exc
+        t, c, n_classes = manifest.window_samples, manifest.sensors, manifest.n_classes
+        trial_bytes = c * t * 4
+        if type(trial_bytes) is not int or trial_bytes <= 0:
+            raise ValueError(f"{c} sensors x {t} samples per trial")
+    except (TypeError, ValueError, ArithmeticError, ConfigError) as exc:
+        raise DataError(f"{manifest_path} does not describe a dataset ({exc})") from exc
 
-    blob = (path / "trials.f32").read_bytes()
-    t = manifest.window_samples
-    c = manifest.sensors
-    trial_bytes = c * t * 4
-
+    blob = _read_store_file(path / "trials.f32")
     trials = []
-    with open(path / "index.csv", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            offset = int(row["byte_offset"])
-            end = offset + trial_bytes
-            if end > len(blob):
-                raise DataError(
-                    f"trials.f32 truncated: trial {row['trial_id']} needs bytes "
-                    f"[{offset}, {end}) of {len(blob)}"
-                )
-            label = int(row["label_id"])
-            if not 0 <= label < manifest.n_classes:
-                raise DataError(f"trial {row['trial_id']} has label_id {label}, outside "
-                                f"[0, {manifest.n_classes})")
-            signal = np.frombuffer(blob[offset:end], dtype="<f4").reshape(c, t)
-            trials.append(Trial(
-                signal=signal.copy(),
-                label=label,
-                domain=(int(row["subject"]), int(row["session"])),
-                trial_id=int(row["trial_id"]),
-            ))
+    for trial_id, offset, label, subject, session in _index_rows(path / "index.csv"):
+        end = offset + trial_bytes
+        if offset < 0 or end > len(blob):
+            raise DataError(f"trials.f32 holds {len(blob)} bytes; trial {trial_id} "
+                            f"needs bytes [{offset}, {end})")
+        if not 0 <= label < n_classes:
+            raise DataError(f"trial {trial_id} has label_id {label}, outside "
+                            f"[0, {n_classes})")
+        signal = np.frombuffer(blob[offset:end], dtype="<f4").reshape(c, t)
+        trials.append(Trial(signal=signal.copy(), label=label, domain=(subject, session),
+                            trial_id=trial_id))
     expected = len(trials) * trial_bytes
     if len(blob) != expected:
         raise DataError(f"trials.f32 length {len(blob)} does not match index "

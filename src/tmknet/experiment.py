@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -414,14 +415,12 @@ def save_checkpoint(path: str | Path, model: TMKNet, cfg: RunConfig,
         blobs.append(data.tobytes())
         offset += data.nbytes
 
-    manifest_doc = asdict(manifest)
-    manifest_doc["domains"] = [list(d) for d in manifest.domains]
     header = json.dumps({
         "format_version": CHECKPOINT_VERSION,
         "config": cfg.to_doc(),
         "config_hash": cfg.hash(),
         "seed": cfg.seed,
-        "manifest": manifest_doc,
+        "manifest": manifest.to_doc(),
         "domain_kinds": model.dsbn_domain_kinds(),
         "entries": entries,
     }, sort_keys=True).encode("utf-8")
@@ -469,32 +468,41 @@ def load_checkpoint(path: str | Path) -> tuple[TMKNet, RunConfig, DatasetManifes
         cfg = RunConfig.from_doc(header["config"])
         manifest = DatasetManifest(**header["manifest"])
         model = TMKNet(build_model_config(manifest, cfg), seed=cfg.seed)
-    except (TypeError, ValueError) as exc:
+        for d, kind in header["domain_kinds"].items():
+            model.dsbn.register(d, kind)
+    except (TypeError, ValueError, ArithmeticError, ConfigError) as exc:
         raise DataError(f"{path}: checkpoint header does not describe a model ({exc})") from exc
     values: dict[str, np.ndarray] = {}
     state: dict[str, np.ndarray] = {}
     for e in entries:
-        count = int(np.prod(e["shape"])) if e["shape"] else 1
+        count = math.prod(e["shape"])
         start = e["offset"]
-        arr = np.frombuffer(payload[start: start + 8 * count], dtype="<f8")
-        if arr.size != count:
+        chunk = payload[start: start + 8 * count]
+        if len(chunk) != 8 * count:
             raise DataError(f"checkpoint payload truncated at entry {e['name']}")
-        arr = arr.reshape(e["shape"]).copy()
+        arr = np.frombuffer(chunk, dtype="<f8").reshape(e["shape"]).copy()
         (values if e["kind"] == "param" else state)[e["name"]] = arr
-    missing = set(model.params.names()) - set(values)
-    if missing:
-        raise DataError(f"checkpoint is missing parameters: {sorted(missing)}")
-    for name in model.params.names():
-        want = model.params[name].value.shape
-        if values[name].shape != want:
-            raise DataError(f"checkpoint parameter {name} has shape "
-                            f"{values[name].shape}, the model needs {want}")
+    _check_shapes("parameter", values, {k: model.params[k].value.shape
+                                         for k in model.params.names()})
+    _check_shapes("state entry", state, {k: v.shape for k, v in model.state_arrays().items()})
     model.params.load_values(values)
     try:
         model.load_state_arrays(state, header["domain_kinds"])
-    except KeyError as exc:
-        raise DataError(f"checkpoint is missing state entry {exc}") from exc
+    except (ValueError, ArithmeticError) as exc:  # e.g. a non-finite step count
+        raise DataError(f"{path}: checkpoint state does not load ({exc})") from exc
     return model, cfg, manifest
+
+
+def _check_shapes(kind: str, got: dict[str, np.ndarray], want: dict[str, tuple]) -> None:
+    """Every array the model needs is present with the model's shape;
+    `load_values` would reshape a same-size array silently."""
+    missing = sorted(set(want) - set(got))
+    if missing:
+        raise DataError(f"checkpoint is missing {kind} {', '.join(missing)}")
+    for name, shape in want.items():
+        if got[name].shape != shape:
+            raise DataError(f"checkpoint {kind} {name} has shape {got[name].shape}, "
+                            f"the model needs {shape}")
 
 
 def _is_entry(e) -> bool:

@@ -31,11 +31,17 @@ def check_spd(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def _whiten(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """z1^{-1/2} z2 z1^{-1/2}, broadcasting over leading axes."""
-    e = sym_eig(z1)
-    inv_sqrt = sym_fn(z1, "inv_sqrt", eig=e)
-    return symmetrize(inv_sqrt @ z2 @ inv_sqrt)
+def _sqrt_pair(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(b^{1/2}, b^{-1/2}) from one eigendecomposition of b."""
+    e = sym_eig(b)
+    return sym_fn(b, "sqrt", eig=e), sym_fn(b, "inv_sqrt", eig=e)
+
+
+def _at_base(base: np.ndarray, x: np.ndarray, tag: str, param=None) -> np.ndarray:
+    """base^{1/2} f(base^{-1/2} x base^{-1/2}) base^{1/2} for the spectral
+    function `tag`, broadcasting `x` over leading axes."""
+    s, inv_s = _sqrt_pair(base)
+    return symmetrize(s @ sym_fn(symmetrize(inv_s @ x @ inv_s), tag, param) @ s)
 
 
 def airm_dist(z1: np.ndarray, z2: np.ndarray) -> float | np.ndarray:
@@ -51,7 +57,8 @@ def airm_dist(z1: np.ndarray, z2: np.ndarray) -> float | np.ndarray:
         )
     check_spd(z1, "z1")
     check_spd(z2, "z2")
-    lam = np.linalg.eigvalsh(_whiten(z1, z2))
+    inv_sqrt = sym_fn(z1, "inv_sqrt")
+    lam = np.linalg.eigvalsh(symmetrize(inv_sqrt @ z2 @ inv_sqrt))
     if lam.min(initial=np.inf) <= 0.0:
         raise NumericalError("whitened matrix has non-positive spectrum")
     d = np.sqrt((np.log(lam) ** 2).sum(axis=-1))
@@ -72,27 +79,17 @@ def geo_mean(z1: np.ndarray, z2: np.ndarray, w: float) -> np.ndarray:
         return z1.copy()
     if w == 1.0:
         return z2.copy()
-    e = sym_eig(z1)
-    s = sym_fn(z1, "sqrt", eig=e)
-    inv_s = sym_fn(z1, "inv_sqrt", eig=e)
-    mid = sym_fn(symmetrize(inv_s @ z2 @ inv_s), "pow", w)
-    return symmetrize(s @ mid @ s)
+    return _at_base(z1, z2, "pow", w)
 
 
 def log_map(base: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Tangent vector at `base` pointing to `z`: base^{1/2} log(base^{-1/2} z base^{-1/2}) base^{1/2}."""
-    e = sym_eig(base)
-    s = sym_fn(base, "sqrt", eig=e)
-    inv_s = sym_fn(base, "inv_sqrt", eig=e)
-    return symmetrize(s @ sym_fn(symmetrize(inv_s @ z @ inv_s), "log") @ s)
+    return _at_base(base, z, "log")
 
 
 def exp_map(base: np.ndarray, s_tan: np.ndarray) -> np.ndarray:
     """Inverse of :func:`log_map`: base^{1/2} exp(base^{-1/2} s base^{-1/2}) base^{1/2}."""
-    e = sym_eig(base)
-    s = sym_fn(base, "sqrt", eig=e)
-    inv_s = sym_fn(base, "inv_sqrt", eig=e)
-    return symmetrize(s @ sym_fn(symmetrize(inv_s @ s_tan @ inv_s), "exp") @ s)
+    return _at_base(base, s_tan, "exp")
 
 
 def karcher_mean(
@@ -119,9 +116,7 @@ def karcher_mean(
     n = batch.shape[-1]
     g = np.eye(n) if init is None else check_spd(np.asarray(init, dtype=np.float64), "init")
     for _ in range(iters):
-        e = sym_eig(g)
-        s = sym_fn(g, "sqrt", eig=e)
-        inv_s = sym_fn(g, "inv_sqrt", eig=e)
+        s, inv_s = _sqrt_pair(g)
         t = sym_fn(symmetrize(inv_s @ batch @ inv_s), "log").mean(axis=0)
         g = symmetrize(s @ sym_fn(t, "exp") @ s)
         if np.linalg.norm(t) < tol:
@@ -149,9 +144,7 @@ def parallel_transport(s_tan: np.ndarray, z1: np.ndarray, z2: np.ndarray) -> np.
     z1 = check_spd(np.asarray(z1, dtype=np.float64), "z1")
     z2 = check_spd(np.asarray(z2, dtype=np.float64), "z2")
     s_tan = np.asarray(s_tan, dtype=np.float64)
-    e1 = sym_eig(z1)
-    sqrt1 = sym_fn(z1, "sqrt", eig=e1)
-    inv_sqrt1 = sym_fn(z1, "inv_sqrt", eig=e1)
+    sqrt1, inv_sqrt1 = _sqrt_pair(z1)
     mid = sym_fn(symmetrize(inv_sqrt1 @ z2 @ inv_sqrt1), "sqrt")
     e = sqrt1 @ mid @ inv_sqrt1
     return symmetrize(e @ s_tan @ np.swapaxes(e, -1, -2))

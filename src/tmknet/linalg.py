@@ -5,11 +5,16 @@ batched: an array of shape ``(..., n, n)`` is treated as a stack of square
 matrices and every routine maps over the leading axes.
 
 Spectral functions f(M) = U diag(f(lam)) U^T are identified by a string tag
-plus an optional parameter:
+plus an optional parameter. One table, `_SPECTRAL`, holds each tag's f, its
+derivative f' and whether it needs a positive spectrum:
 
-    'log', 'exp', 'sqrt', 'inv_sqrt'        no parameter
-    'pow'          param = exponent w
-    'clamp_min'    param = floor eps
+    tag          param      f(lam)            positive spectrum
+    'log'        -          log lam           yes
+    'exp'        -          exp lam           no
+    'sqrt'       -          lam^(1/2)         yes
+    'inv_sqrt'   -          lam^(-1/2)        yes
+    'pow'        w          lam^w             yes, unless w is a non-negative integer
+    'clamp_min'  eps        max(lam, eps)     no
 
 The reverse-mode derivative of a spectral function is the Loewner-matrix
 product implemented by :func:`sym_fn_vjp`.
@@ -51,12 +56,8 @@ class SymEig:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        u, lam = self.eigenvectors, self.eigenvalues
-        return (u * lam[..., None, :]) @ np.swapaxes(u, -1, -2)
 
-
-def sym_eig(m: np.ndarray, check_symmetry: bool = True) -> SymEig:
+def sym_eig(m: np.ndarray) -> SymEig:
     """Eigendecomposition of a symmetric matrix (stack), eigenvalues ascending.
 
     The input is symmetrized as (m + m^T)/2 before factorization. Raises
@@ -68,13 +69,12 @@ def sym_eig(m: np.ndarray, check_symmetry: bool = True) -> SymEig:
         raise NumericalError(f"sym_eig expects square matrices, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise NumericalError("sym_eig input contains NaN or Inf")
-    if check_symmetry:
-        scale = np.abs(m).max(initial=0.0)
-        asym = np.abs(m - np.swapaxes(m, -1, -2)).max(initial=0.0)
-        if scale > 0 and asym > 1e-8 * scale:
-            raise NumericalError(
-                f"matrix asymmetry {asym:.3e} exceeds 1e-8 relative tolerance"
-            )
+    scale = np.abs(m).max(initial=0.0)
+    asym = np.abs(m - np.swapaxes(m, -1, -2)).max(initial=0.0)
+    if scale > 0 and asym > 1e-8 * scale:
+        raise NumericalError(
+            f"matrix asymmetry {asym:.3e} exceeds 1e-8 relative tolerance"
+        )
     try:
         lam, u = np.linalg.eigh(symmetrize(m))
     except np.linalg.LinAlgError as exc:  # iteration cap exceeded in LAPACK
@@ -84,64 +84,47 @@ def sym_eig(m: np.ndarray, check_symmetry: bool = True) -> SymEig:
 
 # --- scalar spectral functions -------------------------------------------------
 
-def _fn_values(tag: str, lam: np.ndarray, param) -> np.ndarray:
-    if tag == "log":
-        return np.log(lam)
-    if tag == "exp":
-        return np.exp(lam)
-    if tag == "sqrt":
-        return np.sqrt(lam)
-    if tag == "inv_sqrt":
-        return lam ** -0.5
-    if tag == "pow":
-        return lam ** float(param)
-    if tag == "clamp_min":
-        return np.maximum(lam, float(param))
-    raise ValueError(f"unknown spectral function tag {tag!r}")
+# tag -> (f(lam, param), f'(lam, param), needs a positive spectrum)
+_SPECTRAL = {
+    "log": (lambda lam, p: np.log(lam), lambda lam, p: 1.0 / lam, True),
+    "exp": (lambda lam, p: np.exp(lam), lambda lam, p: np.exp(lam), False),
+    "sqrt": (lambda lam, p: np.sqrt(lam), lambda lam, p: 0.5 * lam ** -0.5, True),
+    "inv_sqrt": (lambda lam, p: lam ** -0.5, lambda lam, p: -0.5 * lam ** -1.5, True),
+    "pow": (lambda lam, p: lam ** float(p),
+            lambda lam, p: float(p) * lam ** (float(p) - 1.0), True),
+    "clamp_min": (lambda lam, p: np.maximum(lam, float(p)),
+                  lambda lam, p: (lam > float(p)).astype(np.float64), False),
+}
 
 
-def _fn_deriv(tag: str, lam: np.ndarray, param) -> np.ndarray:
-    if tag == "log":
-        return 1.0 / lam
-    if tag == "exp":
-        return np.exp(lam)
-    if tag == "sqrt":
-        return 0.5 * lam ** -0.5
-    if tag == "inv_sqrt":
-        return -0.5 * lam ** -1.5
-    if tag == "pow":
-        w = float(param)
-        return w * lam ** (w - 1.0)
-    if tag == "clamp_min":
-        return (lam > float(param)).astype(np.float64)
-    raise ValueError(f"unknown spectral function tag {tag!r}")
+def _spectral(tag: str, lam: np.ndarray, param):
+    """The table's (f, f') for `tag`, once `lam` is checked against its domain.
 
-
-_NEEDS_POSITIVE = {"log", "sqrt", "inv_sqrt", "pow"}
-
-
-def _check_domain(tag: str, lam: np.ndarray) -> None:
-    if tag in _NEEDS_POSITIVE and lam.min(initial=np.inf) <= 0.0:
+    A non-negative integer power is defined on any spectrum.
+    """
+    if tag not in _SPECTRAL:
+        raise ValueError(f"unknown spectral function tag {tag!r}")
+    f, deriv, positive = _SPECTRAL[tag]
+    if tag == "pow" and float(param).is_integer() and float(param) >= 0:
+        positive = False
+    if positive and lam.min(initial=np.inf) <= 0.0:
         raise NumericalError(
             f"spectral function {tag!r} requires positive eigenvalues, "
             f"min eigenvalue = {lam.min():.3e}"
         )
+    return f, deriv
 
 
 def sym_fn(m: np.ndarray, tag: str, param=None, eig: SymEig | None = None) -> np.ndarray:
     """Apply a scalar function to the spectrum: U diag(f(lam)) U^T.
 
     `m` may be a stack (..., n, n). Pass a precomputed `eig` to reuse a
-    factorization. Integer powers skip the positivity requirement only when
-    the exponent is a non-negative integer.
+    factorization.
     """
     if eig is None:
         eig = sym_eig(m)
-    lam = eig.eigenvalues
-    if not (tag == "pow" and float(param).is_integer() and float(param) >= 0):
-        _check_domain(tag, lam)
-    f = _fn_values(tag, lam, param)
-    u = eig.eigenvectors
+    lam, u = eig.eigenvalues, eig.eigenvectors
+    f = _spectral(tag, lam, param)[0](lam, param)
     return symmetrize((u * f[..., None, :]) @ np.swapaxes(u, -1, -2))
 
 
@@ -161,10 +144,8 @@ def sym_fn_vjp(
     if eig is None:
         eig = sym_eig(m)
     lam, u = eig.eigenvalues, eig.eigenvectors
-    if not (tag == "pow" and float(param).is_integer() and float(param) >= 0):
-        _check_domain(tag, lam)
-    f = _fn_values(tag, lam, param)
-    d = _fn_deriv(tag, lam, param)
+    fn, deriv = _spectral(tag, lam, param)
+    f, d = fn(lam, param), deriv(lam, param)
 
     gap = lam[..., :, None] - lam[..., None, :]
     tau = EIG_GAP_RTOL * np.abs(lam).max(axis=-1, keepdims=True)[..., None]
@@ -176,4 +157,3 @@ def sym_fn_vjp(
     ut = np.swapaxes(u, -1, -2)
     inner = ut @ symmetrize(upstream) @ u
     return symmetrize(u @ (k * inner) @ ut)
-

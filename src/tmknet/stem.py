@@ -103,9 +103,6 @@ class BnState:
     def create(cls, channels: int, momentum: float = 0.1) -> "BnState":
         return cls(mean=np.zeros(channels), var=np.ones(channels), momentum=momentum)
 
-    def copy(self) -> "BnState":
-        return BnState(self.mean.copy(), self.var.copy(), self.initialized, self.momentum)
-
 
 BN_EPS = 1e-8
 

@@ -72,6 +72,21 @@ class TestTrainEval:
         assert ((rerun / "checkpoint.tmk").read_bytes()
                 == (trained_run / "checkpoint.tmk").read_bytes())
 
+    def test_rerun_from_run_config_json_reproduces_bitwise(self, dataset, trained_run,
+                                                           tmp_path):
+        rerun = tmp_path / "rerun"
+        assert main(["train", "--data", str(dataset), "--out", str(rerun),
+                     "--config", str(trained_run / "config.json")]) == 0
+        for name in ("checkpoint.tmk", "metrics.json", "config.json"):
+            assert (rerun / name).read_bytes() == (trained_run / name).read_bytes()
+
+    def test_config_file_not_object_exits_two(self, dataset, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text("5")
+        assert main(["train", "--data", str(dataset), "--out", str(tmp_path / "r"),
+                     "--config", str(cfg_file)]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
     def test_adapt_then_eval_target(self, dataset, trained_run, tmp_path):
         adapted = tmp_path / "adapted"
         assert main(["adapt", "--checkpoint", str(trained_run / "checkpoint.tmk"),
@@ -128,6 +143,55 @@ class TestErrorPaths:
         assert main(["adapt", "--checkpoint", str(bad), "--data", str(dataset),
                      "--out", str(tmp_path / "a")]) == 2
         assert "data error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,edit", [
+        ("config", {"adaptation": "bogus"}),
+        ("config", {"n_t": 0}),
+        ("manifest", {"overlap_ms": 1000.0}),
+    ], ids=["adaptation-bogus", "n_t-zero", "manifest-overlap-exceeds-window"])
+    def test_checkpoint_header_invalid_config_exits_two(self, dataset, trained_run, tmp_path,
+                                                        capsys, section, edit):
+        blob = (trained_run / "checkpoint.tmk").read_bytes()
+        (header_len,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16:16 + header_len])
+        header[section].update(edit)
+        raw = json.dumps(header).encode("utf-8")
+        bad = tmp_path / "bad.tmk"
+        bad.write_bytes(blob[:4] + struct.pack("<IQ", 1, len(raw)) + raw
+                        + blob[16 + header_len:])
+        assert main(["eval", "--checkpoint", str(bad), "--data", str(dataset),
+                     "--domain", "0/0", "--out", str(tmp_path / "e")]) == 2
+        assert "data error:" in capsys.readouterr().err
+
+    def test_manifest_overlap_exceeds_window_exits_two(self, dataset, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        doc = json.loads((data / "manifest.json").read_text())
+        doc["overlap_ms"] = doc["window_ms"] + 1.0
+        (data / "manifest.json").write_text(json.dumps(doc))
+        assert main(["import", "--src", str(data), "--out", str(tmp_path / "o")]) == 2
+        assert "data error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["index.csv", "trials.f32"])
+    def test_missing_store_file_exits_two(self, dataset, tmp_path, capsys, name):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        (data / name).unlink()
+        assert main(["import", "--src", str(data), "--out", str(tmp_path / "o")]) == 2
+        assert name in capsys.readouterr().err
+
+    def test_non_integer_index_field_exits_two(self, dataset, trained_run, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        with open(data / "index.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[4][3] = "zero"  # subject
+        with open(data / "index.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert main(["eval", "--checkpoint", str(trained_run / "checkpoint.tmk"),
+                     "--data", str(data), "--domain", "0/0",
+                     "--out", str(tmp_path / "e")]) == 2
+        assert "index.csv line 5" in capsys.readouterr().err
 
     def test_label_out_of_range_exits_two(self, dataset, trained_run, tmp_path, capsys):
         data = tmp_path / "data"

@@ -1,3 +1,6 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
@@ -312,6 +315,74 @@ class TestStoreIO:
         (tmp_path / "ds" / "manifest.json").write_text("{not json")
         with pytest.raises(DataError):
             load_dataset(tmp_path / "ds")
+
+    @staticmethod
+    def _small_store(path):
+        spec = SynthSpec(n_classes=2, sensors=4, n_domains=1, trials_per_cell=2, seed=3)
+        save_dataset(path, *synth_generate(spec))
+        return path
+
+    def test_manifest_document_is_to_doc(self, tmp_path):
+        ds = self._small_store(tmp_path / "ds")
+        manifest, _ = load_dataset(ds)
+        doc = json.loads((ds / "manifest.json").read_text())
+        assert doc == manifest.to_doc()
+        assert doc["domains"] == [[0, 0]]
+
+    @pytest.mark.parametrize("edit", [{"overlap_ms": 900.0}, {"flexor_ids": [0, 7]},
+                                      {"fs": "fast"}, {"fs": float("inf")}, {"domains": [5]},
+                                      {"sensors": 0}],
+                             ids=["overlap-exceeds-window", "index-out-of-range",
+                                  "fs-string", "fs-inf", "domain-int", "no-sensors"])
+    def test_invalid_manifest_is_data_error(self, tmp_path, edit):
+        ds = self._small_store(tmp_path / "ds")
+        doc = json.loads((ds / "manifest.json").read_text())
+        (ds / "manifest.json").write_text(json.dumps({**doc, **edit}))
+        with pytest.raises(DataError, match="manifest.json"):
+            load_dataset(ds)
+
+    @pytest.mark.parametrize("name", ["index.csv", "trials.f32"])
+    def test_missing_store_file(self, tmp_path, name):
+        ds = self._small_store(tmp_path / "ds")
+        (ds / name).unlink()
+        with pytest.raises(DataError, match=name):
+            load_dataset(ds)
+
+    @pytest.mark.parametrize("field,value", [(1, "x12"), (4, ""), (0, "1.5")])
+    def test_non_integer_index_field(self, tmp_path, field, value):
+        ds = self._small_store(tmp_path / "ds")
+        with open(ds / "index.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[2][field] = value
+        with open(ds / "index.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        with pytest.raises(DataError, match=r"index\.csv line 3"):
+            load_dataset(ds)
+
+    def test_short_index_row(self, tmp_path):
+        ds = self._small_store(tmp_path / "ds")
+        lines = (ds / "index.csv").read_text().splitlines(keepends=True)
+        lines[1] = "0,0\r\n"
+        (ds / "index.csv").write_text("".join(lines))
+        with pytest.raises(DataError, match=r"index\.csv line 2"):
+            load_dataset(ds)
+
+    def test_index_header_missing_column(self, tmp_path):
+        ds = self._small_store(tmp_path / "ds")
+        text = (ds / "index.csv").read_text()
+        (ds / "index.csv").write_text(text.replace("label_id", "label", 1))
+        with pytest.raises(DataError, match="label_id"):
+            load_dataset(ds)
+
+    def test_negative_byte_offset(self, tmp_path):
+        ds = self._small_store(tmp_path / "ds")
+        with open(ds / "index.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[2][1] = "-8"
+        with open(ds / "index.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        with pytest.raises(DataError, match="trial 1"):
+            load_dataset(ds)
 
 
 class TestManifestValidation:

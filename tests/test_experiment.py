@@ -317,6 +317,75 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             load_checkpoint(tmp_path / "ck.tmk")
 
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["config"].update(adaptation="bogus"),
+        lambda h: h["config"].update(n_t=0),
+        lambda h: h["config"].update(n_b=0),
+        lambda h: h["config"].update(ablation=["no_such_variant"]),
+        lambda h: h["manifest"].update(overlap_ms=h["manifest"]["window_ms"] + 1),
+        lambda h: h["manifest"].update(flexor_ids=[0, 99]),
+        lambda h: h["manifest"].update(fs=float("inf")),
+        lambda h: h["domain_kinds"].update({"0/0": "neither"}),
+    ], ids=["adaptation-bogus", "n_t-zero", "n_b-zero", "ablation-unknown",
+            "manifest-overlap-exceeds-window", "manifest-index-out-of-range", "manifest-fs-inf",
+            "domain-kind-unknown"])
+    def test_header_config_invalid(self, tmp_path, trained, edit):
+        cfg, model, _ = trained
+        save_checkpoint(tmp_path / "ck.tmk", model, cfg, MANIFEST)
+        self._edit_header(tmp_path / "ck.tmk", edit)
+        with pytest.raises(DataError, match="does not describe a model"):
+            load_checkpoint(tmp_path / "ck.tmk")
+
+    def test_state_shape_mismatch(self, tmp_path, trained):
+        cfg, model, _ = trained
+        save_checkpoint(tmp_path / "ck.tmk", model, cfg, MANIFEST)
+
+        def scalar_flag(header):
+            for e in header["entries"]:
+                if e["name"] == "state.mrt_bn.flag":
+                    e["shape"] = []
+
+        self._edit_header(tmp_path / "ck.tmk", scalar_flag)
+        with pytest.raises(DataError, match="state.mrt_bn.flag"):
+            load_checkpoint(tmp_path / "ck.tmk")
+
+    def test_non_finite_step_count(self, tmp_path, trained):
+        cfg, model, _ = trained
+        save_checkpoint(tmp_path / "ck.tmk", model, cfg, MANIFEST)
+        blob = bytearray((tmp_path / "ck.tmk").read_bytes())
+        (header_len,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16:16 + header_len])
+        (entry,) = [e for e in header["entries"] if e["name"].endswith(".scalars")][:1]
+        at = 16 + header_len + entry["offset"] + 8  # scalars = [v_run, steps]
+        blob[at:at + 8] = struct.pack("<d", float("nan"))
+        (tmp_path / "ck.tmk").write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="state does not load"):
+            load_checkpoint(tmp_path / "ck.tmk")
+
+    def test_entry_larger_than_int64(self, tmp_path, trained):
+        # the element count of [2**40, 2**40] wraps to 0 in int64 arithmetic
+        cfg, model, _ = trained
+        save_checkpoint(tmp_path / "ck.tmk", model, cfg, MANIFEST)
+        self._edit_header(tmp_path / "ck.tmk", lambda h: h["entries"][0].update(
+            shape=[2 ** 40, 2 ** 40]))
+        with pytest.raises(DataError, match="truncated"):
+            load_checkpoint(tmp_path / "ck.tmk")
+
+    def test_payload_cut_inside_a_value(self, tmp_path, trained):
+        cfg, model, _ = trained
+        save_checkpoint(tmp_path / "ck.tmk", model, cfg, MANIFEST)
+        blob = (tmp_path / "ck.tmk").read_bytes()
+        (tmp_path / "ck.tmk").write_bytes(blob[:-3])
+        with pytest.raises(DataError, match="truncated"):
+            load_checkpoint(tmp_path / "ck.tmk")
+
+    def test_manifest_document_is_to_doc(self, tmp_path, trained):
+        cfg, model, _ = trained
+        save_checkpoint(tmp_path / "ck.tmk", model, cfg, MANIFEST)
+        blob = (tmp_path / "ck.tmk").read_bytes()
+        (header_len,) = struct.unpack("<Q", blob[8:16])
+        assert json.loads(blob[16:16 + header_len])["manifest"] == MANIFEST.to_doc()
+
     def test_param_shape_mismatch(self, tmp_path, trained):
         # same element count, transposed shape: a silent reshape would load it
         cfg, model, _ = trained

@@ -32,7 +32,8 @@ class TestSymEig:
         for n in (3, 8, 30):
             m = random_sym(rng, n, scale=2.0)
             e = sym_eig(m)
-            assert rel_err(e.reconstruct(), m) < 1e-10
+            u = e.eigenvectors
+            assert rel_err((u * e.eigenvalues) @ u.T, m) < 1e-10
             assert np.linalg.norm(e.eigenvectors.T @ e.eigenvectors - np.eye(n)) <= 1e-10 * n
 
     def test_spd_eigenvalues_positive(self, rng):
@@ -154,3 +155,37 @@ class TestSymFnVjp:
         out = sym_fn_vjp(m, "log", u)
         assert np.allclose(out, 0.5 * np.eye(3))
 
+
+
+class TestSpectralTable:
+    """sym_fn and sym_fn_vjp read f, f' and the domain from one table."""
+
+    @pytest.mark.parametrize("tag,param", [("log", None), ("exp", None), ("sqrt", None),
+                                           ("inv_sqrt", None), ("pow", 0.3), ("pow", 2.0),
+                                           ("clamp_min", 1.5)])
+    def test_vjp_at_diagonal_is_derivative(self, tag, param):
+        lam, h = np.array([0.5, 1.0, 2.0]), 1e-6
+        out = sym_fn_vjp(np.diag(lam), tag, np.eye(3), param)
+        fd = (sym_fn(np.diag(lam + h), tag, param)
+              - sym_fn(np.diag(lam - h), tag, param)).diagonal() / (2 * h)
+        assert np.allclose(out, np.diag(fd), rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("tag,param,defined", [
+        ("log", None, False), ("exp", None, True), ("sqrt", None, False),
+        ("inv_sqrt", None, False), ("pow", 0.5, False), ("pow", -1.0, False),
+        ("pow", 2.0, True), ("pow", 0, True), ("clamp_min", 1e-4, True)])
+    def test_value_and_vjp_share_the_domain(self, tag, param, defined):
+        m = np.diag([-1.0, 2.0])
+        for call in (lambda: sym_fn(m, tag, param),
+                     lambda: sym_fn_vjp(m, tag, np.eye(2), param)):
+            if defined:
+                assert np.all(np.isfinite(call()))
+            else:
+                with pytest.raises(NumericalError, match="positive eigenvalues"):
+                    call()
+
+    def test_unknown_tag(self):
+        with pytest.raises(ValueError, match="unknown spectral function tag"):
+            sym_fn(np.eye(2), "cbrt")
+        with pytest.raises(ValueError, match="unknown spectral function tag"):
+            sym_fn_vjp(np.eye(2), "cbrt", np.eye(2))
