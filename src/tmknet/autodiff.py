@@ -8,11 +8,13 @@ they have been passed on. Afterwards only the grad-requiring leaves keep
 `.grad`, and the tape holds no reference to any Variable, so a step's memory
 is freed by reference counting, without the cyclic collector.
 
-Implemented operations cover the network end to end: broadcasting arithmetic,
-(batched) matmul, 2-D cross-correlation with stride and dilation, LeakyReLU,
-non-overlapping max-pooling, reductions, spectral matrix functions through
-the eigendecomposition, bilinear congruence maps, gather/concat plumbing, and
-log-softmax with negative log-likelihood.
+Operations are plain functions (`add(a, b)`, `matmul(a, b)`, ...); Variable
+has no arithmetic operator overloads. They cover the network end to end:
+broadcasting arithmetic, (batched) matmul, 2-D cross-correlation with stride
+and dilation, LeakyReLU, non-overlapping max-pooling, reductions, row
+covariance, spectral matrix functions through the eigendecomposition,
+reshape/transpose/gather/concat plumbing, and log-softmax with negative
+log-likelihood.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .errors import NumericalError
 
 __all__ = ["Tape", "Variable"]
 
@@ -35,38 +36,6 @@ class Variable:
         self.tape = tape
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    # Operator sugar; scalars and arrays lift to constants on the same tape.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_lift(self.tape, other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Variable(shape={self.value.shape}, requires_grad={self.requires_grad})"
@@ -206,10 +175,6 @@ def div(a: Variable, b) -> Variable:
     )
 
 
-def neg(a: Variable) -> Variable:
-    return a.tape.record((a,), -a.value, lambda g: (-g,))
-
-
 def power(a: Variable, p: float) -> Variable:
     p = float(p)
     va = a.value
@@ -224,22 +189,11 @@ def exp(a: Variable) -> Variable:
     return a.tape.record((a,), out, lambda g: (g * out,))
 
 
-def log(a: Variable) -> Variable:
-    va = a.value
-    return a.tape.record((a,), np.log(va), lambda g: (g / va,))
-
-
 # --- shape plumbing -----------------------------------------------------------
 
 def reshape(a: Variable, shape) -> Variable:
     old = a.value.shape
     return a.tape.record((a,), a.value.reshape(shape), lambda g: (g.reshape(old),))
-
-
-def flatten_rows(a: Variable) -> Variable:
-    """(b, ...) -> (b, prod(...)) row-major."""
-    b = a.value.shape[0]
-    return reshape(a, (b, -1))
 
 
 def transpose(a: Variable, axes=None) -> Variable:
@@ -340,12 +294,6 @@ def matmul(a: Variable, b) -> Variable:
     return a.tape.record((a, b), va @ vb, backward)
 
 
-def bilinear(w: Variable, c: Variable) -> Variable:
-    """Congruence map W C W^T, batched over the leading axes of `c`."""
-    wt = transpose(w)
-    return matmul(matmul(w, c), wt)
-
-
 def sym_fn(a: Variable, tag: str, param=None) -> Variable:
     """Spectral matrix function on (..., n, n); backward via the Loewner product."""
     eig = linalg.sym_eig(a.value)
@@ -355,14 +303,6 @@ def sym_fn(a: Variable, tag: str, param=None) -> Variable:
         return (linalg.sym_fn_vjp(a.value, tag, g, param, eig=eig),)
 
     return a.tape.record((a,), out, backward)
-
-
-def geo_mean(z1: Variable, z2: Variable, w: float) -> Variable:
-    """Weighted geometric mean as a composition of spectral ops (differentiable)."""
-    s = sym_fn(z1, "sqrt")
-    inv_s = sym_fn(z1, "inv_sqrt")
-    mid = sym_fn(matmul(matmul(inv_s, z2), inv_s), "pow", w)
-    return matmul(matmul(s, mid), s)
 
 
 # --- neural-network ops -------------------------------------------------------
@@ -519,15 +459,10 @@ def cross_entropy(logits: Variable, labels: np.ndarray) -> Variable:
 
 # --- statistics ---------------------------------------------------------------
 
-def center_rows(a: Variable, axis: int = -1) -> Variable:
-    """Subtract the mean along `axis` (mean-centering)."""
-    return sub(a, mean(a, axis=axis, keepdims=True))
-
-
 def covariance(a: Variable) -> Variable:
     """Row covariance of (..., n, m) features: centered F F^T / (m - 1)."""
     m = a.value.shape[-1]
     if m < 2:
         raise ValueError(f"covariance needs at least 2 observations, got {m}")
-    fc = center_rows(a, axis=-1)
+    fc = sub(a, mean(a, axis=-1, keepdims=True))
     return mul(matmul(fc, transpose(fc)), 1.0 / (m - 1))

@@ -58,10 +58,7 @@ def cov_pool(z_s: Variable, lam: float | None = None) -> Variable:
     trace-scaled: lam = 1e-4 * trace(cov)/n_s + 1e-6 per sample.
     """
     b, n_s, c_s, t_t = z_s.value.shape
-    m = c_s * t_t
-    if m < 2:
-        raise ValueError(f"covariance needs at least 2 observations, got {m}")
-    flat = ad.reshape(z_s, (b, n_s, m))
+    flat = ad.reshape(z_s, (b, n_s, c_s * t_t))
     c_raw = ad.covariance(flat)
     eye = np.eye(n_s)
     if lam is None:
@@ -72,8 +69,10 @@ def cov_pool(z_s: Variable, lam: float | None = None) -> Variable:
 
 
 def bimap(c: Variable, w: Variable) -> Variable:
-    """Bilinear map W C W^T; W row-orthonormal keeps the output SPD."""
-    return ad.bilinear(w, c)
+    """Bilinear map W C W^T, batched over the leading axes of `c`; W
+    row-orthonormal keeps the output SPD."""
+    wt = ad.transpose(w)
+    return ad.matmul(ad.matmul(w, c), wt)
 
 
 def reeig(h: Variable, eps_reeig: float = 1e-4) -> Variable:
@@ -253,7 +252,7 @@ def dsbn_forward(
 
 def classify(h_log: Variable, weight: Variable, bias: Variable) -> Variable:
     """Flatten (b, n, n) tangent matrices row-major and apply the affine head."""
-    flat = ad.flatten_rows(h_log)
+    flat = ad.reshape(h_log, (h_log.value.shape[0], -1))
     if weight.value.shape[1] != flat.value.shape[1]:
         raise ValueError(
             f"head expects weight shaped (n_c, {flat.value.shape[1]}), "

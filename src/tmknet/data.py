@@ -478,19 +478,34 @@ def load_dataset(path: str | Path) -> tuple[DatasetManifest, list[Trial]]:
         trial_bytes = c * t * 4
         if type(trial_bytes) is not int or trial_bytes <= 0:
             raise ValueError(f"{c} sensors x {t} samples per trial")
+        domains = set(manifest.domains)
     except (TypeError, ValueError, ArithmeticError, ConfigError) as exc:
         raise DataError(f"{manifest_path} does not describe a dataset ({exc})") from exc
 
     blob = _read_store_file(path / "trials.f32")
     trials = []
+    ids: set[int] = set()
+    owner: dict[int, int] = {}  # byte offset -> trial id starting there
     for trial_id, offset, label, subject, session in _index_rows(path / "index.csv"):
         end = offset + trial_bytes
         if offset < 0 or end > len(blob):
             raise DataError(f"trials.f32 holds {len(blob)} bytes; trial {trial_id} "
                             f"needs bytes [{offset}, {end})")
+        if offset % trial_bytes:
+            raise DataError(f"trial {trial_id} starts at byte {offset}, not a multiple "
+                            f"of the {trial_bytes}-byte trial size")
+        if offset in owner:
+            raise DataError(f"trials {owner[offset]} and {trial_id} share byte offset {offset}")
+        if trial_id in ids:
+            raise DataError(f"trial id {trial_id} appears more than once in index.csv")
         if not 0 <= label < n_classes:
             raise DataError(f"trial {trial_id} has label_id {label}, outside "
                             f"[0, {n_classes})")
+        if (subject, session) not in domains:
+            raise DataError(f"trial {trial_id} has domain ({subject}, {session}), which "
+                            f"manifest.json does not list")
+        ids.add(trial_id)
+        owner[offset] = trial_id
         signal = np.frombuffer(blob[offset:end], dtype="<f4").reshape(c, t)
         trials.append(Trial(signal=signal.copy(), label=label, domain=(subject, session),
                             trial_id=trial_id))

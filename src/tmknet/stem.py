@@ -10,7 +10,7 @@ passes run on autodiff Variables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,26 +66,10 @@ class StemConfig:
             temporal_kernel_size(self.fs, self.r_data, r) for r in self.r_resolution
         )
 
-    def mrt_out_time(self, t: int) -> int:
-        sizes = self.temporal_kernel_sizes
-        if max(sizes) > t:
-            raise ConfigError(f"temporal kernel {max(sizes)} exceeds window length {t}")
-        return sum((t - k + 1) // self.pool_size for k in sizes)
 
-    @property
-    def mss_out_sensors(self) -> int:
-        c = self.sensors
-        sizes = {"global": 1, "flexor": 1, "extensor": 1, "proximal_distal": 2, "dilated": c // 2}
-        return sum(sizes[k] for k in self.mss_kernels)
-
-
-def temporal_kernel_size(fs: float, r_data: float, r_resolution: float,
-                         window_len: int | None = None) -> int:
+def temporal_kernel_size(fs: float, r_data: float, r_resolution: float) -> int:
     """Kernel length floor(r_data * r_resolution * fs), at least 1 sample."""
-    k = max(1, math.floor(r_data * r_resolution * fs))
-    if window_len is not None and k > window_len:
-        raise ConfigError(f"temporal kernel {k} exceeds window length {window_len}")
-    return k
+    return max(1, math.floor(r_data * r_resolution * fs))
 
 
 # --- Euclidean batch normalization ---------------------------------------------
@@ -97,22 +81,23 @@ class BnState:
     mean: np.ndarray
     var: np.ndarray
     initialized: bool = False
-    momentum: float = 0.1
 
     @classmethod
-    def create(cls, channels: int, momentum: float = 0.1) -> "BnState":
-        return cls(mean=np.zeros(channels), var=np.ones(channels), momentum=momentum)
+    def create(cls, channels: int) -> "BnState":
+        return cls(mean=np.zeros(channels), var=np.ones(channels))
 
 
 BN_EPS = 1e-8
+BN_MOMENTUM = 0.1  # weight of the batch statistics in the running ones
 
 
 def euclid_batchnorm(x: Variable, gamma: Variable, beta: Variable,
                      state: BnState, mode: str) -> Variable:
     """Standardize per channel over (batch, sensor, time), then scale and shift.
 
-    Training uses batch statistics and updates the running ones with momentum;
-    eval uses the running statistics and requires at least one prior update.
+    Training uses batch statistics and updates the running ones with momentum
+    BN_MOMENTUM; eval uses the running statistics and requires at least one
+    prior update.
     """
     ch = x.value.shape[1]
     shape = (1, ch, 1, 1)
@@ -125,7 +110,7 @@ def euclid_batchnorm(x: Variable, gamma: Variable, beta: Variable,
         # reciprocal sqrt on the per-channel array, then broadcast multiply:
         # dividing the full tensor costs three large passes in backward
         xn = ad.mul(xc, ad.power(ad.add(var, BN_EPS), -0.5))
-        m = state.momentum
+        m = BN_MOMENTUM
         state.mean = (1 - m) * state.mean + m * mu.value.reshape(ch)
         state.var = (1 - m) * state.var + m * var.value.reshape(ch)
         state.initialized = True

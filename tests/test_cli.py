@@ -180,6 +180,24 @@ class TestErrorPaths:
         assert main(["import", "--src", str(data), "--out", str(tmp_path / "o")]) == 2
         assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value,message", [
+        (0, "0", "trial id 0 appears more than once"),
+        (4, "9", "does not list"),
+        (1, "4", "not a multiple"),
+    ], ids=["duplicate-id", "unlisted-session", "misaligned-offset"])
+    def test_inconsistent_index_exits_two(self, dataset, tmp_path, capsys, field, value,
+                                          message):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        with open(data / "index.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[2][field] = value
+        with open(data / "index.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert main(["import", "--src", str(data), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "data error:" in err and message in err
+
     def test_non_integer_index_field_exits_two(self, dataset, trained_run, tmp_path, capsys):
         data = tmp_path / "data"
         shutil.copytree(dataset, data)

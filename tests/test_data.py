@@ -348,14 +348,19 @@ class TestStoreIO:
         with pytest.raises(DataError, match=name):
             load_dataset(ds)
 
+    @staticmethod
+    def _edit_index(ds, line, field, value):
+        """Set one field of index.csv; line 0 is the header."""
+        with open(ds / "index.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[line][field] = value
+        with open(ds / "index.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+
     @pytest.mark.parametrize("field,value", [(1, "x12"), (4, ""), (0, "1.5")])
     def test_non_integer_index_field(self, tmp_path, field, value):
         ds = self._small_store(tmp_path / "ds")
-        with open(ds / "index.csv", newline="") as fh:
-            rows = list(csv.reader(fh))
-        rows[2][field] = value
-        with open(ds / "index.csv", "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
+        self._edit_index(ds, 2, field, value)
         with pytest.raises(DataError, match=r"index\.csv line 3"):
             load_dataset(ds)
 
@@ -376,12 +381,22 @@ class TestStoreIO:
 
     def test_negative_byte_offset(self, tmp_path):
         ds = self._small_store(tmp_path / "ds")
-        with open(ds / "index.csv", newline="") as fh:
-            rows = list(csv.reader(fh))
-        rows[2][1] = "-8"
-        with open(ds / "index.csv", "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
+        self._edit_index(ds, 2, 1, "-8")
         with pytest.raises(DataError, match="trial 1"):
+            load_dataset(ds)
+
+    @pytest.mark.parametrize("line,field,value,message", [
+        (3, 0, "0", "trial id 0 appears more than once"),
+        (2, 4, "9", r"trial 1 has domain \(0, 9\), which manifest.json does not list"),
+        (2, 3, "5", r"trial 1 has domain \(5, 0\), which manifest.json does not list"),
+        (2, 1, "0", "trials 0 and 1 share byte offset 0"),
+        (2, 1, "4", "trial 1 starts at byte 4, not a multiple"),  # straddles trials 0 and 1
+    ], ids=["duplicate-id", "unlisted-session", "unlisted-subject", "shared-offset",
+            "misaligned-offset"])
+    def test_inconsistent_index_row(self, tmp_path, line, field, value, message):
+        ds = self._small_store(tmp_path / "ds")
+        self._edit_index(ds, line, field, value)
+        with pytest.raises(DataError, match=message):
             load_dataset(ds)
 
 
