@@ -183,10 +183,10 @@ def _cmd_adapt(args) -> int:
     _, trials = _load_data(args.data)
     target = (cfg.subject, args.target_session if args.target_session is not None
               else cfg.target_session)
-    signals = np.stack([t.signal for t in trials if t.domain == target])
-    if signals.size == 0:
+    signals = [t.signal for t in trials if t.domain == target]
+    if not signals:
         raise DataError(f"no trials for target domain {target} in {args.data}")
-    adapt(model, signals.astype(np.float64), target, batch_size=cfg.batch_size)
+    adapt(model, np.stack(signals).astype(np.float64), target, batch_size=cfg.batch_size)
     out = Path(args.out)
     _write_run_dir(out, cfg)
     save_checkpoint(out / "checkpoint.tmk", model, cfg, manifest)

@@ -348,7 +348,7 @@ def _domain_transform(spec: SynthSpec, rng: np.random.Generator) -> tuple[np.nda
     return a, gain, offset, common
 
 
-def _band_limited_noise(rng: np.random.Generator, c: int, t: int, fs: float) -> np.ndarray:
+def _band_limited_noise(rng: np.random.Generator, c: int, t: int) -> np.ndarray:
     white = rng.normal(size=(c, t + 8))
     kernel = np.hanning(9)
     kernel /= kernel.sum()
@@ -395,9 +395,9 @@ def synth_generate(spec: SynthSpec) -> tuple[DatasetManifest, list[Trial]]:
         a, gain, offset, common = transforms[session]
         for k in range(spec.n_classes):
             for _ in range(spec.trials_per_cell):
-                noise = _band_limited_noise(rng, c, t, spec.fs)
+                noise = _band_limited_noise(rng, c, t)
                 x = mixing[k] @ noise
-                x += np.outer(common, _band_limited_noise(rng, 1, t, spec.fs)[0])
+                x += np.outer(common, _band_limited_noise(rng, 1, t)[0])
                 x = gain * (a @ x) + offset
                 x = zscore(x)
                 trials.append(Trial(signal=x.astype(np.float32), label=k,

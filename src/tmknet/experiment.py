@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import struct
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -20,17 +19,18 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape
 from .backbone import BackboneConfig
-from .data import DatasetManifest, Trial, leave_one_session_out
+from .data import DatasetManifest, Trial, _read_store_file, leave_one_session_out
 from .data import DomainBatchSampler
 from .errors import ConfigError, DataError, NumericalError
 from .linalg import sym_fn
 from .metrics import MetricsReport, report_from_predictions
-from .model import ModelConfig, TMKNet
+from .model import ModelConfig, TMKNet, value_count
 from .optim import adam_step
 from .stem import MSS_KERNELS, StemConfig
 
 CHECKPOINT_MAGIC = b"TMKN"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+DIGEST_LEN = 32  # trailing SHA-256 of every checkpoint byte before it
 INFER_CHUNK = 256  # rows per eval-mode forward in chunked inference
 
 ABLATION_VARIANTS = (
@@ -398,117 +398,79 @@ def ablation_table(results: list[tuple[str, MetricsReport]]) -> str:
 
 # --- checkpoints -----------------------------------------------------------------------
 
+def _payload_arrays(model: TMKNet) -> list[tuple[str, np.ndarray]]:
+    """The arrays a checkpoint stores, in payload order: each parameter in
+    registration order, then the state arrays sorted by name."""
+    return ([(name, p.value) for name, p in model.params.items()]
+            + sorted(model.state_arrays().items()))
+
+
 def save_checkpoint(path: str | Path, model: TMKNet, cfg: RunConfig,
                     manifest: DatasetManifest) -> None:
-    """Versioned binary: JSON header (config, manifest, entry table) followed
-    by a little-endian float64 payload. Round trips bit-exactly."""
-    entries = []
-    blobs = []
-    offset = 0
-    named = list(model.params.items())
-    arrays = [("param", name, p.value, p.tag) for name, p in named]
-    arrays += [("state", name, arr, "") for name, arr in sorted(model.state_arrays().items())]
-    for kind, name, arr, tag in arrays:
-        data = np.ascontiguousarray(arr, dtype="<f8")
-        entries.append({"kind": kind, "name": name, "tag": tag,
-                        "shape": list(arr.shape), "offset": offset})
-        blobs.append(data.tobytes())
-        offset += data.nbytes
+    """Write `MAGIC | <IQ version, header_len> | header | payload | SHA-256`.
 
-    header = json.dumps({
-        "format_version": CHECKPOINT_VERSION,
-        "config": cfg.to_doc(),
-        "config_hash": cfg.hash(),
-        "seed": cfg.seed,
-        "manifest": manifest.to_doc(),
-        "domain_kinds": model.dsbn_domain_kinds(),
-        "entries": entries,
-    }, sort_keys=True).encode("utf-8")
-
+    The JSON header (`config`, `manifest`, `domain_kinds`) fixes the model and
+    so every array's shape; the payload is the model's arrays in
+    `_payload_arrays` order as little-endian float64; the SHA-256 covers every
+    byte before it. Round trips bit-exactly."""
+    header = json.dumps({"config": cfg.to_doc(), "manifest": manifest.to_doc(),
+                         "domain_kinds": model.dsbn_domain_kinds()}, sort_keys=True).encode()
+    body = b"".join([CHECKPOINT_MAGIC, struct.pack("<IQ", CHECKPOINT_VERSION, len(header)),
+                     header, *(np.ascontiguousarray(a, dtype="<f8").tobytes()
+                               for _, a in _payload_arrays(model))])
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+    path.write_bytes(body + hashlib.sha256(body).digest())
 
 
 def load_checkpoint(path: str | Path) -> tuple[TMKNet, RunConfig, DatasetManifest]:
     path = Path(path)
-    raw = path.read_bytes()
+    raw = _read_store_file(path)
     if raw[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path} is not a tmknet checkpoint (bad magic)")
-    if len(raw) < 16:
-        raise DataError(f"{path} is truncated: {len(raw)} bytes, "
-                        f"shorter than the 16-byte preamble")
+    if len(raw) < 16 + DIGEST_LEN:
+        raise DataError(f"{path} is truncated: {len(raw)} bytes, shorter than the "
+                        f"16-byte preamble and {DIGEST_LEN}-byte digest")
     version, header_len = struct.unpack("<IQ", raw[4:16])
     if version != CHECKPOINT_VERSION:
-        raise DataError(f"unsupported checkpoint version {version}")
+        raise DataError(f"{path}: unsupported checkpoint version {version} "
+                        f"(this reader reads version {CHECKPOINT_VERSION})")
+    body = raw[:-DIGEST_LEN]
+    if hashlib.sha256(body).digest() != raw[-DIGEST_LEN:]:
+        raise DataError(f"{path}: SHA-256 digest mismatch; the checkpoint is "
+                        "truncated or corrupt")
     try:
-        header = json.loads(raw[16:16 + header_len].decode("utf-8"))
+        header = json.loads(body[16:16 + header_len].decode("utf-8"))
     except ValueError as exc:  # both UnicodeDecodeError and JSONDecodeError
         raise DataError(f"{path}: checkpoint header is not UTF-8 JSON ({exc})") from exc
     if not isinstance(header, dict):
         raise DataError(f"{path}: checkpoint header is not a JSON object")
-    missing = [k for k in ("config", "manifest", "entries", "domain_kinds") if k not in header]
-    if missing:
-        raise DataError(f"{path}: checkpoint header lacks {missing}")
     for key in ("config", "manifest", "domain_kinds"):
-        if not isinstance(header[key], dict):
-            raise DataError(f"{path}: checkpoint header field {key!r} is not a JSON object")
-    entries = header["entries"]
-    if not isinstance(entries, list) or not all(map(_is_entry, entries)):
-        raise DataError(f"{path}: checkpoint header field 'entries' is not a list of "
-                        "{kind, name, shape, offset} objects")
-    payload = raw[16 + header_len:]
+        if not isinstance(header.get(key), dict):
+            raise DataError(f"{path}: checkpoint header field {key!r} is missing or "
+                            "not a JSON object")
+    payload = body[16 + header_len:]
 
     try:
         cfg = RunConfig.from_doc(header["config"])
         manifest = DatasetManifest(**header["manifest"])
-        model = TMKNet(build_model_config(manifest, cfg), seed=cfg.seed)
+        model_cfg = build_model_config(manifest, cfg)
+        # size the model from the header before allocating it
+        need = 8 * value_count(model_cfg, header["domain_kinds"])
+        if len(payload) != need:
+            raise DataError(f"{path}: checkpoint payload holds {len(payload)} bytes, "
+                            f"the model its header describes needs {need}")
+        model = TMKNet(model_cfg, seed=cfg.seed)
         for d, kind in header["domain_kinds"].items():
             model.dsbn.register(d, kind)
     except (TypeError, ValueError, ArithmeticError, ConfigError) as exc:
         raise DataError(f"{path}: checkpoint header does not describe a model ({exc})") from exc
-    values: dict[str, np.ndarray] = {}
-    state: dict[str, np.ndarray] = {}
-    for e in entries:
-        count = math.prod(e["shape"])
-        start = e["offset"]
-        chunk = payload[start: start + 8 * count]
-        if len(chunk) != 8 * count:
-            raise DataError(f"checkpoint payload truncated at entry {e['name']}")
-        arr = np.frombuffer(chunk, dtype="<f8").reshape(e["shape"]).copy()
-        (values if e["kind"] == "param" else state)[e["name"]] = arr
-    _check_shapes("parameter", values, {k: model.params[k].value.shape
-                                         for k in model.params.names()})
-    _check_shapes("state entry", state, {k: v.shape for k, v in model.state_arrays().items()})
-    model.params.load_values(values)
-    try:
-        model.load_state_arrays(state, header["domain_kinds"])
-    except (ValueError, ArithmeticError) as exc:  # e.g. a non-finite step count
-        raise DataError(f"{path}: checkpoint state does not load ({exc})") from exc
+    values = np.frombuffer(payload, dtype="<f8")
+    if not np.isfinite(values).all():
+        raise DataError(f"{path}: checkpoint payload holds a non-finite value")
+    layout = _payload_arrays(model)
+    chunks = np.split(values, np.cumsum([a.size for _, a in layout])[:-1])
+    arrays = {name: chunk.reshape(a.shape) for (name, a), chunk in zip(layout, chunks)}
+    model.params.load_values(arrays)
+    model.load_state_arrays(arrays, model.dsbn_domain_kinds())
     return model, cfg, manifest
-
-
-def _check_shapes(kind: str, got: dict[str, np.ndarray], want: dict[str, tuple]) -> None:
-    """Every array the model needs is present with the model's shape;
-    `load_values` would reshape a same-size array silently."""
-    missing = sorted(set(want) - set(got))
-    if missing:
-        raise DataError(f"checkpoint is missing {kind} {', '.join(missing)}")
-    for name, shape in want.items():
-        if got[name].shape != shape:
-            raise DataError(f"checkpoint {kind} {name} has shape {got[name].shape}, "
-                            f"the model needs {shape}")
-
-
-def _is_entry(e) -> bool:
-    """An entry-table row: {kind, name, shape, offset} with a non-negative
-    integer shape and offset."""
-    return (isinstance(e, dict) and isinstance(e.get("kind"), str)
-            and isinstance(e.get("name"), str) and isinstance(e.get("shape"), list)
-            and all(type(n) is int and n >= 0 for n in e["shape"])
-            and type(e.get("offset")) is int and e["offset"] >= 0)

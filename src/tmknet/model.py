@@ -33,6 +33,22 @@ class ModelConfig:
     gamma_target: float = 0.05
     shared_bn: bool = False  # single normalization bucket for all domains
 
+    def __post_init__(self):
+        if self.backbone.n_b > self.stem.n_s:
+            raise ConfigError(f"n_b={self.backbone.n_b} exceeds n_s={self.stem.n_s}")
+
+
+def value_count(cfg: ModelConfig, domain_kinds: dict[str, str]) -> int:
+    """Float64 values in the parameters and state of the TMKNet that `cfg` and
+    the DSBN domains `domain_kinds` describe, counted without building it."""
+    s, b = cfg.stem, cfg.backbone
+    mrt = sum(s.n_t * (k + 1) for k in s.temporal_kernel_sizes) + 2 * s.n_t
+    mss = sum(s.n_s * (s.n_t * h + 1) for h in s.mss_kernel_heights.values()) + 2 * s.n_s
+    backbone = b.n_b * s.n_s + b.n_b * b.n_b + 1 + b.n_c * (b.n_b * b.n_b + 1)
+    domains = set(domain_kinds) | ({SHARED_DOMAIN} if cfg.shared_bn else set())
+    state = 2 * (s.n_t + s.n_s + 1) + len(domains) * (b.n_b * b.n_b + 2)
+    return mrt + mss + backbone + state
+
 
 class TMKNet:
     """Gesture classifier on the SPD manifold with unsupervised domain adaptation."""

@@ -66,6 +66,14 @@ class StemConfig:
             temporal_kernel_size(self.fs, self.r_data, r) for r in self.r_resolution
         )
 
+    @property
+    def mss_kernel_heights(self) -> dict[str, int]:
+        """Sensor-axis height of each kernel in `mss_kernels`."""
+        c = self.sensors
+        heights = {"global": c, "flexor": c // 2, "extensor": c // 2,
+                   "proximal_distal": c // 2, "dilated": 2}
+        return {name: heights[name] for name in self.mss_kernels}
+
 
 def temporal_kernel_size(fs: float, r_data: float, r_resolution: float) -> int:
     """Kernel length floor(r_data * r_resolution * fs), at least 1 sample."""
@@ -142,12 +150,9 @@ def init_mrt(rng: np.random.Generator, cfg: StemConfig) -> dict[str, np.ndarray]
 
 
 def init_mss(rng: np.random.Generator, cfg: StemConfig) -> dict[str, np.ndarray]:
-    c = cfg.sensors
-    heights = {"global": c, "flexor": c // 2, "extensor": c // 2,
-               "proximal_distal": c // 2, "dilated": 2}
     params: dict[str, np.ndarray] = {}
-    for name in cfg.mss_kernels:
-        params[f"mss.{name}.weight"] = _conv_init(rng, cfg.n_s, cfg.n_t, heights[name], 1)
+    for name, height in cfg.mss_kernel_heights.items():
+        params[f"mss.{name}.weight"] = _conv_init(rng, cfg.n_s, cfg.n_t, height, 1)
         params[f"mss.{name}.bias"] = np.zeros(cfg.n_s)
     params["mss.bn.gamma"] = np.ones(cfg.n_s)
     params["mss.bn.beta"] = np.zeros(cfg.n_s)

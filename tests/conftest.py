@@ -1,6 +1,11 @@
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from tmknet.experiment import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, DIGEST_LEN
 from tmknet.geometry import frechet_variance, karcher_mean
 
 
@@ -48,6 +53,30 @@ def central_diff(f, x, h=1e-6):
         flat[i] = orig
         gflat[i] = (fp - fm) / (2.0 * h)
     return g
+
+
+def seal_checkpoint(header: bytes, payload: bytes = b"") -> bytes:
+    """Checkpoint bytes around a raw header and payload, with a valid digest."""
+    body = CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(header)) + header
+    body += payload
+    return body + hashlib.sha256(body).digest()
+
+
+def reseal_checkpoint(path, header=None, payload=None):
+    """Rewrite the checkpoint at `path` and recompute its digest, so that the
+    loader checks the edit rather than stopping at the digest. `header(doc)`
+    edits the JSON header in place; `payload(values)` returns the float64
+    payload values to store."""
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    doc = json.loads(blob[16:16 + header_len])
+    values = np.frombuffer(blob[16 + header_len:-DIGEST_LEN], dtype="<f8").copy()
+    if header is not None:
+        header(doc)
+    if payload is not None:
+        values = payload(values)
+    raw = json.dumps(doc, sort_keys=True).encode("utf-8")
+    path.write_bytes(seal_checkpoint(raw, np.asarray(values, dtype="<f8").tobytes()))
 
 
 @pytest.fixture

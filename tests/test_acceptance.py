@@ -254,7 +254,7 @@ def test_criterion_02_gradient_suite():
         return float(ad.cross_entropy(logits, labels).value)
 
     coords_per_param = 3
-    for name in model.params.names():
+    for name, _ in model.params.items():
         flat = base[name].ravel()
         idx = rng.choice(flat.size, min(coords_per_param, flat.size), replace=False)
         for i in idx:

@@ -1,11 +1,11 @@
 import csv
 import json
 import shutil
-import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import reseal_checkpoint
 
 from tmknet.cli import main
 from tmknet.metrics import MetricsReport, wilcoxon_signed_rank
@@ -130,16 +130,38 @@ class TestErrorPaths:
         assert "data error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("name", ["missing.tmk", "."], ids=["missing", "directory"])
+    def test_unreadable_checkpoint_exits_two(self, dataset, tmp_path, capsys, name):
+        assert main(["eval", "--checkpoint", str(tmp_path / name), "--data", str(dataset),
+                     "--out", str(tmp_path / "e")]) == 2
+        assert "data error: cannot read" in capsys.readouterr().err
+
+    def test_non_finite_checkpoint_exits_two(self, dataset, trained_run, tmp_path, capsys):
+        bad = tmp_path / "bad.tmk"
+        shutil.copy(trained_run / "checkpoint.tmk", bad)
+        reseal_checkpoint(bad, payload=lambda v: np.concatenate([[np.nan], v[1:]]))
+        assert main(["eval", "--checkpoint", str(bad), "--data", str(dataset),
+                     "--domain", "0/0", "--out", str(tmp_path / "e")]) == 2
+        assert "data error:" in capsys.readouterr().err
+
+    def test_adapt_without_target_trials_exits_two(self, dataset, trained_run, tmp_path,
+                                                   capsys):
+        assert main(["adapt", "--checkpoint", str(trained_run / "checkpoint.tmk"),
+                     "--data", str(dataset), "--target-session", "9",
+                     "--out", str(tmp_path / "a")]) == 2
+        assert "no trials for target domain" in capsys.readouterr().err
+
+    def test_n_b_above_n_s_exits_one(self, dataset, tmp_path, capsys):
+        flags = [*TRAIN_FLAGS, "--n-s", "4", "--n-b", "6"]
+        assert main(["train", "--data", str(dataset), "--out", str(tmp_path / "r"),
+                     *flags]) == 1
+        assert "exceeds n_s" in capsys.readouterr().err
+
     def test_checkpoint_header_wrong_type_exits_two(self, dataset, trained_run, tmp_path,
                                                     capsys):
-        blob = (trained_run / "checkpoint.tmk").read_bytes()
-        (header_len,) = struct.unpack("<Q", blob[8:16])
-        header = json.loads(blob[16:16 + header_len])
-        header["config"] = 5
-        raw = json.dumps(header).encode("utf-8")
         bad = tmp_path / "bad.tmk"
-        bad.write_bytes(blob[:4] + struct.pack("<IQ", 1, len(raw)) + raw
-                        + blob[16 + header_len:])
+        shutil.copy(trained_run / "checkpoint.tmk", bad)
+        reseal_checkpoint(bad, header=lambda h: h.update(config=5))
         assert main(["adapt", "--checkpoint", str(bad), "--data", str(dataset),
                      "--out", str(tmp_path / "a")]) == 2
         assert "data error:" in capsys.readouterr().err
@@ -151,14 +173,9 @@ class TestErrorPaths:
     ], ids=["adaptation-bogus", "n_t-zero", "manifest-overlap-exceeds-window"])
     def test_checkpoint_header_invalid_config_exits_two(self, dataset, trained_run, tmp_path,
                                                         capsys, section, edit):
-        blob = (trained_run / "checkpoint.tmk").read_bytes()
-        (header_len,) = struct.unpack("<Q", blob[8:16])
-        header = json.loads(blob[16:16 + header_len])
-        header[section].update(edit)
-        raw = json.dumps(header).encode("utf-8")
         bad = tmp_path / "bad.tmk"
-        bad.write_bytes(blob[:4] + struct.pack("<IQ", 1, len(raw)) + raw
-                        + blob[16 + header_len:])
+        shutil.copy(trained_run / "checkpoint.tmk", bad)
+        reseal_checkpoint(bad, header=lambda h: h[section].update(edit))
         assert main(["eval", "--checkpoint", str(bad), "--data", str(dataset),
                      "--domain", "0/0", "--out", str(tmp_path / "e")]) == 2
         assert "data error:" in capsys.readouterr().err

@@ -1,12 +1,15 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import reseal_checkpoint, seal_checkpoint
 
 from tmknet.data import SynthSpec, leave_one_session_out, synth_generate
 from tmknet.errors import ConfigError, DataError
 from tmknet.experiment import (
+    ABLATION_VARIANTS,
     RunConfig,
     ablate,
     ablation_table,
@@ -22,7 +25,7 @@ from tmknet.experiment import (
     train,
 )
 from tmknet.geometry import airm_dist
-from tmknet.model import TMKNet
+from tmknet.model import TMKNet, value_count
 
 
 SPEC = SynthSpec(n_classes=3, sensors=8, n_domains=3, trials_per_cell=12,
@@ -244,6 +247,16 @@ class TestBuildModelConfig:
         assert "extensor" not in mc.stem.mss_kernels
         assert "global" in mc.stem.mss_kernels
 
+    @pytest.mark.parametrize("variant", ["full", *ABLATION_VARIANTS, "shared_bn"])
+    def test_value_count_matches_model_arrays(self, variant):
+        cfg = quick_cfg(shared_bn=variant == "shared_bn",
+                        ablation=(variant,) if variant in ABLATION_VARIANTS else ())
+        mc = build_model_config(MANIFEST, cfg)
+        model = TMKNet(mc, seed=0)
+        model.register_domains(["0/0", "0/1"], ["0/2"])
+        arrays = [p.value for _, p in model.params.items()] + list(model.state_arrays().values())
+        assert value_count(mc, model.dsbn_domain_kinds()) == sum(a.size for a in arrays)
+
 
 class TestCheckpoint:
     def test_round_trip_reproduces_metrics(self, tmp_path, trained):
@@ -257,6 +270,20 @@ class TestCheckpoint:
         assert before == after
         assert cfg2 == cfg
 
+    def test_round_trip_is_bit_exact_in_model_order(self, tmp_path, trained):
+        cfg, model, _ = trained
+        save_checkpoint(tmp_path / "ck.tmk", model, cfg, MANIFEST)
+        loaded, _, _ = load_checkpoint(tmp_path / "ck.tmk")
+        assert loaded.dsbn_domain_kinds() == model.dsbn_domain_kinds()
+        arrays = [[p.value for _, p in m.params.items()]
+                  + [a for _, a in sorted(m.state_arrays().items())] for m in (model, loaded)]
+        assert [a.shape for a in arrays[0]] == [a.shape for a in arrays[1]]
+        assert [a.tobytes() for a in arrays[0]] == [a.tobytes() for a in arrays[1]]
+        blob = (tmp_path / "ck.tmk").read_bytes()
+        (header_len,) = struct.unpack("<Q", blob[8:16])
+        assert blob[16 + header_len:-32] == b"".join(a.astype("<f8").tobytes()
+                                                     for a in arrays[0])
+
     def test_bad_magic(self, tmp_path):
         (tmp_path / "bad.tmk").write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(DataError):
@@ -267,31 +294,37 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="preamble"):
             load_checkpoint(tmp_path / "short.tmk")
 
+    def test_version_one_rejected(self, tmp_path, trained):
+        cfg, model, _ = trained
+        save_checkpoint(tmp_path / "ck.tmk", model, cfg, MANIFEST)
+        blob = bytearray((tmp_path / "ck.tmk").read_bytes())
+        blob[4:8] = struct.pack("<I", 1)
+        (tmp_path / "ck.tmk").write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="version 1"):
+            load_checkpoint(tmp_path / "ck.tmk")
+
+    def test_flipped_payload_bit_rejected(self, tmp_path, trained):
+        cfg, model, _ = trained
+        save_checkpoint(tmp_path / "ck.tmk", model, cfg, MANIFEST)
+        blob = bytearray((tmp_path / "ck.tmk").read_bytes())
+        blob[-40] ^= 0x01  # lowest mantissa bit of the last payload value
+        (tmp_path / "ck.tmk").write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="digest"):
+            load_checkpoint(tmp_path / "ck.tmk")
+
     @pytest.mark.parametrize("header,match", [(b"\xff\xfe{}", "UTF-8 JSON"),
                                               (b'{"config": ', "UTF-8 JSON"),
                                               (b"[1, 2]", "JSON object")])
     def test_header_not_json_object(self, tmp_path, header, match):
-        blob = b"TMKN" + struct.pack("<IQ", 1, len(header)) + header
-        (tmp_path / "bad.tmk").write_bytes(blob)
+        (tmp_path / "bad.tmk").write_bytes(seal_checkpoint(header))
         with pytest.raises(DataError, match=match):
             load_checkpoint(tmp_path / "bad.tmk")
 
-    @staticmethod
-    def _edit_header(path, edit):
-        """Rewrite a checkpoint's JSON header through `edit(header)`."""
-        blob = path.read_bytes()
-        (header_len,) = struct.unpack("<Q", blob[8:16])
-        header = json.loads(blob[16:16 + header_len])
-        edit(header)
-        raw = json.dumps(header).encode("utf-8")
-        path.write_bytes(blob[:4] + struct.pack("<IQ", 1, len(raw)) + raw
-                         + blob[16 + header_len:])
-
-    @pytest.mark.parametrize("key", ["config", "manifest", "entries", "domain_kinds"])
+    @pytest.mark.parametrize("key", ["config", "manifest", "domain_kinds"])
     def test_header_missing_key(self, tmp_path, trained, key):
         cfg, model, _ = trained
         save_checkpoint(tmp_path / "ck.tmk", model, cfg, MANIFEST)
-        self._edit_header(tmp_path / "ck.tmk", lambda h: h.pop(key))
+        reseal_checkpoint(tmp_path / "ck.tmk", header=lambda h: h.pop(key))
         with pytest.raises(DataError, match=key):
             load_checkpoint(tmp_path / "ck.tmk")
 
@@ -302,18 +335,12 @@ class TestCheckpoint:
         ("manifest", [1, 2]),
         ("manifest", {"name": "x"}),
         ("domain_kinds", "0/0"),
-        ("entries", {"kind": "param"}),
-        ("entries", [5]),
-        ("entries", [{"kind": "param", "name": "head.bias", "shape": [3]}]),
-        ("entries", [{"kind": "param", "name": "head.bias", "shape": ["3"], "offset": 0}]),
-        ("entries", [{"kind": "param", "name": "head.bias", "shape": [3], "offset": -8}]),
     ], ids=["config-int", "config-bad-field-type", "config-unknown-field",
-            "manifest-list", "manifest-incomplete", "domain-kinds-str", "entries-object",
-            "entries-int-row", "entry-no-offset", "entry-shape-str", "entry-negative-offset"])
+            "manifest-list", "manifest-incomplete", "domain-kinds-str"])
     def test_header_field_wrong_type(self, tmp_path, trained, key, value):
         cfg, model, _ = trained
         save_checkpoint(tmp_path / "ck.tmk", model, cfg, MANIFEST)
-        self._edit_header(tmp_path / "ck.tmk", lambda h: h.update({key: value}))
+        reseal_checkpoint(tmp_path / "ck.tmk", header=lambda h: h.update({key: value}))
         with pytest.raises(DataError):
             load_checkpoint(tmp_path / "ck.tmk")
 
@@ -321,54 +348,62 @@ class TestCheckpoint:
         lambda h: h["config"].update(adaptation="bogus"),
         lambda h: h["config"].update(n_t=0),
         lambda h: h["config"].update(n_b=0),
+        lambda h: h["config"].update(n_b=h["config"]["n_s"] + 1),
         lambda h: h["config"].update(ablation=["no_such_variant"]),
         lambda h: h["manifest"].update(overlap_ms=h["manifest"]["window_ms"] + 1),
         lambda h: h["manifest"].update(flexor_ids=[0, 99]),
         lambda h: h["manifest"].update(fs=float("inf")),
         lambda h: h["domain_kinds"].update({"0/0": "neither"}),
-    ], ids=["adaptation-bogus", "n_t-zero", "n_b-zero", "ablation-unknown",
+    ], ids=["adaptation-bogus", "n_t-zero", "n_b-zero", "n_b-exceeds-n_s", "ablation-unknown",
             "manifest-overlap-exceeds-window", "manifest-index-out-of-range", "manifest-fs-inf",
             "domain-kind-unknown"])
     def test_header_config_invalid(self, tmp_path, trained, edit):
         cfg, model, _ = trained
         save_checkpoint(tmp_path / "ck.tmk", model, cfg, MANIFEST)
-        self._edit_header(tmp_path / "ck.tmk", edit)
+        reseal_checkpoint(tmp_path / "ck.tmk", header=edit)
         with pytest.raises(DataError, match="does not describe a model"):
             load_checkpoint(tmp_path / "ck.tmk")
 
-    def test_state_shape_mismatch(self, tmp_path, trained):
+    @pytest.mark.parametrize("header,payload", [
+        (None, lambda v: v[:-1]),
+        (None, lambda v: np.append(v, 0.0)),
+        (lambda h: h["config"].update(n_b=h["config"]["n_b"] - 1), None),
+    ], ids=["one-short", "one-long", "n_b-edited"])
+    def test_payload_length_mismatch(self, tmp_path, trained, header, payload):
         cfg, model, _ = trained
         save_checkpoint(tmp_path / "ck.tmk", model, cfg, MANIFEST)
-
-        def scalar_flag(header):
-            for e in header["entries"]:
-                if e["name"] == "state.mrt_bn.flag":
-                    e["shape"] = []
-
-        self._edit_header(tmp_path / "ck.tmk", scalar_flag)
-        with pytest.raises(DataError, match="state.mrt_bn.flag"):
+        reseal_checkpoint(tmp_path / "ck.tmk", header=header, payload=payload)
+        with pytest.raises(DataError, match="payload holds"):
             load_checkpoint(tmp_path / "ck.tmk")
+
+    def test_header_model_bounded_before_allocation(self, tmp_path, trained):
+        cfg, model, _ = trained
+        save_checkpoint(tmp_path / "ck.tmk", model, cfg, MANIFEST)
+        reseal_checkpoint(tmp_path / "ck.tmk",
+                          header=lambda h: h["manifest"].update(fs=h["manifest"]["fs"] * 1e6))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="payload holds"):
+                load_checkpoint(tmp_path / "ck.tmk")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
     def test_non_finite_step_count(self, tmp_path, trained):
         cfg, model, _ = trained
         save_checkpoint(tmp_path / "ck.tmk", model, cfg, MANIFEST)
-        blob = bytearray((tmp_path / "ck.tmk").read_bytes())
-        (header_len,) = struct.unpack("<Q", blob[8:16])
-        header = json.loads(blob[16:16 + header_len])
-        (entry,) = [e for e in header["entries"] if e["name"].endswith(".scalars")][:1]
-        at = 16 + header_len + entry["offset"] + 8  # scalars = [v_run, steps]
-        blob[at:at + 8] = struct.pack("<d", float("nan"))
-        (tmp_path / "ck.tmk").write_bytes(bytes(blob))
-        with pytest.raises(DataError, match="state does not load"):
-            load_checkpoint(tmp_path / "ck.tmk")
+        arrays = ([(n, p.value) for n, p in model.params.items()]
+                  + sorted(model.state_arrays().items()))
+        first = next(i for i, (n, _) in enumerate(arrays) if n.endswith(".scalars"))
+        at = sum(a.size for _, a in arrays[:first]) + 1  # scalars = [v_run, steps]
 
-    def test_entry_larger_than_int64(self, tmp_path, trained):
-        # the element count of [2**40, 2**40] wraps to 0 in int64 arithmetic
-        cfg, model, _ = trained
-        save_checkpoint(tmp_path / "ck.tmk", model, cfg, MANIFEST)
-        self._edit_header(tmp_path / "ck.tmk", lambda h: h["entries"][0].update(
-            shape=[2 ** 40, 2 ** 40]))
-        with pytest.raises(DataError, match="truncated"):
+        def nan_steps(values):
+            values[at] = np.nan
+            return values
+
+        reseal_checkpoint(tmp_path / "ck.tmk", payload=nan_steps)
+        with pytest.raises(DataError, match="non-finite"):
             load_checkpoint(tmp_path / "ck.tmk")
 
     def test_payload_cut_inside_a_value(self, tmp_path, trained):
@@ -384,29 +419,9 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "ck.tmk", model, cfg, MANIFEST)
         blob = (tmp_path / "ck.tmk").read_bytes()
         (header_len,) = struct.unpack("<Q", blob[8:16])
-        assert json.loads(blob[16:16 + header_len])["manifest"] == MANIFEST.to_doc()
-
-    def test_param_shape_mismatch(self, tmp_path, trained):
-        # same element count, transposed shape: a silent reshape would load it
-        cfg, model, _ = trained
-        save_checkpoint(tmp_path / "ck.tmk", model, cfg, MANIFEST)
-
-        def transpose_head(header):
-            for e in header["entries"]:
-                if e["name"] == "head.weight":
-                    e["shape"] = e["shape"][::-1]
-
-        self._edit_header(tmp_path / "ck.tmk", transpose_head)
-        with pytest.raises(DataError, match="head.weight"):
-            load_checkpoint(tmp_path / "ck.tmk")
-
-    def test_missing_state_entry(self, tmp_path, trained):
-        cfg, model, _ = trained
-        save_checkpoint(tmp_path / "ck.tmk", model, cfg, MANIFEST)
-        self._edit_header(tmp_path / "ck.tmk", lambda h: h.update(
-            entries=[e for e in h["entries"] if e["name"] != "state.mss_bn.var"]))
-        with pytest.raises(DataError, match="state.mss_bn.var"):
-            load_checkpoint(tmp_path / "ck.tmk")
+        header = json.loads(blob[16:16 + header_len])
+        assert sorted(header) == ["config", "domain_kinds", "manifest"]
+        assert header["manifest"] == MANIFEST.to_doc()
 
     def test_truncated_payload(self, tmp_path, trained):
         cfg, model, _ = trained

@@ -1,15 +1,15 @@
-"""Seeded fuzz of the two loaders: truncated and bit-flipped checkpoints and
-dataset directories may fail only through the package's error types."""
+"""Seeded fuzz of the two loaders. Truncated and byte-flipped dataset
+directories may fail only through the package's error types; every truncated
+or byte-flipped checkpoint must fail with DataError."""
 
 import shutil
-import struct
 
 import numpy as np
 import pytest
 
 from tmknet.data import (SynthSpec, leave_one_session_out, load_dataset, save_dataset,
                          synth_generate)
-from tmknet.errors import TmknetError
+from tmknet.errors import DataError, TmknetError
 from tmknet.experiment import (RunConfig, build_model_config, domain_key, load_checkpoint,
                                save_checkpoint)
 from tmknet.model import TMKNet
@@ -51,29 +51,37 @@ def _flips(rng, blob, end):
         yield f"byte {pos} ^ {mask:#04x}", bytes(out)
 
 
-def _escapes(load, target, cases):
+def _escapes(load, target, cases, expected=TmknetError, may_load=True):
     """Write each (label, bytes) case to `target`, call `load`, and collect
-    any exception that is not a TmknetError."""
+    each case that raises anything but `expected`, or that loads although
+    `may_load` is false."""
     escaped = []
     for label, blob in cases:
         target.write_bytes(blob)
         try:
             load()
-        except TmknetError:
-            pass
+        except expected:
+            continue
         except Exception as exc:  # noqa: BLE001 - the point of the test
             escaped.append(f"{target.name} {label}: {type(exc).__name__}: {exc}")
+            continue
+        if not may_load:
+            escaped.append(f"{target.name} {label}: loaded")
     return escaped
 
 
-def test_checkpoint_truncation_and_header_flips(store, tmp_path):
+def test_checkpoint_every_cut_and_flip_is_a_data_error(store, tmp_path):
+    """Every truncation length, and one seeded xor mask at every byte."""
     rng = np.random.default_rng(SEED)
     blob = (store / "ck.tmk").read_bytes()
-    (header_len,) = struct.unpack("<Q", blob[8:16])
     target = tmp_path / "ck.tmk"
-    cases = [(f"cut at {n}", blob[:n]) for n in _cuts(rng, len(blob))]
-    cases += list(_flips(rng, blob, 16 + header_len))
-    assert _escapes(lambda: load_checkpoint(target), target, cases) == []
+    cases = [(f"cut at {n}", blob[:n]) for n in range(len(blob))]
+    for pos, mask in enumerate(rng.integers(1, 256, size=len(blob))):
+        out = bytearray(blob)
+        out[pos] ^= mask
+        cases.append((f"byte {pos} ^ {mask:#04x}", bytes(out)))
+    assert _escapes(lambda: load_checkpoint(target), target, cases,
+                    expected=DataError, may_load=False) == []
 
 
 @pytest.mark.parametrize("name", ["manifest.json", "index.csv", "trials.f32"])

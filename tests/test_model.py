@@ -88,7 +88,7 @@ class TestForward:
         finally:
             if enabled:
                 gc.enable()
-        assert np.isfinite(loss) and set(grads) == set(toy_model.params.names())
+        assert np.isfinite(loss) and set(grads) == {name for name, _ in toy_model.params.items()}
 
     def test_adapt_then_eval_on_target(self, toy_model, rng):
         x = rng.normal(size=(4, 8, 64))
@@ -110,6 +110,10 @@ class TestForward:
     def test_sensor_count_checked(self, toy_model, rng):
         with pytest.raises(ConfigError):
             toy_model.predict_logits(rng.normal(size=(2, 6, 64)), ["0/0"] * 2)
+
+    def test_n_b_above_n_s_rejected(self):
+        with pytest.raises(ConfigError, match="exceeds n_s"):
+            toy_config(n_s=4, n_b=6)
 
     def test_same_seed_same_init(self):
         a = TMKNet(toy_config(), seed=3)
