@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -22,9 +23,9 @@ from .backbone import BackboneConfig
 from .data import DatasetManifest, Trial, _read_store_file, leave_one_session_out
 from .data import DomainBatchSampler
 from .errors import ConfigError, DataError, NumericalError
-from .linalg import sym_fn
+from .linalg import sym_fn, symmetrize
 from .metrics import MetricsReport, report_from_predictions
-from .model import ModelConfig, TMKNet, value_count
+from .model import ModelConfig, TMKNet, layout
 from .optim import adam_step
 from .stem import MSS_KERNELS, StemConfig
 
@@ -78,6 +79,13 @@ class RunConfig:
             raise ConfigError(f"unknown ablation variants: {sorted(unknown)}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError("val_fraction must lie in [0, 1)")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
+        # every domain group of a batch needs 2 trials for its batch statistics
+        if self.domains_per_batch < 1 or self.batch_size < 2 * self.domains_per_batch:
+            raise ConfigError(f"need domains_per_batch >= 1 and batch_size >= 2 * "
+                              f"domains_per_batch, got batch_size={self.batch_size}, "
+                              f"domains_per_batch={self.domains_per_batch}")
 
     def to_doc(self) -> dict:
         """The fields as a JSON-ready dict; tuple fields become lists."""
@@ -186,7 +194,7 @@ def train(cfg: RunConfig, manifest: DatasetManifest,
             model.prime_stats(x, [domain_key(d) for d in doms])
 
     loss_curve: list[float] = []
-    best = (-np.inf, None, None, None)  # (score, params, state, kinds)
+    best = (-np.inf, None)  # (score, arrays)
     for epoch in range(cfg.epochs):
         for _ in range(sampler.batches_per_epoch()):
             x, y, doms = sampler.next_batch()
@@ -212,13 +220,10 @@ def train(cfg: RunConfig, manifest: DatasetManifest,
         # ties go to the later epoch: the model keeps refining its domain
         # alignment after the source score saturates
         if score >= best[0]:
-            best = (score, model.params.copy_values(),
-                    {k: v.copy() for k, v in model.state_arrays().items()},
-                    model.dsbn_domain_kinds())
+            best = (score, {k: v.copy() for k, v in model.arrays().items()})
 
     if best[1] is not None:
-        model.params.load_values(best[1])
-        model.load_state_arrays(best[2], best[3])
+        model.load_arrays(best[1])
 
     if val_trials:
         val_report = evaluate(model, val_trials, manifest)
@@ -398,26 +403,19 @@ def ablation_table(results: list[tuple[str, MetricsReport]]) -> str:
 
 # --- checkpoints -----------------------------------------------------------------------
 
-def _payload_arrays(model: TMKNet) -> list[tuple[str, np.ndarray]]:
-    """The arrays a checkpoint stores, in payload order: each parameter in
-    registration order, then the state arrays sorted by name."""
-    return ([(name, p.value) for name, p in model.params.items()]
-            + sorted(model.state_arrays().items()))
-
-
 def save_checkpoint(path: str | Path, model: TMKNet, cfg: RunConfig,
                     manifest: DatasetManifest) -> None:
     """Write `MAGIC | <IQ version, header_len> | header | payload | SHA-256`.
 
     The JSON header (`config`, `manifest`, `domain_kinds`) fixes the model and
     so every array's shape; the payload is the model's arrays in
-    `_payload_arrays` order as little-endian float64; the SHA-256 covers every
+    `model.layout` order as little-endian float64; the SHA-256 covers every
     byte before it. Round trips bit-exactly."""
     header = json.dumps({"config": cfg.to_doc(), "manifest": manifest.to_doc(),
                          "domain_kinds": model.dsbn_domain_kinds()}, sort_keys=True).encode()
     body = b"".join([CHECKPOINT_MAGIC, struct.pack("<IQ", CHECKPOINT_VERSION, len(header)),
                      header, *(np.ascontiguousarray(a, dtype="<f8").tobytes()
-                               for _, a in _payload_arrays(model))])
+                               for a in model.arrays().values())])
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(body + hashlib.sha256(body).digest())
@@ -456,10 +454,11 @@ def load_checkpoint(path: str | Path) -> tuple[TMKNet, RunConfig, DatasetManifes
         manifest = DatasetManifest(**header["manifest"])
         model_cfg = build_model_config(manifest, cfg)
         # size the model from the header before allocating it
-        need = 8 * value_count(model_cfg, header["domain_kinds"])
-        if len(payload) != need:
+        rows = layout(model_cfg, header["domain_kinds"])
+        sizes = [math.prod(shape) for _, shape, _ in rows]
+        if len(payload) != 8 * sum(sizes):
             raise DataError(f"{path}: checkpoint payload holds {len(payload)} bytes, "
-                            f"the model its header describes needs {need}")
+                            f"the model its header describes needs {8 * sum(sizes)}")
         model = TMKNet(model_cfg, seed=cfg.seed)
         for d, kind in header["domain_kinds"].items():
             model.dsbn.register(d, kind)
@@ -468,9 +467,27 @@ def load_checkpoint(path: str | Path) -> tuple[TMKNet, RunConfig, DatasetManifes
     values = np.frombuffer(payload, dtype="<f8")
     if not np.isfinite(values).all():
         raise DataError(f"{path}: checkpoint payload holds a non-finite value")
-    layout = _payload_arrays(model)
-    chunks = np.split(values, np.cumsum([a.size for _, a in layout])[:-1])
-    arrays = {name: chunk.reshape(a.shape) for (name, a), chunk in zip(layout, chunks)}
-    model.params.load_values(arrays)
-    model.load_state_arrays(arrays, model.dsbn_domain_kinds())
+    chunks = np.split(values, np.cumsum(sizes)[:-1])
+    arrays = {name: chunk.reshape(shape) for (name, shape, _), chunk in zip(rows, chunks)}
+    for name, _, tag in rows:
+        problem = _state_problem(name, tag, arrays[name])
+        if problem:
+            raise DataError(f"{path}: checkpoint array {name!r} {problem}")
+    model.load_arrays(arrays)
     return model, cfg, manifest
+
+
+def _state_problem(name: str, tag: str, a: np.ndarray) -> str | None:
+    """What makes the checkpoint array `name`, a `model.layout` row tagged
+    `tag`, unusable by the model; None if nothing does."""
+    if name.endswith("_bn.var") and not (a > 0).all():
+        return "has a batch-norm variance that is not positive"
+    if name.endswith("_bn.flag") and not np.isin(a, (0.0, 1.0)).all():
+        return "has a batch-norm flag other than 0 or 1"
+    if name.endswith(".scalars") and not a[0] >= 0:
+        return "has a negative running dispersion"
+    if name.endswith(".scalars") and not (a[1] >= 0 and a[1] == np.floor(a[1])):
+        return "has a step count that is not a non-negative integer"
+    if (tag == "spd" or name.endswith(".g_run")) and not np.linalg.eigvalsh(symmetrize(a))[0] > 0:
+        return "is not a symmetric positive definite matrix"
+    return None

@@ -9,6 +9,7 @@ gradient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ from . import stem
 from .autodiff import Tape, Variable
 from .backbone import BackboneConfig, DsbnState
 from .errors import ConfigError
-from .optim import ParamStore
+from .optim import ParamStore, stiefel_retract_rows
 from .stem import BnState, StemConfig
 
 SHARED_DOMAIN = "shared"
@@ -38,16 +39,34 @@ class ModelConfig:
             raise ConfigError(f"n_b={self.backbone.n_b} exceeds n_s={self.stem.n_s}")
 
 
-def value_count(cfg: ModelConfig, domain_kinds: dict[str, str]) -> int:
-    """Float64 values in the parameters and state of the TMKNet that `cfg` and
-    the DSBN domains `domain_kinds` describe, counted without building it."""
+def layout(cfg: ModelConfig,
+           domain_kinds: dict[str, str]) -> list[tuple[str, tuple[int, ...], str]]:
+    """(name, shape, tag) of every array of the TMKNet that `cfg` and the DSBN
+    domains `domain_kinds` describe, without building it: each parameter in
+    registration order, tagged with its manifold, then the state arrays,
+    tagged "state" and sorted by name. This is also a checkpoint's array order.
+    """
     s, b = cfg.stem, cfg.backbone
-    mrt = sum(s.n_t * (k + 1) for k in s.temporal_kernel_sizes) + 2 * s.n_t
-    mss = sum(s.n_s * (s.n_t * h + 1) for h in s.mss_kernel_heights.values()) + 2 * s.n_s
-    backbone = b.n_b * s.n_s + b.n_b * b.n_b + 1 + b.n_c * (b.n_b * b.n_b + 1)
-    domains = set(domain_kinds) | ({SHARED_DOMAIN} if cfg.shared_bn else set())
-    state = 2 * (s.n_t + s.n_s + 1) + len(domains) * (b.n_b * b.n_b + 2)
-    return mrt + mss + backbone + state
+    params = []
+    for i, k in enumerate(s.temporal_kernel_sizes):
+        params += [(f"mrt.branch{i}.weight", (s.n_t, 1, 1, k)), (f"mrt.branch{i}.bias", (s.n_t,))]
+    params += [("mrt.bn.gamma", (s.n_t,)), ("mrt.bn.beta", (s.n_t,))]
+    for name, (_, height, _, _) in s.mss_geometry.items():
+        params += [(f"mss.{name}.weight", (s.n_s, s.n_t, height, 1)),
+                   (f"mss.{name}.bias", (s.n_s,))]
+    params += [("mss.bn.gamma", (s.n_s,)), ("mss.bn.beta", (s.n_s,)),
+               ("bimap.weight", (b.n_b, s.n_s)), ("dsbn.g_phi", (b.n_b, b.n_b)),
+               ("dsbn.log_v_phi", ()), ("head.weight", (b.n_c, b.n_b * b.n_b)),
+               ("head.bias", (b.n_c,))]
+    tags = {"bimap.weight": "stiefel", "dsbn.g_phi": "spd", "dsbn.log_v_phi": "log_scalar"}
+    state = []
+    for bn, ch in (("mrt_bn", s.n_t), ("mss_bn", s.n_s)):
+        state += [(f"state.{bn}.mean", (ch,)), (f"state.{bn}.var", (ch,)),
+                  (f"state.{bn}.flag", (1,))]
+    for d in set(domain_kinds) | ({SHARED_DOMAIN} if cfg.shared_bn else set()):
+        state += [(f"state.dsbn.{d}.g_run", (b.n_b, b.n_b)), (f"state.dsbn.{d}.scalars", (2,))]
+    return ([(name, shape, tags.get(name, "euclidean")) for name, shape in params]
+            + [(name, shape, "state") for name, shape in sorted(state)])
 
 
 class TMKNet:
@@ -57,30 +76,29 @@ class TMKNet:
         self.cfg = cfg
         self.seed = seed
         rng = np.random.default_rng(seed)
-        scfg, bcfg = cfg.stem, cfg.backbone
 
         self.params = ParamStore()
-        for name, value in stem.init_mrt(rng, scfg).items():
-            self.params.add(name, value, "euclidean", decay=name.endswith(".weight"))
-        for name, value in stem.init_mss(rng, scfg).items():
-            self.params.add(name, value, "euclidean", decay=name.endswith(".weight"))
+        for name, shape, tag in layout(cfg, {}):
+            if tag == "state":
+                break
+            if tag == "stiefel":
+                value = stiefel_retract_rows(rng.normal(size=shape[::-1]).T)
+            elif tag == "spd":
+                value = np.eye(shape[0])
+            elif name == "head.weight":
+                value = rng.normal(scale=shape[1] ** -0.5, size=shape)
+            elif name.endswith(".weight"):
+                value = rng.normal(scale=1.0 / np.sqrt(math.prod(shape[1:])), size=shape)
+            elif name.endswith(".gamma"):
+                value = np.ones(shape)
+            else:
+                value = np.zeros(shape)
+            self.params.add(name, value, tag,
+                            decay=tag == "euclidean" and name.endswith(".weight"))
 
-        a = rng.normal(size=(scfg.n_s, bcfg.n_b))
-        q, r = np.linalg.qr(a)
-        q = q * np.where(np.diag(r) >= 0, 1.0, -1.0)
-        self.params.add("bimap.weight", q.T.copy(), "stiefel")
-
-        self.params.add("dsbn.g_phi", np.eye(bcfg.n_b), "spd")
-        self.params.add("dsbn.log_v_phi", np.zeros(()), "log_scalar")
-
-        d = bcfg.n_b * bcfg.n_b
-        self.params.add("head.weight", rng.normal(scale=d ** -0.5, size=(bcfg.n_c, d)),
-                        "euclidean", decay=True)
-        self.params.add("head.bias", np.zeros(bcfg.n_c), "euclidean")
-
-        self.mrt_bn = BnState.create(scfg.n_t)
-        self.mss_bn = BnState.create(scfg.n_s)
-        self.dsbn = DsbnState(bcfg.n_b, cfg.gamma_source, cfg.gamma_target)
+        self.mrt_bn = BnState.create(cfg.stem.n_t)
+        self.mss_bn = BnState.create(cfg.stem.n_s)
+        self.dsbn = DsbnState(cfg.backbone.n_b, cfg.gamma_source, cfg.gamma_target)
         if cfg.shared_bn:
             self.dsbn.register(SHARED_DOMAIN, "source")
 
@@ -188,7 +206,18 @@ class TMKNet:
                           self.param_vars(tape, trainable=False))
         bk.dsbn_forward(h, self._bn_ids(domain_ids), self.dsbn, "adapt")
 
-    # --- state snapshot ---------------------------------------------------------
+    # --- array snapshot ---------------------------------------------------------
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Every parameter and state array by name, in `layout` order; the
+        parameters are the live arrays."""
+        return {**{name: p.value for name, p in self.params.items()},
+                **dict(sorted(self.state_arrays().items()))}
+
+    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Inverse of `arrays`: copy every parameter and state array in."""
+        self.params.load_values(arrays)
+        self.load_state_arrays(arrays, self.dsbn_domain_kinds())
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """All non-parameter numeric state, flat-named, for checkpointing."""

@@ -38,7 +38,8 @@ class Param:
     def __post_init__(self):
         if self.tag not in MANIFOLD_TAGS:
             raise ValueError(f"unknown manifold tag {self.tag!r}")
-        self.value = np.asarray(self.value, dtype=np.float64)
+        # start in C order: matmul's rounding depends on its operands' memory order
+        self.value = np.asarray(self.value, dtype=np.float64, order="C")
         if self.m is None:
             self.m = np.zeros_like(self.value)
         if self.v is None:
@@ -65,9 +66,6 @@ class ParamStore:
     def items(self):
         return self._params.items()
 
-    def copy_values(self) -> dict[str, np.ndarray]:
-        return {k: p.value.copy() for k, p in self._params.items()}
-
     def load_values(self, values: dict[str, np.ndarray]) -> None:
         for k, p in self._params.items():
             p.value = np.asarray(values[k], dtype=np.float64).reshape(p.value.shape).copy()
@@ -79,7 +77,7 @@ def zero_or_decay_policy(param: Param, weight_decay: float) -> float:
     return weight_decay if param.tag == "euclidean" and param.decay else 0.0
 
 
-def _stiefel_retract_rows(w_raw: np.ndarray) -> np.ndarray:
+def stiefel_retract_rows(w_raw: np.ndarray) -> np.ndarray:
     """Orthonormalize the rows of w_raw by QR, sign-fixed so diag(R) > 0."""
     q, r = np.linalg.qr(w_raw.T)
     if np.linalg.matrix_rank(r) < r.shape[0]:
@@ -137,7 +135,7 @@ def adam_step(
             p.m = beta1 * p.m + (1.0 - beta1) * gt
             p.v = beta2 * p.v + (1.0 - beta2) * gt * gt
             w_raw = w - lr * (p.m / bc1) / (np.sqrt(p.v / bc2) + eps)
-            p.value = _stiefel_retract_rows(w_raw)
+            p.value = stiefel_retract_rows(w_raw)
 
         elif p.tag == "spd":
             point = p.value

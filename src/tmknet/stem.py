@@ -3,8 +3,8 @@ multi-scale spatial layer.
 
 Feature maps are (batch, channel, sensor, time) arrays. The temporal layer
 slides per-resolution kernels along time, the spatial layer slides muscle
-kernels along the sensor axis. Parameters are plain named arrays; forward
-passes run on autodiff Variables.
+kernels along the sensor axis. Parameters are plain named arrays, initialized
+through `model.layout`; forward passes run on autodiff Variables.
 """
 
 from __future__ import annotations
@@ -67,12 +67,16 @@ class StemConfig:
         )
 
     @property
-    def mss_kernel_heights(self) -> dict[str, int]:
-        """Sensor-axis height of each kernel in `mss_kernels`."""
-        c = self.sensors
-        heights = {"global": c, "flexor": c // 2, "extensor": c // 2,
-                   "proximal_distal": c // 2, "dilated": 2}
-        return {name: heights[name] for name in self.mss_kernels}
+    def mss_geometry(self) -> dict[str, tuple[tuple[int, ...] | None, int, int, int]]:
+        """Per kernel in `mss_kernels`: the sensor rows it reads in order (None
+        for all), and its height, stride and dilation along the sensor axis."""
+        half = self.sensors // 2
+        table = {"global": (None, 2 * half, 1, 1),
+                 "flexor": (self.flexor_ids, half, 1, 1),
+                 "extensor": (self.extensor_ids, half, 1, 1),
+                 "proximal_distal": (self.proximal_ids + self.distal_ids, half, half, 1),
+                 "dilated": (None, 2, 1, half)}
+        return {name: table[name] for name in self.mss_kernels}
 
 
 def temporal_kernel_size(fs: float, r_data: float, r_resolution: float) -> int:
@@ -124,39 +128,12 @@ def euclid_batchnorm(x: Variable, gamma: Variable, beta: Variable,
         state.initialized = True
     elif mode == "eval":
         if not state.initialized:
-            raise ValueError("batch norm running statistics are uninitialized; train first")
+            raise ConfigError("batch norm running statistics are uninitialized; train first")
         xc = ad.sub(x, state.mean.reshape(shape))
         xn = ad.mul(xc, (state.var.reshape(shape) + BN_EPS) ** -0.5)
     else:
         raise ValueError(f"unknown batch norm mode {mode!r}")
     return ad.add(ad.mul(xn, ad.reshape(gamma, shape)), ad.reshape(beta, shape))
-
-
-# --- parameter initialization ---------------------------------------------------
-
-def _conv_init(rng: np.random.Generator, cout: int, cin: int, kh: int, kw: int) -> np.ndarray:
-    fan_in = cin * kh * kw
-    return rng.normal(scale=1.0 / np.sqrt(fan_in), size=(cout, cin, kh, kw))
-
-
-def init_mrt(rng: np.random.Generator, cfg: StemConfig) -> dict[str, np.ndarray]:
-    params: dict[str, np.ndarray] = {}
-    for i, k in enumerate(cfg.temporal_kernel_sizes):
-        params[f"mrt.branch{i}.weight"] = _conv_init(rng, cfg.n_t, 1, 1, k)
-        params[f"mrt.branch{i}.bias"] = np.zeros(cfg.n_t)
-    params["mrt.bn.gamma"] = np.ones(cfg.n_t)
-    params["mrt.bn.beta"] = np.zeros(cfg.n_t)
-    return params
-
-
-def init_mss(rng: np.random.Generator, cfg: StemConfig) -> dict[str, np.ndarray]:
-    params: dict[str, np.ndarray] = {}
-    for name, height in cfg.mss_kernel_heights.items():
-        params[f"mss.{name}.weight"] = _conv_init(rng, cfg.n_s, cfg.n_t, height, 1)
-        params[f"mss.{name}.bias"] = np.zeros(cfg.n_s)
-    params["mss.bn.gamma"] = np.ones(cfg.n_s)
-    params["mss.bn.beta"] = np.zeros(cfg.n_s)
-    return params
 
 
 # --- forward passes --------------------------------------------------------------
@@ -190,21 +167,11 @@ def mrt_forward(x: Variable, params: dict[str, Variable], cfg: StemConfig,
 def mss_branches(z_t: Variable, params: dict[str, Variable], cfg: StemConfig) -> Variable:
     """Pre-normalization part of the spatial layer: the five muscle kernels
     with LeakyReLU, concatenated along the sensor axis."""
-    c = cfg.sensors
     outs = []
-    for name in cfg.mss_kernels:
-        w, b = params[f"mss.{name}.weight"], params[f"mss.{name}.bias"]
-        if name == "global":
-            z = ad.conv2d(z_t, w, b)
-        elif name == "flexor":
-            z = ad.conv2d(ad.gather(z_t, cfg.flexor_ids, axis=2), w, b)
-        elif name == "extensor":
-            z = ad.conv2d(ad.gather(z_t, cfg.extensor_ids, axis=2), w, b)
-        elif name == "proximal_distal":
-            ordered = ad.gather(z_t, cfg.proximal_ids + cfg.distal_ids, axis=2)
-            z = ad.conv2d(ordered, w, b, stride=(c // 2, 1))
-        elif name == "dilated":
-            z = ad.conv2d(z_t, w, b, dilation=(c // 2, 1))
+    for name, (rows, _, stride, dilation) in cfg.mss_geometry.items():
+        z = z_t if rows is None else ad.gather(z_t, rows, axis=2)
+        z = ad.conv2d(z, params[f"mss.{name}.weight"], params[f"mss.{name}.bias"],
+                      stride=(stride, 1), dilation=(dilation, 1))
         outs.append(ad.leaky_relu(z, cfg.leaky_slope))
     return outs[0] if len(outs) == 1 else ad.concat(outs, axis=2)
 

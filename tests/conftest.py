@@ -79,6 +79,20 @@ def reseal_checkpoint(path, header=None, payload=None):
     path.write_bytes(seal_checkpoint(raw, np.asarray(values, dtype="<f8").tobytes()))
 
 
+def set_array_value(model, name, index, value):
+    """A `reseal_checkpoint` payload edit for a checkpoint of `model`: sets
+    entry `index` of the array `name` to `value`."""
+    arrays = model.arrays()
+    names = list(arrays)
+    start = sum(arrays[k].size for k in names[:names.index(name)])
+
+    def edit(values):
+        values[start:start + arrays[name].size].reshape(arrays[name].shape)[index] = value
+        return values
+
+    return edit
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

@@ -241,7 +241,7 @@ def test_criterion_02_gradient_suite():
     x = rng.normal(size=(4, 8, 64))
     labels = np.array([0, 1, 2, 3])
     ids = ["0/0", "0/0", "0/1", "0/1"]
-    base = model.params.copy_values()
+    base = {k: p.value.copy() for k, p in model.params.items()}
     _, grads = model.loss_and_grads(x, labels, ids)
 
     def loss_with(values):

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import reseal_checkpoint
+from conftest import reseal_checkpoint, set_array_value
 
 from tmknet.cli import main
+from tmknet.experiment import load_checkpoint
 from tmknet.metrics import MetricsReport, wilcoxon_signed_rank
 
 
@@ -143,6 +144,39 @@ class TestErrorPaths:
         assert main(["eval", "--checkpoint", str(bad), "--data", str(dataset),
                      "--domain", "0/0", "--out", str(tmp_path / "e")]) == 2
         assert "data error:" in capsys.readouterr().err
+
+    def test_out_of_range_checkpoint_state_exits_two(self, dataset, trained_run, tmp_path,
+                                                     capsys):
+        bad = tmp_path / "bad.tmk"
+        shutil.copy(trained_run / "checkpoint.tmk", bad)
+        model, _, _ = load_checkpoint(bad)
+        reseal_checkpoint(bad, payload=set_array_value(model, "state.dsbn.0/0.scalars", 1, -1.0))
+        assert main(["adapt", "--checkpoint", str(bad), "--data", str(dataset),
+                     "--out", str(tmp_path / "a")]) == 2
+        assert "step count" in capsys.readouterr().err
+
+    def test_eval_before_stem_statistics_exits_one(self, dataset, trained_run, tmp_path,
+                                                   capsys):
+        unprimed = tmp_path / "unprimed.tmk"
+        shutil.copy(trained_run / "checkpoint.tmk", unprimed)
+        model, _, _ = load_checkpoint(unprimed)
+        reseal_checkpoint(unprimed, payload=set_array_value(model, "state.mss_bn.flag", 0, 0.0))
+        assert main(["eval", "--checkpoint", str(unprimed), "--data", str(dataset),
+                     "--domain", "0/0", "--out", str(tmp_path / "e")]) == 1
+        assert "uninitialized" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--batch-size", "3", "--domains-per-batch", "3"], "batch_size >= 2"),
+        (["--batch-size", "2", "--domains-per-batch", "3"], "batch_size >= 2"),
+        (["--batch-size", "0"], "batch_size >= 2"),
+        (["--domains-per-batch", "0"], "domains_per_batch >= 1"),
+        (["--epochs", "-1"], "epochs must be non-negative"),
+    ], ids=["one-trial-per-domain", "fewer-trials-than-domains", "batch-zero",
+            "domains-zero", "epochs-negative"])
+    def test_bad_batch_flags_exit_one(self, dataset, tmp_path, capsys, flags, message):
+        assert main(["train", "--data", str(dataset), "--out", str(tmp_path / "r"),
+                     *TRAIN_FLAGS, *flags]) == 1
+        assert message in capsys.readouterr().err
 
     def test_adapt_without_target_trials_exits_two(self, dataset, trained_run, tmp_path,
                                                    capsys):

@@ -1,10 +1,11 @@
 import json
+import math
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import reseal_checkpoint, seal_checkpoint
+from conftest import reseal_checkpoint, seal_checkpoint, set_array_value
 
 from tmknet.data import SynthSpec, leave_one_session_out, synth_generate
 from tmknet.errors import ConfigError, DataError
@@ -25,7 +26,7 @@ from tmknet.experiment import (
     train,
 )
 from tmknet.geometry import airm_dist
-from tmknet.model import TMKNet, value_count
+from tmknet.model import TMKNet, layout
 
 
 SPEC = SynthSpec(n_classes=3, sensors=8, n_domains=3, trials_per_cell=12,
@@ -249,13 +250,22 @@ class TestBuildModelConfig:
 
     @pytest.mark.parametrize("variant", ["full", *ABLATION_VARIANTS, "shared_bn"])
     def test_value_count_matches_model_arrays(self, variant):
+        # the loader's value count is the sum of the layout's sizes; the
+        # layout must name, shape, tag and order every array as the model does
         cfg = quick_cfg(shared_bn=variant == "shared_bn",
                         ablation=(variant,) if variant in ABLATION_VARIANTS else ())
         mc = build_model_config(MANIFEST, cfg)
         model = TMKNet(mc, seed=0)
         model.register_domains(["0/0", "0/1"], ["0/2"])
-        arrays = [p.value for _, p in model.params.items()] + list(model.state_arrays().values())
-        assert value_count(mc, model.dsbn_domain_kinds()) == sum(a.size for a in arrays)
+        rows = layout(mc, model.dsbn_domain_kinds())
+        arrays = model.arrays()
+        assert ([(name, shape) for name, shape, _ in rows]
+                == [(k, a.shape) for k, a in arrays.items()])
+        params = [(k, p.value.shape, p.tag) for k, p in model.params.items()]
+        state = [(k, a.shape, "state") for k, a in sorted(model.state_arrays().items())]
+        assert rows == params + state
+        count = sum(math.prod(shape) for _, shape, _ in rows)
+        assert count == sum(a.size for a in arrays.values())
 
 
 class TestCheckpoint:
@@ -393,17 +403,42 @@ class TestCheckpoint:
     def test_non_finite_step_count(self, tmp_path, trained):
         cfg, model, _ = trained
         save_checkpoint(tmp_path / "ck.tmk", model, cfg, MANIFEST)
-        arrays = ([(n, p.value) for n, p in model.params.items()]
-                  + sorted(model.state_arrays().items()))
-        first = next(i for i, (n, _) in enumerate(arrays) if n.endswith(".scalars"))
-        at = sum(a.size for _, a in arrays[:first]) + 1  # scalars = [v_run, steps]
-
-        def nan_steps(values):
-            values[at] = np.nan
-            return values
-
-        reseal_checkpoint(tmp_path / "ck.tmk", payload=nan_steps)
+        # scalars = [v_run, steps]
+        reseal_checkpoint(tmp_path / "ck.tmk",
+                          payload=set_array_value(model, "state.dsbn.0/0.scalars", 1, np.nan))
         with pytest.raises(DataError, match="non-finite"):
+            load_checkpoint(tmp_path / "ck.tmk")
+
+    def test_header_domains_bounded_before_allocation(self, tmp_path, trained):
+        cfg, model, _ = trained
+        save_checkpoint(tmp_path / "ck.tmk", model, cfg, MANIFEST)
+        reseal_checkpoint(tmp_path / "ck.tmk", header=lambda h: h["domain_kinds"].update(
+            {f"9/{i}": "target" for i in range(20_000)}))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="payload holds"):
+                load_checkpoint(tmp_path / "ck.tmk")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
+    @pytest.mark.parametrize("name,index,value", [
+        ("state.mss_bn.var", 0, -1.0),
+        ("state.mrt_bn.flag", 0, 0.5),
+        ("state.dsbn.0/0.scalars", 1, -1.0),
+        ("state.dsbn.0/0.scalars", 1, 0.5),
+        ("state.dsbn.0/2.scalars", 0, -0.5),
+        ("state.dsbn.0/1.g_run", (1, 1), -50.0),
+        ("dsbn.g_phi", (0, 0), -50.0),
+    ], ids=["bn-var-negative", "bn-flag-half", "steps-negative", "steps-fractional",
+            "v_run-negative", "g_run-not-spd", "g_phi-not-spd"])
+    def test_state_out_of_range(self, tmp_path, trained, name, index, value):
+        cfg, model, _ = trained
+        save_checkpoint(tmp_path / "ck.tmk", model, cfg, MANIFEST)
+        reseal_checkpoint(tmp_path / "ck.tmk",
+                          payload=set_array_value(model, name, index, value))
+        with pytest.raises(DataError, match=f"checkpoint array '{name}'"):
             load_checkpoint(tmp_path / "ck.tmk")
 
     def test_payload_cut_inside_a_value(self, tmp_path, trained):

@@ -129,7 +129,7 @@ class TestForward:
         kinds = toy_model.dsbn_domain_kinds()
 
         clone = TMKNet(toy_config(), seed=99)
-        clone.params.load_values(toy_model.params.copy_values())
+        clone.params.load_values({k: p.value.copy() for k, p in toy_model.params.items()})
         clone.load_state_arrays(arrays, kinds)
         a = toy_model.predict_logits(x, ["0/2"] * 4)
         b = clone.predict_logits(x, ["0/2"] * 4)
@@ -154,7 +154,7 @@ class TestEndToEndGradients:
             logits = probe.forward(tape, tape.constant(x), ids, "train", pvars)
             return float(ad.cross_entropy(logits, labels).value)
 
-        base = model.params.copy_values()
+        base = {k: p.value.copy() for k, p in model.params.items()}
         _, grads = model.loss_and_grads(x, labels, ids)
 
         check = {

@@ -3,13 +3,13 @@ import pytest
 
 from tmknet import autodiff as ad
 from tmknet.autodiff import Tape
+from tmknet.backbone import BackboneConfig
 from tmknet.errors import ConfigError
+from tmknet.model import ModelConfig, TMKNet
 from tmknet.stem import (
     BnState,
     StemConfig,
     euclid_batchnorm,
-    init_mrt,
-    init_mss,
     mrt_branches,
     mrt_forward,
     mss_branches,
@@ -32,6 +32,13 @@ def make_cfg(c=8, fs=2000.0, r_data=0.2, r_res=(1 / 16, 1 / 32, 1 / 64),
     )
 
 
+def stem_params(cfg):
+    """Copies of the stem parameters TMKNet initializes for `cfg`."""
+    model = TMKNet(ModelConfig(stem=cfg, backbone=BackboneConfig(n_b=1, n_c=2)), seed=0)
+    return {k: p.value.copy() for k, p in model.params.items()
+            if k.startswith(("mrt.", "mss."))}
+
+
 def lift_params(tape, params):
     return {k: tape.constant(v) for k, v in params.items()}
 
@@ -51,7 +58,7 @@ class TestStemConfig:
         cfg = make_cfg(c=14, fs=2000.0, r_data=1 / 5, r_res=(1 / 16, 1 / 32, 1 / 64), pool=4)
         assert cfg.temporal_kernel_sizes == (25, 12, 6)
         tape = Tape()
-        params = lift_params(tape, {**init_mrt(rng, cfg), **init_mss(rng, cfg)})
+        params = lift_params(tape, stem_params(cfg))
         z = mrt_branches(tape.constant(rng.normal(size=(1, 1, 14, 400))), params, cfg)
         assert z.value.shape[3] == 94 + 97 + 98  # (400 - k + 1) // 4 per kernel
         assert mss_branches(z, params, cfg).value.shape[2] == 1 + 1 + 1 + 2 + 7
@@ -60,7 +67,7 @@ class TestStemConfig:
         cfg = make_cfg(c=64)
         tape = Tape()
         z = tape.constant(rng.normal(size=(1, cfg.n_t, 64, 3)))
-        out = mss_branches(z, lift_params(tape, init_mss(rng, cfg)), cfg)
+        out = mss_branches(z, lift_params(tape, stem_params(cfg)), cfg)
         assert out.value.shape[2] == 37  # 1+1+1+2+32
 
     def test_bad_ratio(self):
@@ -96,7 +103,7 @@ class TestMrt:
 
     def test_output_time_matches_law(self, rng):
         cfg = make_cfg(c=8, fs=2000.0, r_data=1 / 5, r_res=(1 / 16, 1 / 32, 1 / 64), pool=4)
-        params = init_mrt(rng, cfg)
+        params = stem_params(cfg)
         tape = Tape()
         x = tape.constant(rng.normal(size=(3, 1, 8, 400)))
         state = BnState.create(cfg.n_t)
@@ -114,7 +121,7 @@ class TestMrt:
 
     def test_kernel_larger_than_window(self, rng):
         cfg = make_cfg(c=8, fs=2000.0, r_data=1 / 5, r_res=(1 / 16,), pool=1)
-        params = init_mrt(rng, cfg)
+        params = stem_params(cfg)
         tape = Tape()
         x = tape.constant(rng.normal(size=(2, 1, 8, 10)))  # t=10 < kernel 25
         with pytest.raises(ConfigError):
@@ -124,7 +131,7 @@ class TestMrt:
 class TestMss:
     def test_output_shape(self, rng):
         cfg = make_cfg(c=8, n_t=3, n_s=5)
-        params = init_mss(rng, cfg)
+        params = stem_params(cfg)
         tape = Tape()
         z = tape.constant(rng.normal(size=(2, 3, 8, 7)))
         state = BnState.create(cfg.n_s)
@@ -147,7 +154,7 @@ class TestMss:
         # branch outputs unchanged
         c = 8
         cfg = make_cfg(c=c, n_t=2, n_s=3, kernels=("flexor", "extensor", "proximal_distal"))
-        params = init_mss(rng, cfg)
+        params = stem_params(cfg)
         z = rng.normal(size=(2, 2, c, 5))
         perm = rng.permutation(c)
         inv = np.argsort(perm)
@@ -168,7 +175,7 @@ class TestMss:
 
     def test_dilated_depends_on_raw_order(self, rng):
         cfg = make_cfg(c=8, n_t=2, n_s=3, kernels=("dilated",))
-        params = init_mss(rng, cfg)
+        params = stem_params(cfg)
         z = rng.normal(size=(1, 2, 8, 5))
         t1, t2 = Tape(), Tape()
         out1 = mss_branches(t1.constant(z), lift_params(t1, params), cfg)
@@ -209,7 +216,7 @@ class TestEuclidBatchnorm:
         assert np.allclose(state.mean, 0.1 * batch_mean)
 
     def test_eval_before_training_fails(self, rng):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             self._norm(rng.normal(size=(4, 2, 3, 3)), "eval")
 
     def test_eval_uses_running_stats(self, rng):
@@ -241,7 +248,7 @@ class TestStemGradients:
         from conftest import central_diff
 
         cfg = make_cfg(c=4, fs=64.0, r_data=0.5, r_res=(0.25, 0.125), n_t=2, n_s=3, pool=2)
-        params = {**init_mrt(rng, cfg), **init_mss(rng, cfg)}
+        params = stem_params(cfg)
         x = rng.normal(size=(3, 1, 4, 24))
         # random linear functional: batch norm makes sum-of-squares nearly
         # invariant to upstream parameters, which would zero the gradients
