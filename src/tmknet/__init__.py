@@ -4,7 +4,7 @@ normalization."""
 
 __version__ = "0.1.0"
 
-from .backbone import BackboneConfig, DsbnState
+from .backbone import DsbnState
 from .data import DatasetManifest, SplitPlan, SynthSpec, Trial
 from .experiment import RunConfig
 from .metrics import MetricsReport, wilcoxon_signed_rank
@@ -13,7 +13,6 @@ from .stem import StemConfig
 
 __all__ = [
     "__version__",
-    "BackboneConfig",
     "DsbnState",
     "DatasetManifest",
     "SplitPlan",

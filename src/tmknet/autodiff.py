@@ -13,8 +13,7 @@ has no arithmetic operator overloads. They cover the network end to end:
 broadcasting arithmetic, (batched) matmul, 2-D cross-correlation with stride
 and dilation, LeakyReLU, non-overlapping max-pooling, reductions, row
 covariance, spectral matrix functions through the eigendecomposition,
-reshape/transpose/gather/concat plumbing, and log-softmax with negative
-log-likelihood.
+reshape/transpose/gather/concat plumbing, and log-softmax with cross-entropy.
 """
 
 from __future__ import annotations
@@ -235,18 +234,6 @@ def gather(a: Variable, idx, axis: int) -> Variable:
     return a.tape.record((a,), np.take(va, idx, axis=axis), backward)
 
 
-def take_scalar(a: Variable, index: tuple) -> Variable:
-    """Pick one entry as a 0-d Variable."""
-    va = a.value
-
-    def backward(g):
-        gx = np.zeros_like(va)
-        gx[index] = g
-        return (gx,)
-
-    return a.tape.record((a,), np.asarray(va[index]), backward)
-
-
 # --- reductions ---------------------------------------------------------------
 
 def _bcast_reduced(g, shape, axis, keepdims):
@@ -438,8 +425,9 @@ def log_softmax(a: Variable) -> Variable:
     return a.tape.record((a,), out, backward)
 
 
-def nll_loss(logp: Variable, labels: np.ndarray) -> Variable:
-    """Mean negative log-likelihood of integer labels under (b, n_c) log-probs."""
+def cross_entropy(logits: Variable, labels: np.ndarray) -> Variable:
+    """Mean negative log-likelihood of integer labels under log_softmax(logits)."""
+    logp = log_softmax(logits)
     labels = np.asarray(labels, dtype=np.intp)
     vp = logp.value
     bsz = vp.shape[0]
@@ -451,10 +439,6 @@ def nll_loss(logp: Variable, labels: np.ndarray) -> Variable:
         return (gx,)
 
     return logp.tape.record((logp,), np.asarray(-picked.mean()), backward)
-
-
-def cross_entropy(logits: Variable, labels: np.ndarray) -> Variable:
-    return nll_loss(log_softmax(logits), labels)
 
 
 # --- statistics ---------------------------------------------------------------

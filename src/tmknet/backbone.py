@@ -20,7 +20,6 @@ from .autodiff import Variable
 from .errors import ConfigError
 
 __all__ = [
-    "BackboneConfig",
     "DsbnState",
     "cov_pool",
     "bimap",
@@ -31,23 +30,6 @@ __all__ = [
     "dsbn_forward",
     "classify",
 ]
-
-
-@dataclass
-class BackboneConfig:
-    n_b: int
-    n_c: int
-    cov_lambda: float | None = None  # None -> trace-scaled shrinkage
-    eps_reeig: float = 1e-4
-    eps_var: float = 1e-5
-
-    def __post_init__(self):
-        if self.n_b < 1 or self.n_c < 1:
-            raise ConfigError("n_b and n_c must be positive")
-        if self.cov_lambda is not None and self.cov_lambda <= 0:
-            raise ConfigError("cov_lambda must be positive")
-        if self.eps_reeig <= 0 or self.eps_var <= 0:
-            raise ConfigError("eps_reeig and eps_var must be positive")
 
 
 def cov_pool(z_s: Variable, lam: float | None = None) -> Variable:

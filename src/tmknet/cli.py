@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .data import (
     SynthSpec,
+    _read_store_file,
     leave_one_session_out,
     load_dataset,
     save_dataset,
@@ -272,9 +273,10 @@ def _cmd_compare(args) -> int:
         vals = []
         for p in paths:
             path = Path(p)
-            if not path.exists():
-                raise DataError(f"{flag}: file not found: {path}")
-            rep = MetricsReport.from_json(path.read_text())
+            try:  # not UTF-8 JSON, or not a report's fields
+                rep = MetricsReport.from_json(_read_store_file(path).decode("utf-8"))
+            except (ValueError, TypeError) as exc:
+                raise DataError(f"{flag}: {path} is not a metrics report: {exc}") from exc
             vals.append(getattr(rep, args.metric))
         return np.array(vals)
 

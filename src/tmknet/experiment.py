@@ -14,12 +14,12 @@ import math
 import struct
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape
-from .backbone import BackboneConfig
 from .data import DatasetManifest, Trial, _read_store_file, leave_one_session_out
 from .data import DomainBatchSampler
 from .errors import ConfigError, DataError, NumericalError
@@ -72,6 +72,12 @@ class RunConfig:
     gamma_target: float = 0.05
 
     def __post_init__(self):
+        # values arrive from JSON (--config files, checkpoint headers)
+        for name, hint in get_type_hints(RunConfig).items():
+            value = getattr(self, name)
+            if not _has_type(value, hint):
+                spelled = hint.__name__ if isinstance(hint, type) else str(hint)
+                raise ConfigError(f"{name} must be {spelled}, got {value!r}")
         if self.adaptation not in ("posthoc", "interleaved"):
             raise ConfigError(f"unknown adaptation mode {self.adaptation!r}")
         unknown = set(self.ablation) - set(ABLATION_VARIANTS)
@@ -99,6 +105,21 @@ class RunConfig:
     def hash(self) -> str:
         blob = json.dumps(self.to_doc(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _has_type(value, hint) -> bool:
+    """Whether `value` fits the RunConfig field type `hint` as JSON spells it:
+    an int fits a float field, a bool fits no number field, and a tuple fits
+    when each of its elements does."""
+    if hint in (int, float) and isinstance(value, bool):
+        return False
+    if hint is float:
+        return isinstance(value, (int, float))
+    if get_origin(hint) is tuple:
+        return isinstance(value, tuple) and all(_has_type(v, get_args(hint)[0]) for v in value)
+    if get_args(hint):  # an optional field, X | None
+        return any(_has_type(value, h) for h in get_args(hint))
+    return isinstance(value, hint)
 
 
 def domain_key(domain: tuple[int, int]) -> str:
@@ -136,11 +157,9 @@ def build_model_config(manifest: DatasetManifest, cfg: RunConfig) -> ModelConfig
         leaky_slope=cfg.leaky_slope,
         mss_kernels=tuple(mss_kernels),
     )
-    backbone = BackboneConfig(
-        n_b=cfg.n_b, n_c=manifest.n_classes, cov_lambda=cfg.cov_lambda,
-        eps_reeig=cfg.eps_reeig, eps_var=cfg.eps_var,
-    )
-    return ModelConfig(stem=stem, backbone=backbone, gamma_source=cfg.gamma_source,
+    return ModelConfig(stem=stem, n_b=cfg.n_b, n_c=manifest.n_classes,
+                       cov_lambda=cfg.cov_lambda, eps_reeig=cfg.eps_reeig,
+                       eps_var=cfg.eps_var, gamma_source=cfg.gamma_source,
                        gamma_target=cfg.gamma_target, shared_bn=cfg.shared_bn)
 
 
@@ -319,14 +338,14 @@ def run_uda(cfg: RunConfig, manifest: DatasetManifest,
 
 def saliency(model: TMKNet, trial: Trial, target_class: int) -> tuple[np.ndarray, np.ndarray]:
     """|d logit_target / d input| per entry, plus the per-sensor max over time."""
-    n_c = model.cfg.backbone.n_c
+    n_c = model.cfg.n_c
     if not 0 <= target_class < n_c:
         raise ConfigError(f"class id {target_class} out of range [0, {n_c})")
     x = trial.signal.astype(np.float64)[None]
     tape = Tape()
     xv = tape.leaf(x, requires_grad=True)
     logits = model.forward(tape, xv, [domain_key(trial.domain)], "eval")
-    tape.backward(ad.take_scalar(logits, (0, target_class)))
+    tape.backward(ad.gather(logits, [target_class], axis=1))
     sal = np.abs(xv.grad[0])
     return sal, sal.max(axis=1)
 
@@ -346,7 +365,7 @@ def export_features(model: TMKNet, trials: list[Trial]) -> tuple[list[str], list
     Returns (header, rows) ready for CSV: trial id, label, domain, then the
     logeig-vectorized pre- and post-normalization features.
     """
-    n_b = model.cfg.backbone.n_b
+    n_b = model.cfg.n_b
     dim = n_b * (n_b + 1) // 2
     header = (["trial_id", "label", "subject", "session"]
               + [f"pre_{i}" for i in range(dim)] + [f"post_{i}" for i in range(dim)])

@@ -22,14 +22,11 @@ product implemented by :func:`sym_fn_vjp`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericalError
 
 __all__ = [
-    "SymEig",
     "sym_eig",
     "sym_fn",
     "sym_fn_vjp",
@@ -45,20 +42,10 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
-@dataclass(frozen=True)
-class SymEig:
-    """Eigendecomposition of a symmetric matrix (stack).
-
-    eigenvalues: shape (..., n), ascending along the last axis.
-    eigenvectors: shape (..., n, n), orthogonal, columns are eigenvectors.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def sym_eig(m: np.ndarray) -> SymEig:
-    """Eigendecomposition of a symmetric matrix (stack), eigenvalues ascending.
+def sym_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (lam, u) of a symmetric matrix (stack): eigenvalues
+    lam (..., n) ascending along the last axis, and orthogonal u (..., n, n)
+    whose columns are the eigenvectors.
 
     The input is symmetrized as (m + m^T)/2 before factorization. Raises
     NumericalError when the input is not square, is asymmetric beyond 1e-8
@@ -79,7 +66,7 @@ def sym_eig(m: np.ndarray) -> SymEig:
         lam, u = np.linalg.eigh(symmetrize(m))
     except np.linalg.LinAlgError as exc:  # iteration cap exceeded in LAPACK
         raise NumericalError(f"eigendecomposition failed to converge: {exc}") from exc
-    return SymEig(eigenvalues=lam, eigenvectors=u)
+    return lam, u
 
 
 # --- scalar spectral functions -------------------------------------------------
@@ -115,15 +102,14 @@ def _spectral(tag: str, lam: np.ndarray, param):
     return f, deriv
 
 
-def sym_fn(m: np.ndarray, tag: str, param=None, eig: SymEig | None = None) -> np.ndarray:
+def sym_fn(m: np.ndarray, tag: str, param=None,
+           eig: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Apply a scalar function to the spectrum: U diag(f(lam)) U^T.
 
-    `m` may be a stack (..., n, n). Pass a precomputed `eig` to reuse a
-    factorization.
+    `m` may be a stack (..., n, n). Pass a precomputed `eig=(lam, u)` from
+    :func:`sym_eig` to reuse a factorization.
     """
-    if eig is None:
-        eig = sym_eig(m)
-    lam, u = eig.eigenvalues, eig.eigenvectors
+    lam, u = sym_eig(m) if eig is None else eig
     f = _spectral(tag, lam, param)[0](lam, param)
     return symmetrize((u * f[..., None, :]) @ np.swapaxes(u, -1, -2))
 
@@ -133,7 +119,7 @@ def sym_fn_vjp(
     tag: str,
     upstream: np.ndarray,
     param=None,
-    eig: SymEig | None = None,
+    eig: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Reverse-mode derivative of :func:`sym_fn` at `m` against `upstream`.
 
@@ -141,9 +127,7 @@ def sym_fn_vjp(
     K_ij = (f(lam_i) - f(lam_j)) / (lam_i - lam_j), replaced by f'(lam_i) when
     |lam_i - lam_j| <= EIG_GAP_RTOL * max|lam|.
     """
-    if eig is None:
-        eig = sym_eig(m)
-    lam, u = eig.eigenvalues, eig.eigenvectors
+    lam, u = sym_eig(m) if eig is None else eig
     fn, deriv = _spectral(tag, lam, param)
     f, d = fn(lam, param), deriv(lam, param)
 

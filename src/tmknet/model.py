@@ -1,7 +1,7 @@
 """Full network assembly: Euclidean stem -> covariance pooling -> SPD backbone
 with domain-specific batch normalization -> tangent-space classifier.
 
-The network owns its parameter store, the stem batch-norm running statistics
+The network owns its named parameters, the stem batch-norm running statistics
 and the per-domain SPD statistics. Forward passes record on a caller-supplied
 tape; parameters enter the tape as leaves so a single backward yields every
 gradient.
@@ -18,9 +18,9 @@ from . import autodiff as ad
 from . import backbone as bk
 from . import stem
 from .autodiff import Tape, Variable
-from .backbone import BackboneConfig, DsbnState
+from .backbone import DsbnState
 from .errors import ConfigError
-from .optim import ParamStore, stiefel_retract_rows
+from .optim import Param, stiefel_retract_rows
 from .stem import BnState, StemConfig
 
 SHARED_DOMAIN = "shared"
@@ -29,14 +29,28 @@ SHARED_DOMAIN = "shared"
 @dataclass
 class ModelConfig:
     stem: StemConfig
-    backbone: BackboneConfig
+    n_b: int
+    n_c: int
+    cov_lambda: float | None = None  # None -> trace-scaled shrinkage
+    eps_reeig: float = 1e-4
+    eps_var: float = 1e-5
     gamma_source: float = 0.1
     gamma_target: float = 0.05
     shared_bn: bool = False  # single normalization bucket for all domains
 
     def __post_init__(self):
-        if self.backbone.n_b > self.stem.n_s:
-            raise ConfigError(f"n_b={self.backbone.n_b} exceeds n_s={self.stem.n_s}")
+        if self.n_b < 1 or self.n_c < 1:
+            raise ConfigError("n_b and n_c must be positive")
+        if self.cov_lambda is not None and self.cov_lambda <= 0:
+            raise ConfigError("cov_lambda must be positive")
+        if self.eps_reeig <= 0 or self.eps_var <= 0:
+            raise ConfigError("eps_reeig and eps_var must be positive")
+        if self.n_b > self.stem.n_s:
+            raise ConfigError(f"n_b={self.n_b} exceeds n_s={self.stem.n_s}")
+        # the DSBN momentum floors weight a geodesic step between SPD matrices
+        for name in ("gamma_source", "gamma_target"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
 
 
 def layout(cfg: ModelConfig,
@@ -46,7 +60,7 @@ def layout(cfg: ModelConfig,
     registration order, tagged with its manifold, then the state arrays,
     tagged "state" and sorted by name. This is also a checkpoint's array order.
     """
-    s, b = cfg.stem, cfg.backbone
+    s, n_b, n_c = cfg.stem, cfg.n_b, cfg.n_c
     params = []
     for i, k in enumerate(s.temporal_kernel_sizes):
         params += [(f"mrt.branch{i}.weight", (s.n_t, 1, 1, k)), (f"mrt.branch{i}.bias", (s.n_t,))]
@@ -55,16 +69,16 @@ def layout(cfg: ModelConfig,
         params += [(f"mss.{name}.weight", (s.n_s, s.n_t, height, 1)),
                    (f"mss.{name}.bias", (s.n_s,))]
     params += [("mss.bn.gamma", (s.n_s,)), ("mss.bn.beta", (s.n_s,)),
-               ("bimap.weight", (b.n_b, s.n_s)), ("dsbn.g_phi", (b.n_b, b.n_b)),
-               ("dsbn.log_v_phi", ()), ("head.weight", (b.n_c, b.n_b * b.n_b)),
-               ("head.bias", (b.n_c,))]
+               ("bimap.weight", (n_b, s.n_s)), ("dsbn.g_phi", (n_b, n_b)),
+               ("dsbn.log_v_phi", ()), ("head.weight", (n_c, n_b * n_b)),
+               ("head.bias", (n_c,))]
     tags = {"bimap.weight": "stiefel", "dsbn.g_phi": "spd", "dsbn.log_v_phi": "log_scalar"}
     state = []
     for bn, ch in (("mrt_bn", s.n_t), ("mss_bn", s.n_s)):
         state += [(f"state.{bn}.mean", (ch,)), (f"state.{bn}.var", (ch,)),
                   (f"state.{bn}.flag", (1,))]
     for d in set(domain_kinds) | ({SHARED_DOMAIN} if cfg.shared_bn else set()):
-        state += [(f"state.dsbn.{d}.g_run", (b.n_b, b.n_b)), (f"state.dsbn.{d}.scalars", (2,))]
+        state += [(f"state.dsbn.{d}.g_run", (n_b, n_b)), (f"state.dsbn.{d}.scalars", (2,))]
     return ([(name, shape, tags.get(name, "euclidean")) for name, shape in params]
             + [(name, shape, "state") for name, shape in sorted(state)])
 
@@ -77,7 +91,7 @@ class TMKNet:
         self.seed = seed
         rng = np.random.default_rng(seed)
 
-        self.params = ParamStore()
+        self.params: dict[str, Param] = {}
         for name, shape, tag in layout(cfg, {}):
             if tag == "state":
                 break
@@ -93,12 +107,12 @@ class TMKNet:
                 value = np.ones(shape)
             else:
                 value = np.zeros(shape)
-            self.params.add(name, value, tag,
-                            decay=tag == "euclidean" and name.endswith(".weight"))
+            self.params[name] = Param(value, tag,
+                                      decay=tag == "euclidean" and name.endswith(".weight"))
 
         self.mrt_bn = BnState.create(cfg.stem.n_t)
         self.mss_bn = BnState.create(cfg.stem.n_s)
-        self.dsbn = DsbnState(cfg.backbone.n_b, cfg.gamma_source, cfg.gamma_target)
+        self.dsbn = DsbnState(cfg.n_b, cfg.gamma_source, cfg.gamma_target)
         if cfg.shared_bn:
             self.dsbn.register(SHARED_DOMAIN, "source")
 
@@ -135,9 +149,9 @@ class TMKNet:
         z = ad.reshape(x, (b, 1, c, t))
         z = stem.mrt_forward(z, pvars, self.cfg.stem, self.mrt_bn, mode)
         z = stem.mss_forward(z, pvars, self.cfg.stem, self.mss_bn, mode)
-        h = bk.cov_pool(z, self.cfg.backbone.cov_lambda)
+        h = bk.cov_pool(z, self.cfg.cov_lambda)
         h = bk.bimap(h, pvars["bimap.weight"])
-        return bk.reeig(h, self.cfg.backbone.eps_reeig)
+        return bk.reeig(h, self.cfg.eps_reeig)
 
     def forward(
         self,
@@ -164,7 +178,7 @@ class TMKNet:
         # symmetrize the manifold parameter; its tangent space is symmetric
         g_phi = ad.mul(ad.add(pvars["dsbn.g_phi"], ad.transpose(pvars["dsbn.g_phi"])), 0.5)
         h = bk.dsbn_forward(h, self._bn_ids(domain_ids), self.dsbn, mode,
-                            g_phi, v_phi, self.cfg.backbone.eps_var)
+                            g_phi, v_phi, self.cfg.eps_var)
         if capture is not None:
             capture["post_dsbn"] = h.value.copy()
         h = bk.logeig(h)
@@ -216,7 +230,8 @@ class TMKNet:
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         """Inverse of `arrays`: copy every parameter and state array in."""
-        self.params.load_values(arrays)
+        for name, p in self.params.items():
+            p.value = np.asarray(arrays[name], dtype=np.float64).reshape(p.value.shape).copy()
         self.load_state_arrays(arrays, self.dsbn_domain_kinds())
 
     def state_arrays(self) -> dict[str, np.ndarray]:

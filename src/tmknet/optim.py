@@ -1,4 +1,4 @@
-"""Adam over a heterogeneous parameter store.
+"""Adam over named parameters of mixed geometry.
 
 Each parameter carries a manifold tag that decides how the update respects
 its constraint set:
@@ -46,37 +46,6 @@ class Param:
             self.v = np.zeros(()) if self.tag == "spd" else np.zeros_like(self.value)
 
 
-class ParamStore:
-    """Ordered named parameters; iteration order is registration order."""
-
-    def __init__(self):
-        self._params: dict[str, Param] = {}
-
-    def add(self, name: str, value, tag: str, decay: bool = False) -> None:
-        if name in self._params:
-            raise ValueError(f"parameter {name!r} already registered")
-        self._params[name] = Param(value=np.array(value, dtype=np.float64), tag=tag, decay=decay)
-
-    def __getitem__(self, name: str) -> Param:
-        return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def items(self):
-        return self._params.items()
-
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
-        for k, p in self._params.items():
-            p.value = np.asarray(values[k], dtype=np.float64).reshape(p.value.shape).copy()
-
-
-def zero_or_decay_policy(param: Param, weight_decay: float) -> float:
-    """Weight decay applies to flagged Euclidean weights only; manifold
-    parameters and normalization scale/shift get none."""
-    return weight_decay if param.tag == "euclidean" and param.decay else 0.0
-
-
 def stiefel_retract_rows(w_raw: np.ndarray) -> np.ndarray:
     """Orthonormalize the rows of w_raw by QR, sign-fixed so diag(R) > 0."""
     q, r = np.linalg.qr(w_raw.T)
@@ -87,7 +56,7 @@ def stiefel_retract_rows(w_raw: np.ndarray) -> np.ndarray:
 
 
 def adam_step(
-    store: ParamStore,
+    params: dict[str, Param],
     grads: dict[str, np.ndarray],
     lr: float = 1e-3,
     beta1: float = 0.9,
@@ -104,25 +73,25 @@ def adam_step(
             continue
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient for parameter {name!r}; step aborted")
-        if name not in store:
+        if name not in params:
             raise KeyError(f"gradient for unknown parameter {name!r}")
-        if np.shape(g) != store[name].value.shape:
+        if np.shape(g) != params[name].value.shape:
             raise ValueError(f"gradient shape {np.shape(g)} does not match "
-                             f"parameter {name!r} shape {store[name].value.shape}")
+                             f"parameter {name!r} shape {params[name].value.shape}")
 
     for name, g in grads.items():
         if g is None:
             continue
-        p = store[name]
+        p = params[name]
         g = np.asarray(g, dtype=np.float64)
         p.step += 1
         bc1 = 1.0 - beta1 ** p.step
         bc2 = 1.0 - beta2 ** p.step
 
         if p.tag in ("euclidean", "log_scalar"):
-            wd = zero_or_decay_policy(p, weight_decay)
-            if wd:
-                p.value *= 1.0 - lr * wd
+            # manifold parameters and normalization scale/shift get no decay
+            if p.tag == "euclidean" and p.decay and weight_decay:
+                p.value *= 1.0 - lr * weight_decay
             p.m = beta1 * p.m + (1.0 - beta1) * g
             p.v = beta2 * p.v + (1.0 - beta2) * g * g
             p.value -= lr * (p.m / bc1) / (np.sqrt(p.v / bc2) + eps)

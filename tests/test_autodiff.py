@@ -438,12 +438,15 @@ class TestGatherConcat:
 
         check_grads(build, {"a": rng.normal(size=(2, 2)), "b": rng.normal(size=(2, 3))})
 
-    def test_take_scalar(self, rng):
+    def test_single_entry_gather_grad_is_one_hot(self, rng):
+        # saliency's backward: one logit picked as a (1, 1) gather
         tape = Tape()
-        x = tape.leaf(rng.normal(size=(3, 4)), requires_grad=True)
-        tape.backward(ad.take_scalar(x, (1, 2)))
-        expected = np.zeros((3, 4))
-        expected[1, 2] = 1.0
+        x = tape.leaf(rng.normal(size=(1, 4)), requires_grad=True)
+        out = ad.gather(x, [2], axis=1)
+        assert out.value.shape == (1, 1) and out.value[0, 0] == x.value[0, 2]
+        tape.backward(out)
+        expected = np.zeros((1, 4))
+        expected[0, 2] = 1.0
         assert np.array_equal(x.grad, expected)
 
 

@@ -5,7 +5,6 @@ from tmknet import autodiff as ad
 from tmknet import linalg
 from tmknet.autodiff import Tape
 from tmknet.backbone import (
-    BackboneConfig,
     DsbnState,
     bimap,
     classify,
@@ -388,7 +387,7 @@ class TestClassify:
 
 class TestSpdClosure:
     def test_pipeline_preserves_spd(self, rng):
-        cfg = BackboneConfig(n_b=4, n_c=3)
+        eps_reeig, eps_var = 1e-4, 1e-5
         w = np.linalg.qr(rng.normal(size=(6, 4)))[0].T
         for _ in range(50):
             st = DsbnState(4)
@@ -399,10 +398,10 @@ class TestSpdClosure:
             assert np.linalg.eigvalsh(c.value).min() > 0
             h = bimap(c, const(tape, w))
             assert np.linalg.eigvalsh(h.value).min() > 0
-            h = reeig(h, cfg.eps_reeig)
-            assert np.linalg.eigvalsh(h.value).min() >= cfg.eps_reeig - 1e-12
+            h = reeig(h, eps_reeig)
+            assert np.linalg.eigvalsh(h.value).min() >= eps_reeig - 1e-12
             h = dsbn_forward(h, ["a"] * 4, st, "train", const(tape, np.eye(4)),
-                             const(tape, 1.0), cfg.eps_var)
+                             const(tape, 1.0), eps_var)
             assert np.linalg.eigvalsh(h.value).min() > 0
             out = logeig(h)
             assert np.all(np.isfinite(out.value))

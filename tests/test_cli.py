@@ -110,6 +110,22 @@ class TestTrainEval:
         assert main(["train", "--data", str(dataset), "--out", str(tmp_path / "r"),
                      "--config", str(cfg_file)]) == 1
 
+    @pytest.mark.parametrize("doc,message", [
+        ({"epochs": "2"}, "epochs must be int, got '2'"),
+        ({"epochs": True}, "epochs must be int, got True"),
+        ({"lr": "0.1"}, "lr must be float, got '0.1'"),
+    ], ids=["epochs-string", "epochs-bool", "lr-string"])
+    def test_config_file_mistyped_value_exits_one(self, dataset, tmp_path, capsys, doc,
+                                                  message):
+        cfg_file = tmp_path / "bad.json"
+        # flags would override the file, so the small run is spelled in it
+        cfg_file.write_text(json.dumps({"n_t": 4, "n_s": 6, "n_b": 4, "batch_size": 16,
+                                        "domains_per_batch": 2, "epochs": 2,
+                                        "target_session": 2, **doc}))
+        assert main(["train", "--data", str(dataset), "--out", str(tmp_path / "r"),
+                     "--config", str(cfg_file)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
 
 class TestErrorPaths:
     def test_unknown_flag_exits_one(self, capsys):
@@ -171,8 +187,11 @@ class TestErrorPaths:
         (["--batch-size", "0"], "batch_size >= 2"),
         (["--domains-per-batch", "0"], "domains_per_batch >= 1"),
         (["--epochs", "-1"], "epochs must be non-negative"),
+        (["--gamma-source", "2"], "gamma_source must lie in [0, 1]"),
+        (["--gamma-target", "-0.5"], "gamma_target must lie in [0, 1]"),
     ], ids=["one-trial-per-domain", "fewer-trials-than-domains", "batch-zero",
-            "domains-zero", "epochs-negative"])
+            "domains-zero", "epochs-negative", "gamma-source-above-one",
+            "gamma-target-negative"])
     def test_bad_batch_flags_exit_one(self, dataset, tmp_path, capsys, flags, message):
         assert main(["train", "--data", str(dataset), "--out", str(tmp_path / "r"),
                      *TRAIN_FLAGS, *flags]) == 1
@@ -204,7 +223,10 @@ class TestErrorPaths:
         ("config", {"adaptation": "bogus"}),
         ("config", {"n_t": 0}),
         ("manifest", {"overlap_ms": 1000.0}),
-    ], ids=["adaptation-bogus", "n_t-zero", "manifest-overlap-exceeds-window"])
+        ("config", {"lr": "0.1"}),
+        ("config", {"gamma_target": 2}),
+    ], ids=["adaptation-bogus", "n_t-zero", "manifest-overlap-exceeds-window",
+            "lr-string", "gamma-target-above-one"])
     def test_checkpoint_header_invalid_config_exits_two(self, dataset, trained_run, tmp_path,
                                                         capsys, section, edit):
         bad = tmp_path / "bad.tmk"
@@ -336,3 +358,18 @@ class TestCompare:
         p1 = tmp_path / "x.json"
         p1.write_text(rep.to_json())
         assert main(["compare", "--a", str(p1), str(p1), "--b", str(p1)]) == 1
+
+    @pytest.mark.parametrize("text", ["accuracy: 0.5", '{"accuracy": 1}', None],
+                             ids=["not-json", "missing-fields", "directory"])
+    def test_malformed_report_exits_two(self, tmp_path, capsys, text):
+        good = tmp_path / "good.json"
+        good.write_text(MetricsReport(accuracy=0.5, macro_f1=0.5, precision=[], recall=[],
+                                      f1=[], confusion=[]).to_json())
+        bad = tmp_path / "bad.json"
+        if text is None:
+            bad.mkdir()
+        else:
+            bad.write_text(text)
+        assert main(["compare", "--a", str(good), "--b", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(bad) in err

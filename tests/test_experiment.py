@@ -258,6 +258,10 @@ class TestBuildModelConfig:
         model = TMKNet(mc, seed=0)
         model.register_domains(["0/0", "0/1"], ["0/2"])
         rows = layout(mc, model.dsbn_domain_kinds())
+        # the parameters are a plain dict, so a repeated name would silently
+        # overwrite an array that the checkpoint then misses
+        names = [name for name, _, _ in rows]
+        assert len(set(names)) == len(names)
         arrays = model.arrays()
         assert ([(name, shape) for name, shape, _ in rows]
                 == [(k, a.shape) for k, a in arrays.items()])

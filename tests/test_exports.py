@@ -34,8 +34,6 @@ ALLOWED = {
                                     "means, checked by acceptance criterion 10's export test",
     "cli._Parser.error": "argparse calls it on a usage error; the override exits 1 "
                          "through ConfigError",
-    "optim.ParamStore.__getitem__": "`store[name]` in optim.adam_step",
-    "optim.ParamStore.__contains__": "`name not in store` in optim.adam_step",
 }
 
 # hooks the interpreter calls for every instance, so a class's use covers them

@@ -7,7 +7,6 @@ import pytest
 from tmknet import autodiff as ad
 from tmknet import model as model_module
 from tmknet.autodiff import Tape
-from tmknet.backbone import BackboneConfig
 from tmknet.errors import ConfigError
 from tmknet.model import ModelConfig, TMKNet
 from tmknet.stem import StemConfig
@@ -21,8 +20,7 @@ def toy_config(n_t=8, n_s=6, n_b=4, n_c=4, shared_bn=False):
         proximal_ids=tuple(range(0, 8, 2)), distal_ids=tuple(range(1, 8, 2)),
         pool_size=4,
     )
-    backbone = BackboneConfig(n_b=n_b, n_c=n_c)
-    return ModelConfig(stem=stem, backbone=backbone, shared_bn=shared_bn)
+    return ModelConfig(stem=stem, n_b=n_b, n_c=n_c, shared_bn=shared_bn)
 
 
 @pytest.fixture
@@ -129,7 +127,8 @@ class TestForward:
         kinds = toy_model.dsbn_domain_kinds()
 
         clone = TMKNet(toy_config(), seed=99)
-        clone.params.load_values({k: p.value.copy() for k, p in toy_model.params.items()})
+        clone.load_arrays({**clone.arrays(),
+                           **{k: p.value.copy() for k, p in toy_model.params.items()}})
         clone.load_state_arrays(arrays, kinds)
         a = toy_model.predict_logits(x, ["0/2"] * 4)
         b = clone.predict_logits(x, ["0/2"] * 4)
@@ -148,7 +147,7 @@ class TestEndToEndGradients:
         def loss_with(values):
             probe = TMKNet(toy_config(), seed=1)
             probe.register_domains(["0/0", "0/1"], [])
-            probe.params.load_values(values)
+            probe.load_arrays({**probe.arrays(), **values})
             tape = Tape()
             pvars = probe.param_vars(tape, trainable=False)
             logits = probe.forward(tape, tape.constant(x), ids, "train", pvars)

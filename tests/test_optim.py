@@ -2,20 +2,18 @@ import numpy as np
 import pytest
 
 from tmknet.errors import NumericalError
-from tmknet.optim import ParamStore, adam_step, zero_or_decay_policy
+from tmknet.optim import Param, adam_step
 
 from conftest import random_spd, random_sym
 
 
 def make_store(rng):
-    store = ParamStore()
-    store.add("w", rng.normal(size=(3, 4)), "euclidean", decay=True)
-    store.add("b", np.zeros(3), "euclidean")
     q = np.linalg.qr(rng.normal(size=(5, 3)))[0].T
-    store.add("stiefel", q, "stiefel")
-    store.add("spd", random_spd(rng, 3), "spd")
-    store.add("logv", np.zeros(()), "log_scalar")
-    return store
+    return {"w": Param(rng.normal(size=(3, 4)), "euclidean", decay=True),
+            "b": Param(np.zeros(3), "euclidean"),
+            "stiefel": Param(q, "stiefel"),
+            "spd": Param(random_spd(rng, 3), "spd"),
+            "logv": Param(np.zeros(()), "log_scalar")}
 
 
 class TestAdamStep:
@@ -29,8 +27,7 @@ class TestAdamStep:
             assert store[k].step == 1
 
     def test_one_step_euclidean_hand_value(self):
-        store = ParamStore()
-        store.add("x", np.zeros(()), "euclidean")
+        store = {"x": Param(np.zeros(()), "euclidean")}
         g = 0.37
         lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
         adam_step(store, {"x": np.array(g)}, lr=lr, beta1=b1, beta2=b2, eps=eps,
@@ -97,9 +94,8 @@ class TestDescent:
     def test_convex_quadratic_converges(self, rng):
         # f(x) = 0.5 x^T A x with SPD A; Adam should crush the objective
         a = random_spd(rng, 5, eig_range=(0.5, 2.0))
-        store = ParamStore()
         x0 = rng.normal(size=5) * 3.0
-        store.add("x", x0, "euclidean")
+        store = {"x": Param(x0, "euclidean")}
         f0 = 0.5 * x0 @ a @ x0
         for _ in range(500):
             x = store["x"].value
@@ -110,8 +106,7 @@ class TestDescent:
     def test_spd_parameter_descends(self, rng):
         # minimize squared distance to a fixed SPD target in embedding space
         target = random_spd(rng, 3)
-        store = ParamStore()
-        store.add("p", np.eye(3), "spd")
+        store = {"p": Param(np.eye(3), "spd")}
         losses = []
         for _ in range(300):
             p = store["p"].value
@@ -121,17 +116,28 @@ class TestDescent:
 
 
 class TestDecayPolicy:
+    # a zero gradient leaves Adam's moments at zero, so a step only decays
     def test_euclidean_weight_decays(self, rng):
         store = make_store(rng)
-        assert zero_or_decay_policy(store["w"], 1e-4) == 1e-4
+        before = store["w"].value.copy()
+        adam_step(store, {"w": np.zeros((3, 4))}, lr=0.5, weight_decay=1e-4)
+        assert np.array_equal(store["w"].value, before * (1.0 - 0.5 * 1e-4))
 
     def test_bias_and_manifolds_do_not(self, rng):
         store = make_store(rng)
-        for name in ("b", "stiefel", "spd", "logv"):
-            assert zero_or_decay_policy(store[name], 1e-4) == 0.0
+        for p in store.values():
+            p.decay = True  # the flag alone does not decay a non-Euclidean tag
+        store["b"].decay = False
+        store["logv"].value = np.array(1.5)  # zero would hide a decay
+        before = {k: p.value.copy() for k, p in store.items()}
+        grads = {k: np.zeros_like(p.value) for k, p in store.items() if k != "w"}
+        adam_step(store, grads, lr=0.5, weight_decay=1e-1)
+        for name in ("b", "logv"):
+            assert np.array_equal(store[name].value, before[name])
+        for name in ("stiefel", "spd"):  # retraction and exp map round off only
+            assert np.allclose(store[name].value, before[name], rtol=0, atol=1e-12)
 
     def test_decay_shrinks_weight(self, rng):
-        store = ParamStore()
-        store.add("w", np.full((2, 2), 10.0), "euclidean", decay=True)
+        store = {"w": Param(np.full((2, 2), 10.0), "euclidean", decay=True)}
         adam_step(store, {"w": np.zeros((2, 2))}, lr=1.0, weight_decay=1e-2)
         assert np.allclose(store["w"].value, 10.0 * (1 - 1e-2))

@@ -3,7 +3,6 @@ import pytest
 
 from tmknet import autodiff as ad
 from tmknet.autodiff import Tape
-from tmknet.backbone import BackboneConfig
 from tmknet.errors import ConfigError
 from tmknet.model import ModelConfig, TMKNet
 from tmknet.stem import (
@@ -34,7 +33,7 @@ def make_cfg(c=8, fs=2000.0, r_data=0.2, r_res=(1 / 16, 1 / 32, 1 / 64),
 
 def stem_params(cfg):
     """Copies of the stem parameters TMKNet initializes for `cfg`."""
-    model = TMKNet(ModelConfig(stem=cfg, backbone=BackboneConfig(n_b=1, n_c=2)), seed=0)
+    model = TMKNet(ModelConfig(stem=cfg, n_b=1, n_c=2), seed=0)
     return {k: p.value.copy() for k, p in model.params.items()
             if k.startswith(("mrt.", "mss."))}
 
