@@ -13,16 +13,60 @@ has no arithmetic operator overloads. They cover the network end to end:
 broadcasting arithmetic, (batched) matmul, 2-D cross-correlation with stride
 and dilation, LeakyReLU, non-overlapping max-pooling, reductions, row
 covariance, spectral matrix functions through the eigendecomposition,
-reshape/transpose/gather/concat plumbing, and log-softmax with cross-entropy.
+reshape/transpose/gather/concat plumbing, log-softmax with cross-entropy,
+and per-channel batch normalization as a single node (`batch_norm`): it runs
+the same numpy expressions in the same order as the equivalent chain of
+mean, sub, mul, power and add nodes, so its values and gradients are those of
+the chain bit for bit. It allocates two full-size arrays in forward where the
+chain allocates five, and keeps one of them for backward where the chain
+keeps four.
+
+Allocator policy: importing this module sets glibc's malloc, once, to keep
+freed memory in the process (`_keep_freed_memory`). A training step frees
+feature maps of tens of megabytes in backward and allocates them again in the
+next forward; by default glibc serves such blocks with mmap, or trims them off
+the top of the heap, and the kernel then zero-faults every page back in on
+each step. The setting is process-wide: heap memory the program frees is
+reused by later allocations but not handed back to the operating system
+before exit. On any other C library the import changes nothing.
 """
 
 from __future__ import annotations
+
+import ctypes
+import os
 
 import numpy as np
 
 from . import linalg
 
 __all__ = ["Tape", "Variable"]
+
+# glibc mallopt parameters (<malloc.h>) and the values that keep freed blocks
+# in the heap: blocks up to 1 GiB come from the heap rather than from mmap,
+# the heap top is never trimmed (mallopt takes an int, so 2**31 - 1 stands for
+# "never"), and each heap extension asks for 256 MiB extra
+_M_TRIM_THRESHOLD, _M_TOP_PAD, _M_MMAP_THRESHOLD = -1, -2, -3
+_MALLOC_POLICY = ((_M_MMAP_THRESHOLD, 1 << 30), (_M_TRIM_THRESHOLD, 2**31 - 1),
+                  (_M_TOP_PAD, 256 << 20))
+
+
+def _keep_freed_memory() -> None:
+    """Apply `_MALLOC_POLICY` through glibc's mallopt; a no-op elsewhere."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):  # no confstr, or not a glibc name
+        return
+    if not libc.startswith("glibc"):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in _MALLOC_POLICY:
+        mallopt(param, value)
+
+
+_keep_freed_memory()
 
 
 class Variable:
@@ -409,6 +453,73 @@ def max_pool_time(x: Variable, size: int) -> Variable:
         return (gx,)
 
     return x.tape.record((x,), np.ascontiguousarray(peak), backward)
+
+
+def batch_norm(x: Variable, gamma: Variable, beta: Variable, eps: float,
+               stats: tuple[np.ndarray, np.ndarray] | None = None,
+               ) -> tuple[Variable, np.ndarray, np.ndarray]:
+    """Per-channel batch norm of (b, c, h, w) features over axes (0, 2, 3):
+    (x - mean) * (var + eps) ** -0.5 * gamma + beta, recorded as one node.
+
+    With `stats` None the mean and biased variance are the batch's and the
+    gradient flows through them; otherwise `stats` holds fixed (c,) mean and
+    variance. Returns the output and the (c,) mean and variance it used.
+
+    Forward and backward evaluate the expressions of the equivalent node
+    chain (mean, sub, mul, mean, add, power, mul, mul, add) in its order, and
+    allocate each array a reduction reads in the memory order the chain
+    would, so values and gradients equal the chain's bit for bit.
+    """
+    vx = x.value
+    ch = vx.shape[1]
+    shape = (1, ch, 1, 1)
+    axes = (0, 2, 3)
+    gr = gamma.value.reshape(shape)
+    if stats is None:
+        mu = vx.mean(axis=axes, keepdims=True)
+        xc = vx - mu
+        out = xc * xc
+        var = out.mean(axis=axes, keepdims=True)
+        ve = var + eps
+        r = ve ** -0.5
+        np.multiply(xc, r, out=out)
+    else:
+        mu, var = (s.reshape(shape) for s in stats)
+        xc = vx - mu
+        r = (var + eps) ** -0.5
+        out = xc * r
+    np.multiply(out, gr, out=out)
+    np.add(out, beta.value.reshape(shape), out=out)
+
+    def backward(g):
+        g_gamma = g_beta = None
+        if beta.requires_grad:
+            g_beta = _unbroadcast(g, shape).reshape(ch)
+        if gamma.requires_grad:
+            # named: numpy would write `g * (xc * r)` into the temporary,
+            # in xc's memory order rather than the chain's
+            xn = xc * r
+            g_gamma = _unbroadcast(g * xn, shape).reshape(ch)
+        if not x.requires_grad:
+            return None, g_gamma, g_beta
+        g_xn = g * gr
+        if stats is not None:
+            return g_xn * r, g_gamma, g_beta
+        g_r = _unbroadcast(g_xn * xc, shape)
+        g_ve = g_r * -0.5 * ve ** -1.5
+        count = xc.size // ch
+        # numpy orders a result C-first when its operands' orders disagree;
+        # the chain's g_sq is a C-ordered broadcast copy, so its t = g_sq * xc,
+        # its xc gradient (g_xn * r + t) + t and its x gradient are C-ordered
+        t = np.multiply(g_ve / count, xc, out=np.empty(xc.shape))
+        gx = np.multiply(g_xn, r, out=np.empty(xc.shape))
+        gx += t
+        gx += t
+        g_mu = _unbroadcast(np.negative(gx, out=t), shape)
+        gx += g_mu / count
+        return gx, g_gamma, g_beta
+
+    return x.tape.record((x, gamma, beta), out, backward), mu.reshape(ch), var.reshape(ch)
 
 
 def log_softmax(a: Variable) -> Variable:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -277,7 +278,15 @@ def _cmd_compare(args) -> int:
                 rep = MetricsReport.from_json(_read_store_file(path).decode("utf-8"))
             except (ValueError, TypeError) as exc:
                 raise DataError(f"{flag}: {path} is not a metrics report: {exc}") from exc
-            vals.append(getattr(rep, args.metric))
+            val = getattr(rep, args.metric)
+            try:  # a bool is an int to Python but not a score
+                finite = not isinstance(val, bool) and math.isfinite(val)
+            except (TypeError, OverflowError):  # not a number, or an int beyond float
+                finite = False
+            if not finite:
+                raise DataError(f"{flag}: {path} has {args.metric} {val!r}, "
+                                "not a finite number")
+            vals.append(val)
         return np.array(vals)
 
     a = collect(args.a, "--a")

@@ -111,29 +111,20 @@ def euclid_batchnorm(x: Variable, gamma: Variable, beta: Variable,
     BN_MOMENTUM; eval uses the running statistics and requires at least one
     prior update.
     """
-    ch = x.value.shape[1]
-    shape = (1, ch, 1, 1)
     if mode == "train":
         if x.value.shape[0] < 2:
             raise ValueError("batch norm in training mode needs batch size >= 2")
-        mu = ad.mean(x, axis=(0, 2, 3), keepdims=True)
-        xc = ad.sub(x, mu)
-        var = ad.mean(ad.mul(xc, xc), axis=(0, 2, 3), keepdims=True)
-        # reciprocal sqrt on the per-channel array, then broadcast multiply:
-        # dividing the full tensor costs three large passes in backward
-        xn = ad.mul(xc, ad.power(ad.add(var, BN_EPS), -0.5))
+        out, mu, var = ad.batch_norm(x, gamma, beta, BN_EPS)
         m = BN_MOMENTUM
-        state.mean = (1 - m) * state.mean + m * mu.value.reshape(ch)
-        state.var = (1 - m) * state.var + m * var.value.reshape(ch)
+        state.mean = (1 - m) * state.mean + m * mu
+        state.var = (1 - m) * state.var + m * var
         state.initialized = True
-    elif mode == "eval":
+        return out
+    if mode == "eval":
         if not state.initialized:
             raise ConfigError("batch norm running statistics are uninitialized; train first")
-        xc = ad.sub(x, state.mean.reshape(shape))
-        xn = ad.mul(xc, (state.var.reshape(shape) + BN_EPS) ** -0.5)
-    else:
-        raise ValueError(f"unknown batch norm mode {mode!r}")
-    return ad.add(ad.mul(xn, ad.reshape(gamma, shape)), ad.reshape(beta, shape))
+        return ad.batch_norm(x, gamma, beta, BN_EPS, (state.mean, state.var))[0]
+    raise ValueError(f"unknown batch norm mode {mode!r}")
 
 
 # --- forward passes --------------------------------------------------------------

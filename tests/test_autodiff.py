@@ -1,4 +1,6 @@
+import ctypes
 import gc
+import os
 import weakref
 
 import numpy as np
@@ -515,3 +517,34 @@ class TestPropertySuite:
                 {"m": spd},
                 tol=1e-4,
             )
+
+
+def _libc_name() -> str:
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):
+        return ""
+
+
+class _Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd",
+        "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+
+@pytest.mark.skipif(not _libc_name().startswith("glibc"), reason="glibc allocator policy")
+def test_freed_memory_stays_in_the_heap():
+    """Importing the package sets glibc to serve a 64 MiB array from the heap,
+    not from its own mmap, and to keep the heap when the array is freed."""
+    libc = ctypes.CDLL(None)
+    if not hasattr(libc, "mallinfo2"):
+        pytest.skip("mallinfo2 needs glibc 2.33")
+    libc.mallinfo2.argtypes = ()
+    libc.mallinfo2.restype = _Mallinfo2
+    before = libc.mallinfo2()
+    a = np.empty(64 << 17)  # 64 MiB of float64
+    live = libc.mallinfo2()
+    del a
+    after = libc.mallinfo2()
+    assert live.hblks == before.hblks
+    assert after.arena >= live.arena

@@ -373,3 +373,20 @@ class TestCompare:
         assert main(["compare", "--a", str(good), "--b", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(bad) in err
+
+    @pytest.mark.parametrize("value", ["x", True, float("nan"), float("inf"), None],
+                             ids=["string", "bool", "nan", "inf", "null"])
+    def test_metric_not_a_finite_number_exits_two(self, tmp_path, capsys, value):
+        def report(accuracy):
+            return MetricsReport(accuracy=accuracy, macro_f1=0.5, precision=[], recall=[],
+                                 f1=[], confusion=[]).to_json()
+
+        good = [tmp_path / f"good{i}.json" for i in range(5)]
+        for i, p in enumerate(good):
+            p.write_text(report(0.5 + 0.05 * i))
+        bad = tmp_path / "bad.json"
+        bad.write_text(report(value))
+        args = ["compare", "--a", *map(str, good), "--b", *map(str, good[1:]), str(bad)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(bad) in err

@@ -6,6 +6,8 @@ from tmknet.autodiff import Tape
 from tmknet.errors import ConfigError
 from tmknet.model import ModelConfig, TMKNet
 from tmknet.stem import (
+    BN_EPS,
+    BN_MOMENTUM,
     BnState,
     StemConfig,
     euclid_batchnorm,
@@ -240,6 +242,84 @@ class TestEuclidBatchnorm:
         for ch in range(2):
             assert abs(out[:, ch].mean() - beta[ch]) < 1e-6
             assert abs(out[:, ch].var() - gamma[ch] ** 2) < 1e-5
+
+
+def chain_batchnorm(x, gamma, beta, state, mode):
+    """Oracle: euclid_batchnorm as the 11-node chain of tape primitives it
+    was recorded as before it became one node."""
+    ch = x.value.shape[1]
+    shape = (1, ch, 1, 1)
+    if mode == "train":
+        mu = ad.mean(x, axis=(0, 2, 3), keepdims=True)
+        xc = ad.sub(x, mu)
+        var = ad.mean(ad.mul(xc, xc), axis=(0, 2, 3), keepdims=True)
+        xn = ad.mul(xc, ad.power(ad.add(var, BN_EPS), -0.5))
+        m = BN_MOMENTUM
+        state.mean = (1 - m) * state.mean + m * mu.value.reshape(ch)
+        state.var = (1 - m) * state.var + m * var.value.reshape(ch)
+        state.initialized = True
+    else:
+        xc = ad.sub(x, state.mean.reshape(shape))
+        xn = ad.mul(xc, (state.var.reshape(shape) + BN_EPS) ** -0.5)
+    return ad.add(ad.mul(xn, ad.reshape(gamma, shape)), ad.reshape(beta, shape))
+
+
+class TestBatchnormMatchesChain:
+    """The one-node batch norm gives the chain's bits and memory order: output,
+    every gradient and the running statistics. Shapes are odd; the large one crosses numpy's
+    temporary-reuse threshold (256 KiB). The input and the upstream gradient
+    come C-ordered or channel-fastest, the layout of a lone MSS kernel's conv
+    output."""
+
+    LAYOUTS = {"c": (0, 1, 2, 3), "channel_fastest": (0, 2, 3, 1)}
+
+    @staticmethod
+    def _run(bn, x, gamma, beta, g_perm, g, state, mode, gamma_grad):
+        tape = Tape()
+        xv = tape.leaf(x, requires_grad=True)
+        gv = tape.leaf(gamma, requires_grad=gamma_grad)
+        bv = tape.leaf(beta, requires_grad=gamma_grad)
+        out = bn(xv, gv, bv, state, mode)
+        nodes = len(tape._nodes)
+        # the transpose hands `out` a gradient in the memory order g_perm gives
+        tape.backward(ad.sum_(ad.mul(ad.transpose(out, g_perm), g)))
+        grads = [xv.grad] + ([gv.grad, bv.grad] if gamma_grad else [])
+        return nodes, [out.value, *grads, state.mean, state.var]
+
+    @pytest.mark.parametrize("x_layout,g_layout", [("c", "c"), ("channel_fastest", "c"),
+                                                   ("c", "channel_fastest")])
+    @pytest.mark.parametrize("shape", [(3, 5, 2, 7), (21, 16, 9, 31)])
+    @pytest.mark.parametrize("mode,gamma_grad", [("train", True), ("eval", False),
+                                                 ("eval", True)])
+    def test_bit_identical(self, rng, shape, x_layout, g_layout, mode, gamma_grad):
+        ch = shape[1]
+        x_perm, g_perm = self.LAYOUTS[x_layout], self.LAYOUTS[g_layout]
+        x = rng.normal(loc=1.5, scale=2.0, size=[shape[i] for i in x_perm])
+        x = x.transpose(np.argsort(x_perm))
+        g = rng.normal(size=[shape[i] for i in g_perm])
+        gamma, beta = rng.normal(size=ch), rng.normal(size=ch)
+        mean, var = rng.normal(size=ch), rng.uniform(0.5, 2.0, size=ch)
+        results = []
+        for bn in (chain_batchnorm, euclid_batchnorm):
+            state = BnState(mean=mean.copy(), var=var.copy(), initialized=True)
+            results.append(self._run(bn, x, gamma, beta, g_perm, g, state, mode, gamma_grad))
+        (_, want), (nodes, got) = results
+        # strides too: upstream ops round by the memory order of what they get
+        assert [(a.strides, a.tobytes()) for a in got] == [(a.strides, a.tobytes()) for a in want]
+        assert nodes == 1
+
+    def test_frozen_input_still_gives_affine_grads(self, rng):
+        x = rng.normal(size=(3, 5, 2, 7))
+        gamma, beta = rng.normal(size=5), rng.normal(size=5)
+        g = rng.normal(size=x.shape)
+        grads = []
+        for bn in (chain_batchnorm, euclid_batchnorm):
+            tape = Tape()
+            gv, bv = tape.leaf(gamma, True), tape.leaf(beta, True)
+            out = bn(tape.constant(x), gv, bv, BnState.create(5), "train")
+            tape.backward(ad.sum_(ad.mul(out, g)))
+            grads.append([gv.grad.tobytes(), bv.grad.tobytes()])
+        assert grads[0] == grads[1]
 
 
 class TestStemGradients:
