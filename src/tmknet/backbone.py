@@ -6,6 +6,11 @@ The batch Frechet statistics computed inside the normalization layer are part
 of the differentiated graph; the per-domain running statistics are inference
 state updated out-of-band and never enter the tape. Adaptation runs the same
 batch statistics on a tape that records no gradients.
+
+DSBN is one stacked computation for all domains of a batch: train and adapt
+sort the samples into equal domain groups (D, k, n, n) and compute every
+group's statistics at once; eval stacks each sample's running statistics as
+its own base. Its tape length does not depend on the number of domains.
 """
 
 from __future__ import annotations
@@ -74,16 +79,19 @@ def _log_whitened(z: Variable, g: Variable) -> Variable:
 
 
 def batch_stats(z: Variable) -> tuple[Variable, Variable, Variable]:
-    """Batch Frechet statistics of one domain group (b, n, n).
+    """Batch Frechet statistics of domain groups (..., k, n, n), one per
+    group of k samples along axis -3.
 
     Returns (g_b, v_b, logm): the mean exp(mean_j log Z_j), which is one
     Karcher step from the identity; the dispersion sqrt(mean_j ||logm_j||_F^2);
     and logm_j = log(g_b^{-1/2} Z_j g_b^{-1/2}), the batch at the tangent space
-    of its mean, ready for `_rescale`.
+    of its mean, ready for `_rescale`. The group axis is kept, so g_b is
+    (..., 1, n, n) and v_b is (..., 1, 1, 1).
     """
-    g_b = ad.sym_fn(ad.mean(ad.sym_fn(z, "log"), axis=0), "exp")
+    g_b = ad.sym_fn(ad.mean(ad.sym_fn(z, "log"), axis=-3, keepdims=True), "exp")
     logm = _log_whitened(z, g_b)
-    v_b = ad.power(ad.mean(ad.sum_(ad.mul(logm, logm), axis=(1, 2))), 0.5)
+    sq = ad.sum_(ad.mul(logm, logm), axis=(-2, -1), keepdims=True)
+    v_b = ad.power(ad.mean(sq, axis=-3, keepdims=True), 0.5)
     return g_b, v_b, logm
 
 
@@ -108,7 +116,9 @@ def spdbn_normalize(
 
     Computes g_phi^{1/2} (g_ref^{-1/2} Z g_ref^{-1/2})^p g_phi^{1/2} with
     p = v_phi / (v_ref + eps_var); the matrix power runs as exp(p * log M) so
-    the exponent stays differentiable.
+    the exponent stays differentiable. The reference statistics broadcast
+    against the batch: one base (n, n) and a scalar for the whole batch, or
+    per-sample bases (b, n, n) and dispersions (b, 1, 1) as eval passes them.
     """
     return _rescale(_log_whitened(z, g_ref), v_ref, g_phi, v_phi, eps_var)
 
@@ -186,50 +196,54 @@ def dsbn_forward(
     v_phi: Variable | None = None,
     eps_var: float = 1e-5,
 ) -> Variable | None:
-    """Domain-specific SPD batch normalization.
+    """Domain-specific SPD batch normalization, one stacked computation for
+    all domains of the batch.
 
-    train: group samples by domain (source only), normalize each group with
-      its differentiable batch statistics and fold those statistics into the
-      running ones.
-    adapt: fold the batch statistics of target domains into their running
-      ones; returns None (no output, so g_phi and v_phi are not read).
-    eval: normalize each sample with its domain's stored running statistics.
+    train: stably sort the samples (source only) by domain, in order of first
+      appearance, into equal groups stacked as (D, k, n, n); normalize each
+      group with its differentiable batch statistics, fold those statistics
+      into the running ones and return the samples in their original order.
+    adapt: the same grouping for target domains; folds the batch statistics
+      into the running ones and returns None (no output, so g_phi and v_phi
+      are not read).
+    eval: normalize each sample with its domain's stored running statistics,
+      stacked per sample as bases (b, n, n) and dispersions (b, 1, 1).
     """
     if len(domain_ids) != h.value.shape[0]:
         raise ValueError("one domain id per sample is required")
     if mode not in ("train", "adapt", "eval"):
         raise ValueError(f"unknown dsbn mode {mode!r}")
-    ids = np.asarray(domain_ids, dtype=object)
+    keys = list(dict.fromkeys(domain_ids))
+    pos = {d: i for i, d in enumerate(keys)}
+    grp = np.array([pos[d] for d in domain_ids], dtype=np.intp)
 
-    order: list[np.ndarray] = []
-    outs: list[Variable] = []
-    for d in dict.fromkeys(domain_ids):
-        idx = np.where(ids == d)[0]
-        st = state._get(d)
-        grp = ad.gather(h, idx, axis=0)
-        if mode == "eval":
-            g_run, v_run = state.stats(d)
-            out = spdbn_normalize(grp, h.tape.constant(g_run), h.tape.constant(v_run),
-                                  g_phi, v_phi, eps_var)
-        else:
-            kind = "source" if mode == "train" else "target"
-            if st.kind != kind:
-                raise ConfigError(f"{mode} mode is restricted to {kind} domains, got {d!r}")
-            if idx.size < 2:
-                raise ValueError(f"{mode} needs >= 2 samples per domain, got {idx.size}")
-            g_b, v_b, logm = batch_stats(grp)
-            state.update(d, g_b.value, float(v_b.value))
-            if mode == "adapt":
-                continue
-            out = _rescale(logm, v_b, g_phi, v_phi, eps_var)
-        order.append(idx)
-        outs.append(out)
+    if mode == "eval":
+        stats = [state.stats(d) for d in keys]
+        g_run = np.stack([g for g, _ in stats])[grp]
+        v_run = np.array([v for _, v in stats])[grp, None, None]
+        return spdbn_normalize(h, h.tape.constant(g_run), h.tape.constant(v_run),
+                               g_phi, v_phi, eps_var)
 
+    kind = "source" if mode == "train" else "target"
+    for d in keys:
+        if state._get(d).kind != kind:
+            raise ConfigError(f"{mode} mode is restricted to {kind} domains, got {d!r}")
+    sizes = np.bincount(grp)
+    if sizes.min() < 2:
+        raise ValueError(f"{mode} needs >= 2 samples per domain, got {sizes.min()}")
+    if sizes.min() != sizes.max():
+        raise ValueError(f"{mode} needs equal-sized domain groups, got sizes "
+                         f"{dict(zip(keys, sizes.tolist()))}")
+    order = np.argsort(grp, kind="stable")
+    n = h.value.shape[-1]
+    z = ad.reshape(ad.gather(h, order, axis=0), (len(keys), sizes[0], n, n))
+    g_b, v_b, logm = batch_stats(z)
+    for i, d in enumerate(keys):
+        state.update(d, g_b.value[i, 0], float(v_b.value[i, 0, 0, 0]))
     if mode == "adapt":
         return None
-    merged = ad.concat(outs, axis=0) if len(outs) > 1 else outs[0]
-    perm = np.concatenate(order)
-    return ad.gather(merged, np.argsort(perm, kind="stable"), axis=0)
+    out = ad.reshape(_rescale(logm, v_b, g_phi, v_phi, eps_var), h.value.shape)
+    return ad.gather(out, np.argsort(order), axis=0)
 
 
 def classify(h_log: Variable, weight: Variable, bias: Variable) -> Variable:

@@ -3,7 +3,9 @@
 Subcommands: synth, import, train, adapt, eval, ablate, saliency,
 export-features, compare. Every run writes its outputs under --out together
 with a config snapshot; re-running from that snapshot reproduces the metrics
-bit for bit.
+bit for bit with the same numpy version, BLAS build and BLAS thread count
+(paper-shape gradients round differently with another OpenBLAS thread count;
+the CLI neither pins nor records it).
 
 Exit codes: 0 success, 1 usage/configuration error, 2 data error,
 3 numerical failure.

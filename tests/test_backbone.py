@@ -337,8 +337,20 @@ class TestDsbnForward:
         tape3 = Tape()
         g_phi3, v_phi3 = self._phi(tape3, 3)
         out_b = dsbn_forward(const(tape3, batch[[1, 3, 5]]), ["b"] * 3, st2, "train", g_phi3, v_phi3)
-        assert np.allclose(out.value[[0, 2, 4]], out_a.value)
-        assert np.allclose(out.value[[1, 3, 5]], out_b.value)
+        assert out.value[[0, 2, 4]].tobytes() == out_a.value.tobytes()
+        assert out.value[[1, 3, 5]].tobytes() == out_b.value.tobytes()
+
+    @pytest.mark.parametrize("mode,kind", [("train", "source"), ("adapt", "target")])
+    def test_unequal_groups_rejected(self, rng, mode, kind):
+        st = DsbnState(3)
+        st.register("a", kind)
+        st.register("b", kind)
+        batch = np.stack([random_spd(rng, 3) for _ in range(5)])
+        tape = Tape()
+        g_phi, v_phi = self._phi(tape, 3)
+        with pytest.raises(ValueError, match="equal-sized"):
+            dsbn_forward(const(tape, batch), ["a", "b", "a", "b", "b"], st, mode, g_phi, v_phi)
+        assert st.domains["a"].steps == st.domains["b"].steps == 0
 
     def test_variance_rescaling_shrinks_dispersion_toward_target(self, rng):
         # after normalization with p = v_phi / (v_b + eps), the dispersion of
@@ -352,6 +364,108 @@ class TestDsbnForward:
         out = dsbn_forward(const(tape, batch), ["a"] * 16, st, "train", g_phi, v_phi)
         g_b, v_b = batch_stats_oracle(out.value)
         assert abs(v_b - 0.5) < 0.05
+
+
+def per_domain_dsbn(h, domain_ids, state, mode, g_phi=None, v_phi=None, eps_var=1e-5):
+    """Oracle: dsbn_forward as the per-domain loop it ran as before it became
+    one stacked computation. Each domain's samples are gathered and normalized
+    with that domain's own statistics, then a concat and an argsort gather
+    restore sample order. The mode and group-size checks are left out."""
+    def log_whitened(z, g):
+        inv_sqrt = ad.sym_fn(g, "inv_sqrt")
+        return ad.sym_fn(ad.matmul(ad.matmul(inv_sqrt, z), inv_sqrt), "log")
+
+    def rescale(logm, v_ref):
+        p = ad.div(v_phi, ad.add(v_ref, eps_var))
+        powed = ad.sym_fn(ad.mul(logm, p), "exp")
+        sqrt_phi = ad.sym_fn(g_phi, "sqrt")
+        return ad.matmul(ad.matmul(sqrt_phi, powed), sqrt_phi)
+
+    ids = np.asarray(domain_ids, dtype=object)
+    order, outs = [], []
+    for d in dict.fromkeys(domain_ids):
+        idx = np.where(ids == d)[0]
+        grp = ad.gather(h, idx, axis=0)
+        if mode == "eval":
+            g_run, v_run = state.stats(d)
+            out = rescale(log_whitened(grp, h.tape.constant(g_run)), h.tape.constant(v_run))
+        else:
+            g_b = ad.sym_fn(ad.mean(ad.sym_fn(grp, "log"), axis=0), "exp")
+            logm = log_whitened(grp, g_b)
+            v_b = ad.power(ad.mean(ad.sum_(ad.mul(logm, logm), axis=(1, 2))), 0.5)
+            state.update(d, g_b.value, float(v_b.value))
+            if mode == "adapt":
+                continue
+            out = rescale(logm, v_b)
+        order.append(idx)
+        outs.append(out)
+    if mode == "adapt":
+        return None
+    merged = ad.concat(outs, axis=0) if len(outs) > 1 else outs[0]
+    return ad.gather(merged, np.argsort(np.concatenate(order), kind="stable"), axis=0)
+
+
+class TestDsbnMatchesPerDomainLoop:
+    """The stacked DSBN gives the per-domain loop's output and running
+    statistics bit for bit. Its gradients sum over the groups in another
+    order, so they agree to rounding."""
+
+    N = 5
+
+    def _state(self, rng, ids, kind, primed):
+        st = DsbnState(self.N)
+        for d in dict.fromkeys(ids):
+            st.register(d, kind)
+            if primed:
+                st.update(d, random_spd(rng, self.N), rng.uniform(0.5, 2.0))
+        return st
+
+    def _run(self, fn, batch, ids, st, mode, g_phi, coeffs):
+        tape = Tape()
+        hv = tape.leaf(batch, requires_grad=True)
+        gv = tape.leaf(g_phi, requires_grad=True)
+        lv = tape.leaf(np.array(-0.3), requires_grad=True)
+        out = fn(hv, ids, st, mode, gv, ad.exp(lv), 1e-5)
+        nodes = len(tape._nodes)
+        run_stats = [(s.g_run.tobytes(), s.v_run, s.steps) for s in st.domains.values()]
+        if out is None:
+            return nodes, None, [], run_stats
+        tape.backward(ad.sum_(ad.mul(out, coeffs)))
+        return nodes, out.value.tobytes(), [hv.grad, gv.grad, lv.grad], run_stats
+
+    @pytest.mark.parametrize("mode,ids", [
+        ("train", ["a", "b", "c", "b", "a", "c", "c", "a", "b", "b", "c", "a"]),
+        ("adapt", ["t", "u", "u", "t", "t", "u"]),
+        ("eval", ["a", "b", "a", "c", "a", "b", "a", "a"]),
+    ])
+    def test_matches_loop(self, rng, mode, ids):
+        kind = "target" if mode == "adapt" else "source"
+        batch = np.stack([random_spd(rng, self.N, eig_range=(0.2, 5.0)) for _ in ids])
+        g_phi = random_spd(rng, self.N)
+        coeffs = rng.normal(size=batch.shape)
+        seed = int(rng.integers(2 ** 31))
+        results = [
+            self._run(fn, batch, ids,
+                      self._state(np.random.default_rng(seed), ids, kind, mode == "eval"),
+                      mode, g_phi, coeffs)
+            for fn in (per_domain_dsbn, dsbn_forward)
+        ]
+        (_, want, want_grads, want_stats), (_, got, got_grads, got_stats) = results
+        assert got == want
+        assert got_stats == want_stats
+        scale = max((np.abs(w).max() for w in want_grads), default=0.0)
+        for w, g in zip(want_grads, got_grads):
+            assert np.abs(g - w).max() <= 1e-13 * scale
+
+    def test_train_nodes_do_not_grow_with_domains(self, rng):
+        nodes = []
+        for n_dom in (1, 2, 5):
+            ids = [f"d{i % n_dom}" for i in range(10)]
+            batch = np.stack([random_spd(rng, self.N) for _ in ids])
+            st = self._state(rng, ids, "source", False)
+            nodes.append(self._run(dsbn_forward, batch, ids, st, "train",
+                                   np.eye(self.N), np.ones(batch.shape))[0])
+        assert nodes[0] == nodes[1] == nodes[2], nodes
 
 
 class TestClassify:
