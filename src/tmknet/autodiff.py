@@ -118,7 +118,9 @@ class Tape:
         Unreachable leaves receive zeros. A tape can run backward once: it
         consumes the recorded graph, so every op's saved arrays are released
         as soon as its vector-Jacobian product has run, and intermediate
-        Variables are left with `grad` None. Only leaves keep `.grad`.
+        Variables are left with `grad` None. Only leaves keep `.grad`. The
+        first contribution to a gradient is kept by reference (`add` hands one
+        array to both parents) and later ones make a new sum, never in place.
         """
         if loss.tape is not self:
             raise ValueError("loss was recorded on a different tape")
@@ -129,27 +131,15 @@ class Tape:
         self._consumed = True
 
         loss.grad = np.ones_like(loss.value)
-        # accumulate without materializing zeros: the first contribution is
-        # held by reference (it may alias op-internal arrays), later ones
-        # force a fresh owned buffer
-        owned: set[int] = set()
         nodes = self._nodes
         while nodes:
             out, parents, backward_fn = nodes.pop()
             g, out.grad = out.grad, None
-            owned.discard(id(out))  # `out` may be freed and its id reused
             if g is None:
                 continue
             for p, gp in zip(parents, backward_fn(g)):
-                if gp is None or not p.requires_grad:
-                    continue
-                if p.grad is None:
-                    p.grad = gp
-                elif id(p) in owned:
-                    p.grad += gp
-                else:
-                    p.grad = p.grad + gp
-                    owned.add(id(p))
+                if gp is not None and p.requires_grad:
+                    p.grad = gp if p.grad is None else p.grad + gp
             g = gp = None  # hold no gradient into the next op's backward
         for leaf in self._grad_leaves:
             if leaf.grad is None:

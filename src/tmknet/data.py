@@ -15,6 +15,7 @@ import io
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -22,6 +23,34 @@ from .errors import ConfigError, DataError
 
 FORMAT_VERSION = 1
 INDEX_COLUMNS = ("trial_id", "byte_offset", "label_id", "subject", "session")
+
+
+def _has_type(value, hint) -> bool:
+    """Whether `value` fits the field type `hint` as JSON spells it: an int fits
+    a float field, a bool fits no number field, and a list or tuple fits when
+    it has the annotated length and each element fits its type."""
+    if hint in (int, float) and isinstance(value, bool):
+        return False
+    if hint is float:
+        return isinstance(value, (int, float))
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (list, tuple):  # list[X], tuple[X, ...] or tuple[X, Y]
+        if isinstance(value, origin) and (origin is list or args[-1] is Ellipsis):
+            args = args[:1] * len(value)
+        return (isinstance(value, origin) and len(value) == len(args)
+                and all(map(_has_type, value, args)))
+    if args:  # an optional field, X | None
+        return any(_has_type(value, h) for h in args)
+    return isinstance(value, hint)
+
+
+def _check_field_types(obj) -> None:
+    """Raise ConfigError naming the first field of dataclass `obj` not fitting its type."""
+    for name, hint in get_type_hints(type(obj)).items():
+        value = getattr(obj, name)
+        if not _has_type(value, hint):
+            spelled = hint.__name__ if isinstance(hint, type) else str(hint)
+            raise ConfigError(f"{name} must be {spelled}, got {value!r}")
 
 
 @dataclass
@@ -41,6 +70,8 @@ class DatasetManifest:
     format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
+        self.domains = [tuple(d) for d in self.domains]
+        _check_field_types(self)
         if not self.window_ms > self.overlap_ms > 0:
             raise ConfigError(
                 f"need window_ms > overlap_ms > 0, got {self.window_ms}, {self.overlap_ms}"
@@ -48,7 +79,6 @@ class DatasetManifest:
         for ids in (self.flexor_ids, self.extensor_ids, self.proximal_ids, self.distal_ids):
             if any(not 0 <= i < self.sensors for i in ids):
                 raise ConfigError("muscle-group indices must lie in [0, sensors)")
-        self.domains = [tuple(d) for d in self.domains]
 
     def to_doc(self) -> dict:
         """The fields as a JSON-ready dict; domain pairs become lists."""
@@ -132,7 +162,8 @@ def window(signal: np.ndarray, fs: float, window_ms: float,
 
 
 def hampel(x: np.ndarray, half_window: int, n_sigma: float = 3.0) -> np.ndarray:
-    """Sliding median/MAD outlier replacement on a 1-D series.
+    """Sliding median/MAD outlier replacement along the last axis of a 1-D
+    series or a (c, t) stack; non-finite input raises DataError.
 
     For each index the window [i-hw, i+hw] (clipped at the edges) provides a
     median m and robust scale 1.4826 * median|x - m|; samples further than
@@ -141,31 +172,18 @@ def hampel(x: np.ndarray, half_window: int, n_sigma: float = 3.0) -> np.ndarray:
     if half_window < 1:
         raise ConfigError("half_window must be >= 1")
     x = np.asarray(x, dtype=np.float64)
-    t = x.size
-    out = x.copy()
-    if t == 0:
-        return out
-    med = np.empty(t)
-    mad = np.empty(t)
-    interior = t - 2 * half_window
-    if interior > 0:
-        win = np.lib.stride_tricks.sliding_window_view(x, 2 * half_window + 1)
-        m_in = np.median(win, axis=1)
-        med[half_window: half_window + interior] = m_in
-        mad[half_window: half_window + interior] = np.median(
-            np.abs(win - m_in[:, None]), axis=1
-        )
-    edges = [i for i in range(t) if i < half_window or i >= t - half_window or interior <= 0]
-    for i in edges:
-        lo, hi = max(0, i - half_window), min(t, i + half_window + 1)
-        seg = x[lo:hi]
-        m = np.median(seg)
-        med[i] = m
-        mad[i] = np.median(np.abs(seg - m))
+    if x.size == 0:
+        return x.copy()
+    if not np.isfinite(x).all():
+        raise DataError("Hampel filter input contains non-finite values")
+    # NaN padding clips each edge window: nanmedian skips the pad
+    pad = [(0, 0)] * (x.ndim - 1) + [(half_window, half_window)]
+    win = np.lib.stride_tricks.sliding_window_view(
+        np.pad(x, pad, constant_values=np.nan), 2 * half_window + 1, axis=-1)
+    med = np.nanmedian(win, axis=-1)
+    mad = np.nanmedian(np.abs(win - med[..., None]), axis=-1)
     scale = 1.4826 * mad
-    mask = np.abs(x - med) > n_sigma * scale
-    out[mask] = med[mask]
-    return out
+    return np.where(np.abs(x - med) > n_sigma * scale, med, x)
 
 
 def default_hampel_half_window(fs: float) -> int:
@@ -186,14 +204,10 @@ def zscore(signal: np.ndarray) -> np.ndarray:
 
 def preprocess_stream(signal: np.ndarray, manifest: DatasetManifest,
                       n_sigma: float = 3.0) -> list[np.ndarray]:
-    """window -> hampel (per channel) -> z-score, in that order."""
+    """window -> hampel (all channels of a segment at once) -> z-score."""
     hw = default_hampel_half_window(manifest.fs)
     segments = window(signal, manifest.fs, manifest.window_ms, manifest.overlap_ms)
-    out = []
-    for seg in segments:
-        filt = np.stack([hampel(seg[ch], hw, n_sigma) for ch in range(seg.shape[0])])
-        out.append(zscore(filt).astype(np.float32))
-    return out
+    return [zscore(hampel(seg, hw, n_sigma)).astype(np.float32) for seg in segments]
 
 
 # --- batch sampling ----------------------------------------------------------------

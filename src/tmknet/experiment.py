@@ -14,16 +14,15 @@ import math
 import struct
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape
-from .data import DatasetManifest, Trial, _read_store_file, leave_one_session_out
-from .data import DomainBatchSampler
+from .data import DatasetManifest, DomainBatchSampler, Trial, _read_store_file
+from .data import _check_field_types, leave_one_session_out
 from .errors import ConfigError, DataError, NumericalError
-from .linalg import sym_fn, symmetrize
+from .linalg import sym_fn
 from .metrics import MetricsReport, report_from_predictions
 from .model import ModelConfig, TMKNet, layout
 from .optim import adam_step
@@ -73,11 +72,7 @@ class RunConfig:
 
     def __post_init__(self):
         # values arrive from JSON (--config files, checkpoint headers)
-        for name, hint in get_type_hints(RunConfig).items():
-            value = getattr(self, name)
-            if not _has_type(value, hint):
-                spelled = hint.__name__ if isinstance(hint, type) else str(hint)
-                raise ConfigError(f"{name} must be {spelled}, got {value!r}")
+        _check_field_types(self)
         if self.adaptation not in ("posthoc", "interleaved"):
             raise ConfigError(f"unknown adaptation mode {self.adaptation!r}")
         unknown = set(self.ablation) - set(ABLATION_VARIANTS)
@@ -105,21 +100,6 @@ class RunConfig:
     def hash(self) -> str:
         blob = json.dumps(self.to_doc(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _has_type(value, hint) -> bool:
-    """Whether `value` fits the RunConfig field type `hint` as JSON spells it:
-    an int fits a float field, a bool fits no number field, and a tuple fits
-    when each of its elements does."""
-    if hint in (int, float) and isinstance(value, bool):
-        return False
-    if hint is float:
-        return isinstance(value, (int, float))
-    if get_origin(hint) is tuple:
-        return isinstance(value, tuple) and all(_has_type(v, get_args(hint)[0]) for v in value)
-    if get_args(hint):  # an optional field, X | None
-        return any(_has_type(value, h) for h in get_args(hint))
-    return isinstance(value, hint)
 
 
 def domain_key(domain: tuple[int, int]) -> str:
@@ -507,6 +487,7 @@ def _state_problem(name: str, tag: str, a: np.ndarray) -> str | None:
         return "has a negative running dispersion"
     if name.endswith(".scalars") and not (a[1] >= 0 and a[1] == np.floor(a[1])):
         return "has a step count that is not a non-negative integer"
-    if (tag == "spd" or name.endswith(".g_run")) and not np.linalg.eigvalsh(symmetrize(a))[0] > 0:
+    if (tag == "spd" or name.endswith(".g_run")) and not (
+            np.array_equal(a, a.T) and np.linalg.eigvalsh(a)[0] > 0):
         return "is not a symmetric positive definite matrix"
     return None

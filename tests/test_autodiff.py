@@ -180,6 +180,52 @@ class TestTapeMechanics:
         assert np.array_equal(grads[0], grads[1])
 
 
+class TestGradientAliasing:
+    """`add` hands one upstream array to both parents, and a Variable's first
+    contribution is kept by reference; a later contribution must not write
+    into it. Integer-valued weights keep every hand gradient exact."""
+
+    @staticmethod
+    def weights(rng, shape=(3, 4)):
+        return rng.integers(-9, 10, size=shape).astype(np.float64)
+
+    def test_add_then_further_uses_of_both_parents(self, rng):
+        w = self.weights(rng)
+        tape = Tape()
+        a = tape.leaf(rng.normal(size=w.shape), requires_grad=True)
+        b = tape.leaf(rng.normal(size=w.shape), requires_grad=True)
+        ya, yb = ad.mul(a, 2.0), ad.mul(b, 4.0)
+        s = ad.add(a, b)  # recorded last, so its shared gradient reaches a and b first
+        tape.backward(ad.sum_(ad.mul(ad.add(ad.add(s, ya), yb), w)))
+        assert np.array_equal(a.grad, 3.0 * w)
+        assert np.array_equal(b.grad, 5.0 * w)
+        assert a.grad is not b.grad
+
+    def test_add_of_a_variable_to_itself(self, rng):
+        w = self.weights(rng)
+        tape = Tape()
+        x = tape.leaf(rng.normal(size=w.shape), requires_grad=True)
+        y = ad.mul(x, 4.0)
+        s = ad.add(x, x)  # its upstream gradient is also y's
+        tape.backward(ad.sum_(ad.mul(ad.add(s, y), w)))
+        assert np.array_equal(x.grad, 6.0 * w)
+
+    def test_five_contributions_to_one_variable(self, rng):
+        w = self.weights(rng)
+        tape = Tape()
+        x = tape.leaf(rng.normal(size=w.shape), requires_grad=True)
+        other = tape.leaf(rng.normal(size=w.shape), requires_grad=True)
+        parts = [ad.mul(x, c) for c in (2.0, 3.0, 4.0, 5.0)]
+        parts.append(ad.add(x, other))  # recorded last: x's first gradient is other's
+        total = parts[0]
+        for part in parts[1:]:
+            total = ad.add(total, part)
+        tape.backward(ad.sum_(ad.mul(total, w)))
+        assert np.array_equal(x.grad, 15.0 * w)
+        assert np.array_equal(other.grad, w)
+        assert x.grad is not other.grad
+
+
 class TestElementwiseOps:
     @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
     def test_binary_broadcasting(self, op, rng):

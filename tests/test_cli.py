@@ -171,6 +171,17 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "a")]) == 2
         assert "step count" in capsys.readouterr().err
 
+    def test_asymmetric_running_mean_exits_two(self, dataset, trained_run, tmp_path, capsys):
+        bad = tmp_path / "bad.tmk"
+        shutil.copy(trained_run / "checkpoint.tmk", bad)
+        model, _, _ = load_checkpoint(bad)
+        name = "state.dsbn.0/0.g_run"
+        moved = model.arrays()[name][0, 1] + 1e-3
+        reseal_checkpoint(bad, payload=set_array_value(model, name, (0, 1), moved))
+        assert main(["eval", "--checkpoint", str(bad), "--data", str(dataset),
+                     "--domain", "0/0", "--out", str(tmp_path / "e")]) == 2
+        assert f"checkpoint array '{name}' is not a symmetric" in capsys.readouterr().err
+
     def test_eval_before_stem_statistics_exits_one(self, dataset, trained_run, tmp_path,
                                                    capsys):
         unprimed = tmp_path / "unprimed.tmk"

@@ -57,6 +57,19 @@ class TestWindow:
         assert signal[0, 0] != 1e9
 
 
+def brute_hampel(x, hw, ns):
+    """Hampel filter of a 1-D series, one clipped window per sample."""
+    out = x.copy()
+    for i in range(x.size):
+        lo, hi = max(0, i - hw), min(x.size, i + hw + 1)
+        seg = x[lo:hi]
+        m = np.median(seg)
+        s = 1.4826 * np.median(np.abs(seg - m))
+        if abs(x[i] - m) > ns * s:
+            out[i] = m
+    return out
+
+
 class TestHampel:
     def test_constant_unchanged(self):
         x = np.full(50, 3.3)
@@ -71,38 +84,36 @@ class TestHampel:
 
     def test_ramp_unchanged_matches_bruteforce(self):
         x = np.arange(10.0)
-
-        def brute(x, hw, ns):
-            out = x.copy()
-            for i in range(x.size):
-                lo, hi = max(0, i - hw), min(x.size, i + hw + 1)
-                seg = x[lo:hi]
-                m = np.median(seg)
-                s = 1.4826 * np.median(np.abs(seg - m))
-                if abs(x[i] - m) > ns * s:
-                    out[i] = m
-            return out
-
-        assert np.array_equal(hampel(x, 3, 3.0), brute(x, 3, 3.0))
+        assert np.array_equal(hampel(x, 3, 3.0), brute_hampel(x, 3, 3.0))
         assert np.array_equal(hampel(x, 3, 3.0), x)
 
     def test_matches_bruteforce_random(self, rng):
         x = rng.normal(size=64)
         x[10] = 40.0
         x[40] = -35.0
+        assert np.array_equal(hampel(x, 5, 3.0), brute_hampel(x, 5, 3.0))
 
-        def brute(x, hw, ns):
-            out = x.copy()
-            for i in range(x.size):
-                lo, hi = max(0, i - hw), min(x.size, i + hw + 1)
-                seg = x[lo:hi]
-                m = np.median(seg)
-                s = 1.4826 * np.median(np.abs(seg - m))
-                if abs(x[i] - m) > ns * s:
-                    out[i] = m
-            return out
+    @pytest.mark.parametrize("t,hw", [(5, 3), (1, 2), (60, 20)],
+                             ids=["shorter-than-window", "one-sample", "half-window-20"])
+    def test_matches_bruteforce_short_and_wide(self, t, hw, rng):
+        x = np.round(rng.normal(size=t) * 2) / 2  # ties
+        x[t // 2] = 30.0
+        assert np.array_equal(hampel(x, hw, 3.0), brute_hampel(x, hw, 3.0))
 
-        assert np.allclose(hampel(x, 5, 3.0), brute(x, 5, 3.0))
+    def test_stack_filters_each_row_bit_for_bit(self, rng):
+        x = np.round(rng.normal(size=(5, 90)) * 3) / 3
+        x[rng.random(x.shape) < 0.05] *= 40.0
+        out = hampel(x, 4, 3.0)
+        rows = np.stack([hampel(r, 4, 3.0) for r in x])
+        assert out.tobytes() == rows.tobytes()
+        assert rows.tobytes() == np.stack([brute_hampel(r, 4, 3.0) for r in x]).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        x = np.zeros(20)
+        x[7] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            hampel(x, 3)
 
     def test_half_window_validation(self):
         with pytest.raises(ConfigError):
@@ -331,9 +342,11 @@ class TestStoreIO:
 
     @pytest.mark.parametrize("edit", [{"overlap_ms": 900.0}, {"flexor_ids": [0, 7]},
                                       {"fs": "fast"}, {"fs": float("inf")}, {"domains": [5]},
-                                      {"sensors": 0}],
+                                      {"sensors": 0}, {"class_names": "ab"},
+                                      {"flexor_ids": [0.0, 1]}],
                              ids=["overlap-exceeds-window", "index-out-of-range",
-                                  "fs-string", "fs-inf", "domain-int", "no-sensors"])
+                                  "fs-string", "fs-inf", "domain-int", "no-sensors",
+                                  "class-names-string", "flexor-id-float"])
     def test_invalid_manifest_is_data_error(self, tmp_path, edit):
         ds = self._small_store(tmp_path / "ds")
         doc = json.loads((ds / "manifest.json").read_text())
@@ -408,6 +421,15 @@ class TestManifestValidation:
     def test_indices_in_range(self):
         with pytest.raises(ConfigError):
             make_manifest(flexor_ids=[0, 9])
+
+    @pytest.mark.parametrize("edit,field", [
+        ({"domains": [(0, 0, 1)]}, "domains"), ({"domains": [(0, "a")]}, "domains"),
+        ({"sensors": True}, "sensors"), ({"format_version": True}, "format_version"),
+        ({"notes": None}, "notes"),
+    ], ids=["domain-triple", "domain-string", "sensors-bool", "version-bool", "notes-null"])
+    def test_field_types_match_annotations(self, edit, field):
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            make_manifest(**edit)
 
     def test_trial_rejects_nan(self):
         with pytest.raises(DataError):

@@ -445,6 +445,16 @@ class TestCheckpoint:
         with pytest.raises(DataError, match=f"checkpoint array '{name}'"):
             load_checkpoint(tmp_path / "ck.tmk")
 
+    @pytest.mark.parametrize("name", ["state.dsbn.0/0.g_run", "dsbn.g_phi"],
+                             ids=["g_run", "g_phi"])
+    def test_asymmetric_spd_state(self, tmp_path, trained, name):
+        cfg, model, _ = trained
+        save_checkpoint(tmp_path / "ck.tmk", model, cfg, MANIFEST)
+        moved = model.arrays()[name][0, 1] + 1e-3
+        reseal_checkpoint(tmp_path / "ck.tmk", payload=set_array_value(model, name, (0, 1), moved))
+        with pytest.raises(DataError, match=f"checkpoint array '{name}' is not a symmetric"):
+            load_checkpoint(tmp_path / "ck.tmk")
+
     def test_payload_cut_inside_a_value(self, tmp_path, trained):
         cfg, model, _ = trained
         save_checkpoint(tmp_path / "ck.tmk", model, cfg, MANIFEST)
