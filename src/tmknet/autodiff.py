@@ -10,16 +10,22 @@ is freed by reference counting, without the cyclic collector.
 
 Operations are plain functions (`add(a, b)`, `matmul(a, b)`, ...); Variable
 has no arithmetic operator overloads. They cover the network end to end:
-broadcasting arithmetic, (batched) matmul, 2-D cross-correlation with stride
-and dilation, LeakyReLU, non-overlapping max-pooling, reductions, row
-covariance, spectral matrix functions through the eigendecomposition,
-reshape/transpose/gather/concat plumbing, log-softmax with cross-entropy,
-and per-channel batch normalization as a single node (`batch_norm`): it runs
-the same numpy expressions in the same order as the equivalent chain of
-mean, sub, mul, power and add nodes, so its values and gradients are those of
-the chain bit for bit. It allocates two full-size arrays in forward where the
-chain allocates five, and keeps one of them for backward where the chain
-keeps four.
+broadcasting arithmetic, (batched) matmul, reductions, row covariance,
+spectral matrix functions through the eigendecomposition,
+reshape/transpose/gather plumbing, log-softmax with cross-entropy, and three
+fused nodes for the stem. Each fused node runs the same numpy expressions, in
+the same order and memory layout, as the chain of smaller nodes it replaces,
+so its values and gradients are the chain's bit for bit:
+- `batch_norm`, per-channel batch normalization (the mean, sub, mul, power
+  and add chain). It allocates two full-size arrays in forward where the
+  chain allocates five, and keeps one of them for backward where the chain
+  keeps four.
+- `mrt_block`, the temporal layer's branches (per branch a time
+  convolution, LeakyReLU and max-pooling, then a concat along time). For
+  backward it keeps only the pooling winners' indices.
+- `mss_block`, the spatial layer's kernels (per kernel a row gather, a
+  strided or dilated sensor-axis convolution and LeakyReLU, then a concat
+  along the sensors). For backward it keeps each kernel's patch matrix.
 
 Allocator policy: importing this module sets glibc's malloc, once, to keep
 freed memory in the process (`_keep_freed_memory`). A training step frees
@@ -237,17 +243,6 @@ def transpose(a: Variable, axes=None) -> Variable:
     return a.tape.record((a,), a.value.transpose(axes), lambda g: (g.transpose(inv),))
 
 
-def concat(parts: list[Variable], axis: int) -> Variable:
-    tape = parts[0].tape
-    sizes = [p.value.shape[axis] for p in parts]
-    splits = np.cumsum(sizes[:-1])
-
-    def backward(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return tape.record(tuple(parts), np.concatenate([p.value for p in parts], axis=axis), backward)
-
-
 def gather(a: Variable, idx, axis: int) -> Variable:
     """Select indices along one axis; backward scatter-adds (a plain scatter
     when the indices are unique, which gives the same sums)."""
@@ -328,121 +323,205 @@ def sym_fn(a: Variable, tag: str, param=None) -> Variable:
 
 # --- neural-network ops -------------------------------------------------------
 
-def leaky_relu(a: Variable, slope: float = 0.01) -> Variable:
-    va = a.value
-    factor = (va > 0) * (1.0 - slope)
-    factor += slope
-    return a.tape.record((a,), va * factor, lambda g: (g * factor,))
-
-
-def conv2d(
-    x: Variable,
-    w: Variable,
-    bias: Variable | None = None,
-    stride: tuple[int, int] = (1, 1),
-    dilation: tuple[int, int] = (1, 1),
-) -> Variable:
-    """Valid-padding 2-D cross-correlation.
-
-    x: (b, c_in, h, w); w: (c_out, c_in, kh, kw); bias: (c_out,).
-    Output: (b, c_out, oh, ow) with oh = (h - (kh-1)*dh - 1)//sh + 1.
-    """
-    vx, vw = x.value, w.value
+def _windows(vx: np.ndarray, kh: int, kw: int, stride: int = 1,
+             dilation: int = 1) -> np.ndarray:
+    """Zero-copy (b, c, oh, ow, kh, kw) view of the valid-padding windows of a
+    (b, c, h, w) array, strided and dilated along h: element [..., i, j] is
+    the sample kernel tap (i, j) sees. The caller checks that a window fits."""
     bsz, cin, h, wd = vx.shape
-    cout, cin_w, kh, kw = vw.shape
-    if cin != cin_w:
-        raise ValueError(f"channel mismatch: input {cin}, kernel {cin_w}")
-    sh, sw = stride
-    dh, dw = dilation
-    span_h = (kh - 1) * dh + 1
-    span_w = (kw - 1) * dw + 1
-    if span_h > h or span_w > wd:
-        raise ValueError(
-            f"kernel span ({span_h}, {span_w}) exceeds input size ({h}, {wd})"
-        )
-    oh = (h - span_h) // sh + 1
-    ow = (wd - span_w) // sw + 1
-
-    # zero-copy (b, c, oh, ow, kh, kw) window view; patches[..., i, j] is the
-    # input sample each kernel tap sees
-    sb, sc, srh, srw = vx.strides
-    patches = np.lib.stride_tricks.as_strided(
-        vx,
-        shape=(bsz, cin, oh, ow, kh, kw),
-        strides=(sb, sc, srh * sh, srw * sw, srh * dh, srw * dw),
-        writeable=False,
-    )
-    out = np.tensordot(patches, vw, axes=([1, 4, 5], [1, 2, 3])).transpose(0, 3, 1, 2)
-
-    parents: tuple[Variable, ...]
-    if bias is not None:
-        out += bias.value[None, :, None, None]
-        parents = (x, w, bias)
-    else:
-        parents = (x, w)
-
-    def backward(g):
-        # only the gradients some parent needs; the stem's first convs read
-        # the constant input signal
-        gw = gx = None
-        if w.requires_grad:
-            gw = np.tensordot(g, patches, axes=([0, 2, 3], [0, 2, 3]))
-        if x.requires_grad:
-            gx = np.zeros_like(vx)
-            # scatter per kernel tap: strided slices never overlap within a tap
-            for i in range(kh):
-                for j in range(kw):
-                    contrib = np.tensordot(g, vw[:, :, i, j], axes=([1], [0]))
-                    gx[:, :,
-                       i * dh: i * dh + (oh - 1) * sh + 1: sh,
-                       j * dw: j * dw + (ow - 1) * sw + 1: sw] += contrib.transpose(0, 3, 1, 2)
-        if bias is not None:
-            return gx, gw, g.sum(axis=(0, 2, 3))
-        return gx, gw
-
-    return x.tape.record(parents, out, backward)
+    sb, sc, sh, sw = vx.strides
+    oh = (h - (kh - 1) * dilation - 1) // stride + 1
+    return np.lib.stride_tricks.as_strided(
+        vx, shape=(bsz, cin, oh, wd - kw + 1, kh, kw),
+        strides=(sb, sc, sh * stride, sw, sh * dilation, sw), writeable=False)
 
 
-def max_pool_time(x: Variable, size: int) -> Variable:
-    """Non-overlapping max pooling along the last axis (kernel = stride = size).
+def _running_max(z: np.ndarray, size: int, with_arg: bool):
+    """Non-overlapping max-pooling of `size` samples along the last axis.
 
-    Ties route the gradient to the earliest index in the window; in a window
-    holding NaN, the output is NaN and the first NaN gets the gradient.
+    Returns the pooled array in z's memory order and, with `with_arg`, the
+    index of each window's winner: the earliest on ties, the first NaN in a
+    window holding NaN.
     """
-    vx = x.value
-    *lead, t = vx.shape
-    ot = t // size
-    if ot < 1:
-        raise ValueError(f"pool size {size} exceeds axis length {t}")
-    n = ot * size
+    *lead, t = z.shape
+    n = t // size * size
     # column k holds the k-th sample of every window; the running maximum and
-    # the winner index live in the input's memory order, so each pass streams
-    peak = vx[..., 0:n:size].copy(order="K")
-    arg = np.zeros_like(peak, dtype=np.min_scalar_type(size - 1)) if x.requires_grad else None
+    # the winner index live in z's memory order, so each pass streams
+    peak = z[..., 0:n:size].copy(order="K")
+    arg = np.zeros_like(peak, dtype=np.min_scalar_type(size - 1)) if with_arg else None
     for k in range(1, size):
-        col = vx[..., k:n:size]
+        col = z[..., k:n:size]
         if arg is not None:
             # k beats every earlier index; strict, so a tie keeps the earliest
             np.maximum(arg, np.multiply(col > peak, k, dtype=arg.dtype), out=arg)
         np.maximum(peak, col, out=peak)
     if arg is not None and np.isnan(peak).any():
-        arg[...] = vx[..., :n].reshape(*lead, ot, size).argmax(axis=-1)
+        arg[...] = z[..., :n].reshape(*lead, n // size, size).argmax(axis=-1)
+    return peak, arg
+
+
+def mrt_block(x: Variable, convs: list[tuple[Variable, Variable]], slope: float,
+              size: int) -> Variable:
+    """Time convolutions, each followed by LeakyReLU and max-pooling, as one node.
+
+    x: (b, c_in, h, t). Each (weight (c_out, c_in, 1, k), bias (c_out,)) pair
+    of `convs` is a valid cross-correlation along time, followed by LeakyReLU
+    with `slope` in (0, 1) and non-overlapping max-pooling of `size` samples.
+    The branch outputs concatenate along time into one C-ordered
+    (b, c_out, h, sum of pooled lengths) array.
+
+    Values and gradients are those of the chain conv2d → leaky_relu →
+    max_pool_time per branch, then concat, bit for bit. LeakyReLU runs in
+    place as max(z, z * slope), which equals the chain's z * factor because
+    (1 - slope) + slope == 1.0. A branch that needs a gradient keeps only its
+    winner indices: in backward the factor at each winner is read off the
+    pooled output, whose sign is the conv output's, and the pooled gradient is
+    scattered into a conv-shaped gradient in the conv output's channel-fastest
+    memory order. The caller checks that each kernel and pooling window fits.
+    """
+    vx = x.value
+    bsz, _, h, t = vx.shape
+    bounds = np.cumsum([0, *((t - w.value.shape[3] + 1) // size for w, _ in convs)])
+    out = np.empty((bsz, convs[0][0].value.shape[0], h, bounds[-1]))
+    args = []
+    for (w, b), lo, hi in zip(convs, bounds[:-1], bounds[1:]):
+        z = np.tensordot(_windows(vx, 1, w.value.shape[3]), w.value,
+                         axes=([1, 4, 5], [1, 2, 3])).transpose(0, 3, 1, 2)
+        z += b.value[None, :, None, None]
+        np.maximum(z, z * slope, out=z)
+        peak, arg = _running_max(z, size, x.requires_grad or w.requires_grad or b.requires_grad)
+        out[..., lo:hi] = peak
+        args.append(arg)
+        del z, peak  # before the next branch allocates its own
 
     def backward(g):
-        # the winner gets g bit for bit, the others +0.0: AND g's bits with
-        # an all-ones or all-zeros word
-        gbits = np.empty_like(arg, dtype=np.float64)
-        gbits[...] = g
-        gbits = gbits.view(np.uint64)
-        gx = np.empty_like(vx)
-        gx[..., n:] = 0.0
-        for k in range(size):
-            keep = (arg == k).astype(np.uint64)
-            np.negative(keep, out=keep)
-            np.bitwise_and(gbits, keep, out=gx[..., k:n:size].view(np.uint64))
-        return (gx,)
+        grads = [None] * (2 * len(convs))
+        gx = None
+        # last branch first: the order in which the tape added the chain's
+        # input gradients
+        for i in reversed(range(len(convs))):
+            (w, b), lo, hi, arg = convs[i], bounds[i], bounds[i + 1], args[i]
+            if arg is None:
+                continue
+            vw = w.value
+            kw = vw.shape[3]
+            # the winner gets g * factor bit for bit, the others +0.0: AND its
+            # bits with an all-ones or all-zeros word
+            factor = (out[..., lo:hi] > 0) * (1.0 - slope)
+            factor += slope
+            gbits = np.multiply(g[..., lo:hi], factor, out=np.empty_like(arg, dtype=np.float64))
+            gbits = gbits.view(np.uint64)
+            gz = np.empty((bsz, h, t - kw + 1, vw.shape[0])).transpose(0, 3, 1, 2)
+            n = (hi - lo) * size
+            gz[..., n:] = 0.0
+            for k in range(size):
+                keep = (arg == k).astype(np.uint64)
+                np.negative(keep, out=keep)
+                np.bitwise_and(gbits, keep, out=gz[..., k:n:size].view(np.uint64))
+            if w.requires_grad:
+                grads[2 * i] = np.tensordot(gz, _windows(vx, 1, kw), axes=([0, 2, 3], [0, 2, 3]))
+            if b.requires_grad:
+                grads[2 * i + 1] = gz.sum(axis=(0, 2, 3))
+            if x.requires_grad:
+                gxb = np.zeros_like(vx)
+                for j in range(kw):
+                    contrib = np.tensordot(gz, vw[:, :, 0, j], axes=([1], [0]))
+                    gxb[..., j:j + gz.shape[3]] += contrib.transpose(0, 3, 1, 2)
+                if gx is None:
+                    gx = gxb
+                else:
+                    gx += gxb
+        return (gx, *grads)
 
-    return x.tape.record((x,), np.ascontiguousarray(peak), backward)
+    return x.tape.record((x, *(p for conv in convs for p in conv)), out, backward)
+
+
+def mss_block(z: Variable, convs: list[tuple[tuple[int, ...] | None, Variable, Variable, int, int]],
+              slope: float) -> Variable:
+    """Sensor-axis convolutions, each followed by LeakyReLU, as one node.
+
+    z: (b, c_in, h, t). Each entry (rows, weight (c_out, c_in, k, 1), bias
+    (c_out,), stride, dilation) of `convs` reads the rows of z listed in
+    `rows`, in that order (every row for None), slides its kernel along them
+    with that stride and dilation, and applies LeakyReLU with `slope` in
+    (0, 1). The outputs concatenate along the sensor axis into one
+    channel-fastest (b, c_out, sum of output heights, t) array, the memory
+    order in which `np.concatenate` keeps channel-fastest conv outputs. No
+    kernel may read one row of z twice.
+
+    Values and gradients are those of the chain gather → conv2d → leaky_relu
+    per kernel, then concat, bit for bit. Each kernel builds the patch matrix
+    that conv2d's `tensordot` forms, once, and keeps it for the weight
+    gradient when the weight needs one. Backward adds each tap's contribution
+    c to the input gradient in place, kernel by kernel, last kernel first as
+    the tape did. The chain added 0.0 + c for a read row and 0.0 for an unread
+    one, from its zero-filled scatters; the sum starts from +0.0 and so never
+    holds -0.0, and adding c or nothing gives the same bits.
+    """
+    vz = z.value
+    bsz, cin, h, t = vz.shape
+    cout = convs[0][1].value.shape[0]
+    # per kernel: first output row, output height and the input rows (a
+    # slice where it reads every row) each tap reads
+    plans = []
+    top = 0
+    for rows, w, _, stride, dilation in convs:
+        kh = w.value.shape[2]
+        src = np.arange(h) if rows is None else np.asarray(rows, dtype=np.intp)
+        oh = (src.size - (kh - 1) * dilation - 1) // stride + 1
+        taps = [src[i * dilation: i * dilation + (oh - 1) * stride + 1: stride]
+                for i in range(kh)]
+        # the in-place sums in backward are the chain's only if each input row
+        # takes at most one contribution per kernel
+        read = np.concatenate(taps)
+        assert np.unique(read).size == read.size, "a sensor kernel reads one input row twice"
+        if rows is None:
+            taps = [slice(i * dilation, i * dilation + (oh - 1) * stride + 1, stride)
+                    for i in range(kh)]
+        plans.append((top, oh, taps))
+        top += oh
+    mem = np.empty((bsz, top, t, cout))
+    kept = []
+    for (rows, w, b, stride, dilation), (lo, oh, _) in zip(convs, plans):
+        kh = w.value.shape[2]
+        zk = vz if rows is None else np.take(vz, np.asarray(rows, dtype=np.intp), axis=2)
+        patches = _windows(zk, kh, 1, stride, dilation)
+        # the patch matrix and the product of conv2d's np.tensordot(patches,
+        # w, ([1, 4, 5], [1, 2, 3])); the reshape copies, or for a batch of
+        # one may return a view whose layout the product's rounding follows.
+        # The patch matrix serves the weight gradient again
+        pm = patches.transpose(0, 2, 3, 1, 4, 5).reshape(bsz * oh * t, cin * kh)
+        zo = np.dot(pm, w.value.transpose(1, 2, 3, 0).reshape(cin * kh, cout))
+        zo = zo.reshape(bsz, oh, t, cout)
+        zo += b.value
+        np.maximum(zo, zo * slope, out=mem[:, lo:lo + oh])
+        kept.append(pm if w.requires_grad else None)
+        del zk, patches, pm, zo  # before the next kernel allocates its own
+    out = mem.transpose(0, 3, 1, 2)
+
+    def backward(g):
+        grads = [None] * (2 * len(convs))
+        gz_total = np.zeros_like(vz) if z.requires_grad else None
+        for i in reversed(range(len(convs))):
+            (_, w, b, _, _), (lo, oh, taps), pm = convs[i], plans[i], kept[i]
+            vw = w.value
+            factor = (out[:, :, lo:lo + oh] > 0) * (1.0 - slope)
+            factor += slope
+            gz = g[:, :, lo:lo + oh] * factor
+            if pm is not None:
+                # the product of np.tensordot(gz, patches, ([0, 2, 3], [0, 2, 3]))
+                grads[2 * i] = np.dot(gz.transpose(1, 0, 2, 3).reshape(vw.shape[0], -1),
+                                      pm).reshape(vw.shape)
+            if b.requires_grad:
+                grads[2 * i + 1] = gz.sum(axis=(0, 2, 3))
+            if gz_total is None:
+                continue
+            for j, rows in enumerate(taps):
+                contrib = np.tensordot(gz, vw[:, :, j, 0], axes=([1], [0]))
+                gz_total[:, :, rows] += contrib.transpose(0, 3, 1, 2)
+        return (gz_total, *grads)
+
+    return z.tape.record((z, *(p for _, w, b, _, _ in convs for p in (w, b))), out, backward)
 
 
 def batch_norm(x: Variable, gamma: Variable, beta: Variable, eps: float,

@@ -176,14 +176,33 @@ def hampel(x: np.ndarray, half_window: int, n_sigma: float = 3.0) -> np.ndarray:
         return x.copy()
     if not np.isfinite(x).all():
         raise DataError("Hampel filter input contains non-finite values")
-    # NaN padding clips each edge window: nanmedian skips the pad
+    # +inf padding clips each edge window: the pad sorts after every sample
+    t = x.shape[-1]
+    i = np.arange(t)
+    count = np.minimum(i + half_window, t - 1) - np.maximum(i - half_window, 0) + 1
     pad = [(0, 0)] * (x.ndim - 1) + [(half_window, half_window)]
     win = np.lib.stride_tricks.sliding_window_view(
-        np.pad(x, pad, constant_values=np.nan), 2 * half_window + 1, axis=-1)
-    med = np.nanmedian(win, axis=-1)
-    mad = np.nanmedian(np.abs(win - med[..., None]), axis=-1)
+        np.pad(x, pad, constant_values=np.inf), 2 * half_window + 1, axis=-1)
+    med = _window_median(win, count)
+    mad = _window_median(np.abs(win - med[..., None]), count)
     scale = 1.4826 * mad
     return np.where(np.abs(x - med) > n_sigma * scale, med, x)
+
+
+def _window_median(win: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Median of the first `count` values of each window of `win` (last
+    axis) in sorted order, the rest being +inf padding.
+
+    The arithmetic of np.nanmedian over NaN-padded windows, which for windows
+    under 600 samples goes through np.ma.median, at a fraction of its cost: the
+    same argsort, so equal values (+0.0 and -0.0) rank alike, then the sum of
+    the two middle values (the middle one twice for an odd count) over 2.
+    """
+    order = np.argsort(win, axis=-1)
+    mid = np.stack([(count - 1) // 2, count // 2], axis=-1)
+    mid = np.broadcast_to(mid, (*win.shape[:-1], 2))
+    low_high = np.take_along_axis(win, np.take_along_axis(order, mid, axis=-1), axis=-1)
+    return low_high.sum(axis=-1) / 2.0
 
 
 def default_hampel_half_window(fs: float) -> int:

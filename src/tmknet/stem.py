@@ -4,7 +4,10 @@ multi-scale spatial layer.
 Feature maps are (batch, channel, sensor, time) arrays. The temporal layer
 slides per-resolution kernels along time, the spatial layer slides muscle
 kernels along the sensor axis. Parameters are plain named arrays, initialized
-through `model.layout`; forward passes run on autodiff Variables.
+through `model.layout`; forward passes run on autodiff Variables. Each layer
+records two tape nodes: its convolutions with LeakyReLU (and the temporal
+layer's max-pooling) as one `ad.mrt_block` or `ad.mss_block` node, then its
+batch norm as one `ad.batch_norm` node.
 """
 
 from __future__ import annotations
@@ -55,6 +58,10 @@ class StemConfig:
             raise ConfigError(f"unknown spatial kernels: {sorted(unknown)}")
         if self.pool_size < 1 or self.n_t < 1 or self.n_s < 1:
             raise ConfigError("pool_size, n_t and n_s must be positive")
+        # the stem's in-place LeakyReLU is the chain's z * factor only for
+        # 0 < slope < 1
+        if not 0.0 < self.leaky_slope < 1.0:
+            raise ConfigError(f"leaky_slope must lie in (0, 1), got {self.leaky_slope}")
 
     @property
     def sensors(self) -> int:
@@ -131,16 +138,17 @@ def euclid_batchnorm(x: Variable, gamma: Variable, beta: Variable,
 
 def mrt_branches(x: Variable, params: dict[str, Variable], cfg: StemConfig) -> Variable:
     """Pre-normalization part of the temporal layer: per-resolution conv,
-    LeakyReLU and max-pool, concatenated along time."""
+    LeakyReLU and max-pool, concatenated along time, as one tape node."""
     t = x.value.shape[-1]
-    outs = []
-    for i, k in enumerate(cfg.temporal_kernel_sizes):
+    for k in cfg.temporal_kernel_sizes:
         if k > t:
             raise ConfigError(f"temporal kernel {k} exceeds window length {t}")
-        z = ad.conv2d(x, params[f"mrt.branch{i}.weight"], params[f"mrt.branch{i}.bias"])
-        z = ad.leaky_relu(z, cfg.leaky_slope)
-        outs.append(ad.max_pool_time(z, cfg.pool_size))
-    return outs[0] if len(outs) == 1 else ad.concat(outs, axis=3)
+        if t - k + 1 < cfg.pool_size:
+            raise ConfigError(f"pool size {cfg.pool_size} exceeds the {t - k + 1}-sample "
+                              f"output of temporal kernel {k}")
+    convs = [(params[f"mrt.branch{i}.weight"], params[f"mrt.branch{i}.bias"])
+             for i in range(len(cfg.r_resolution))]
+    return ad.mrt_block(x, convs, cfg.leaky_slope, cfg.pool_size)
 
 
 def mrt_forward(x: Variable, params: dict[str, Variable], cfg: StemConfig,
@@ -157,14 +165,10 @@ def mrt_forward(x: Variable, params: dict[str, Variable], cfg: StemConfig,
 
 def mss_branches(z_t: Variable, params: dict[str, Variable], cfg: StemConfig) -> Variable:
     """Pre-normalization part of the spatial layer: the five muscle kernels
-    with LeakyReLU, concatenated along the sensor axis."""
-    outs = []
-    for name, (rows, _, stride, dilation) in cfg.mss_geometry.items():
-        z = z_t if rows is None else ad.gather(z_t, rows, axis=2)
-        z = ad.conv2d(z, params[f"mss.{name}.weight"], params[f"mss.{name}.bias"],
-                      stride=(stride, 1), dilation=(dilation, 1))
-        outs.append(ad.leaky_relu(z, cfg.leaky_slope))
-    return outs[0] if len(outs) == 1 else ad.concat(outs, axis=2)
+    with LeakyReLU, concatenated along the sensor axis, as one tape node."""
+    convs = [(rows, params[f"mss.{name}.weight"], params[f"mss.{name}.bias"], stride, dilation)
+             for name, (rows, _, stride, dilation) in cfg.mss_geometry.items()]
+    return ad.mss_block(z_t, convs, cfg.leaky_slope)
 
 
 def mss_forward(z_t: Variable, params: dict[str, Variable], cfg: StemConfig,

@@ -179,20 +179,22 @@ def test_criterion_02_gradient_suite():
         "batched-matmul": ({"a": rng.normal(size=(5, 3, 4)), "b": rng.normal(size=(4, 2))},
                            lambda t, v, probe=rng.normal(size=(5, 3, 2)):
                            ad.sum_(ad.mul(ad.matmul(v["a"], v["b"]), probe))),
-        "conv-time-kernel": ({"x": rng.normal(size=(2, 1, 4, 16)),
-                              "w": rng.normal(size=(3, 1, 1, 5)), "b": rng.normal(size=3)},
-                             lambda t, v: ad.sum_(ad.mul(
-                                 y := ad.conv2d(v["x"], v["w"], v["b"]), y))),
-        "conv-sensor-strided": ({"x": rng.normal(size=(2, 3, 8, 6)),
-                                 "w": rng.normal(size=(4, 3, 4, 1)), "b": rng.normal(size=4)},
-                                lambda t, v: ad.sum_(ad.mul(
-                                    y := ad.conv2d(v["x"], v["w"], v["b"], stride=(4, 1)), y))),
-        "conv-sensor-dilated": ({"x": rng.normal(size=(2, 3, 8, 6)),
-                                 "w": rng.normal(size=(4, 3, 2, 1)), "b": rng.normal(size=4)},
-                                lambda t, v: ad.sum_(ad.mul(
-                                    y := ad.conv2d(v["x"], v["w"], v["b"], dilation=(4, 1)), y))),
-        "leaky-relu": ({"x": rng.normal(size=(4, 6)) + 0.05},
-                       lambda t, v: ad.sum_(ad.mul(ad.leaky_relu(v["x"], 0.01), v["x"]))),
+        "mrt-time-kernels-pooled": (
+            {"x": rng.normal(size=(2, 1, 4, 16)), "w0": rng.normal(size=(3, 1, 1, 5)),
+             "b0": rng.normal(size=3), "w1": rng.normal(size=(3, 1, 1, 2)),
+             "b1": rng.normal(size=3)},
+            lambda t, v: ad.sum_(ad.mul(y := ad.mrt_block(
+                v["x"], [(v["w0"], v["b0"]), (v["w1"], v["b1"])], 0.01, 3), y))),
+        "mss-sensor-kernels": (
+            {"z": rng.normal(size=(2, 3, 8, 6)), "wg": rng.normal(size=(4, 3, 4, 1)),
+             "bg": rng.normal(size=4), "ws": rng.normal(size=(4, 3, 4, 1)),
+             "bs": rng.normal(size=4), "wd": rng.normal(size=(4, 3, 2, 1)),
+             "bd": rng.normal(size=4)},
+            # gathered rows, gathered rows with stride 4, all rows with dilation 4
+            lambda t, v: ad.sum_(ad.mul(y := ad.mss_block(
+                v["z"], [((5, 0, 7, 2), v["wg"], v["bg"], 1, 1),
+                         ((0, 2, 4, 6, 1, 3, 5, 7), v["ws"], v["bs"], 4, 1),
+                         (None, v["wd"], v["bd"], 1, 4)], 0.01), y))),
         "covariance-centering": ({"x": rng.normal(size=(2, 4, 7))},
                                  lambda t, v: ad.sum_(ad.mul(
                                      y := ad.covariance(v["x"]), y))),
@@ -220,11 +222,6 @@ def test_criterion_02_gradient_suite():
     }
     for name, (arrays, build) in op_cases.items():
         _fd_check(build, arrays, tol=1e-4, rng=rng)
-
-    # max-pooling at the looser tolerance, no ties
-    x = rng.normal(size=(2, 2, 3, 9))
-    _fd_check(lambda t, v: ad.sum_(ad.mul(y := ad.max_pool_time(v["x"], 3), y)),
-              {"x": x}, tol=1e-3, rng=rng)
 
     # full network loss on a 4-sample batch, c=8, t=64, n_t=8, n_s=6, n_b=4
     from tmknet.stem import StemConfig

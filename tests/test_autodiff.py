@@ -10,6 +10,7 @@ from tmknet import autodiff as ad
 from tmknet.autodiff import Tape
 from tmknet.backbone import bimap
 
+from chain_ops import concat, conv2d, leaky_relu, max_pool_time
 from conftest import central_diff, random_spd, random_sym, rel_err
 
 
@@ -93,7 +94,7 @@ class TestTapeMechanics:
         b = tape.leaf(rng.normal(size=(4, 2)), requires_grad=True)
         c = tape.constant(rng.normal(size=(3, 2)))
         y = ad.matmul(a, b)
-        z = ad.leaky_relu(ad.add(y, c), 0.1)
+        z = leaky_relu(ad.add(y, c), 0.1)
         loss = ad.sum_(ad.mul(z, z))
         tape.backward(loss)
         assert a.grad.shape == (3, 4) and b.grad.shape == (4, 2)
@@ -136,7 +137,7 @@ class TestTapeMechanics:
     def test_chain_matches_fd(self, rng):
         def build(tape, v):
             y = ad.matmul(v["a"], v["b"])
-            z = ad.leaky_relu(y, 0.1)
+            z = leaky_relu(y, 0.1)
             return ad.sum_(ad.mul(z, z))
 
         check_grads(build, {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(4, 2))})
@@ -307,7 +308,7 @@ class TestConv:
     @CONV_CASES
     def test_grad_matches_fd(self, xshape, wshape, stride, dilation, rng):
         def build(tape, v):
-            y = ad.conv2d(v["x"], v["w"], v["b"], stride=stride, dilation=dilation)
+            y = conv2d(v["x"], v["w"], v["b"], stride=stride, dilation=dilation)
             return ad.sum_(ad.mul(y, y))
 
         arrays = {
@@ -328,7 +329,7 @@ class TestConv:
             xv = tape.leaf(x, requires_grad=x_grad)
             wv = tape.leaf(w, requires_grad=w_grad)
             bv = tape.leaf(b, requires_grad=True)
-            y = ad.conv2d(xv, wv, bv, stride=stride, dilation=dilation)
+            y = conv2d(xv, wv, bv, stride=stride, dilation=dilation)
             tape.backward(ad.sum_(ad.mul(y, y)))
             return xv.grad, wv.grad, bv.grad
 
@@ -342,7 +343,7 @@ class TestConv:
         x = rng.uniform(0.5, 1.5, size=(2, 1, 3, 7))
         tape = Tape()
         w = tape.constant(np.ones((1, 1, 1, 1)))
-        out = ad.conv2d(tape.leaf(x), w, None)
+        out = conv2d(tape.leaf(x), w, None)
         assert np.allclose(out.value, x)
 
     def test_oversized_kernel_rejected(self, rng):
@@ -350,7 +351,7 @@ class TestConv:
         x = tape.leaf(rng.normal(size=(1, 1, 2, 4)))
         w = tape.leaf(rng.normal(size=(1, 1, 1, 5)))
         with pytest.raises(ValueError):
-            ad.conv2d(x, w)
+            conv2d(x, w)
 
 
 def pool_reference(vx, size, g):
@@ -374,26 +375,26 @@ def tied_conv_output(rng, t):
     tape = Tape()
     x = tape.constant(rng.integers(-2, 3, size=(2, 1, 3, t + 2)).astype(float))
     w = tape.constant(rng.integers(-1, 2, size=(4, 1, 1, 3)).astype(float))
-    return ad.conv2d(x, w).value
+    return conv2d(x, w).value
 
 
 class TestPooling:
     def test_forward_values(self):
         tape = Tape()
         x = tape.leaf(np.array([[[[1.0, 3.0, 2.0, 0.0, 5.0]]]]))
-        out = ad.max_pool_time(x, 2)
+        out = max_pool_time(x, 2)
         assert np.array_equal(out.value, [[[[3.0, 2.0]]]])  # tail truncated
 
     def test_tie_routes_to_earliest(self):
         tape = Tape()
         x = tape.leaf(np.array([[[[2.0, 2.0, 1.0, 1.0]]]]), requires_grad=True)
-        out = ad.max_pool_time(x, 2)
+        out = max_pool_time(x, 2)
         tape.backward(ad.sum_(out))
         assert np.array_equal(x.grad, [[[[1.0, 0.0, 1.0, 0.0]]]])
 
     def test_grad_matches_fd_no_ties(self, rng):
         def build(tape, v):
-            y = ad.max_pool_time(v["x"], 3)
+            y = max_pool_time(v["x"], 3)
             return ad.sum_(ad.mul(y, y))
 
         x = rng.normal(size=(2, 2, 3, 9))
@@ -410,7 +411,7 @@ class TestPooling:
             vx = rng.integers(-2, 3, size=(2, 4, 3, t)).astype(float)
         tape = Tape()
         x = tape.leaf(vx, requires_grad=True)
-        out = ad.max_pool_time(x, size)
+        out = max_pool_time(x, size)
         g = rng.normal(size=out.value.shape)
         tape.backward(ad.sum_(ad.mul(out, g)))
         ref_out, ref_gx = pool_reference(vx, size, g)
@@ -424,7 +425,7 @@ class TestPooling:
         vx[0, 1, 2] = vx[1, 2, 1] = vx[1, 2, 3] = np.nan
         tape = Tape()
         x = tape.leaf(vx, requires_grad=True)
-        out = ad.max_pool_time(x, 4)
+        out = max_pool_time(x, 4)
         g = rng.normal(size=out.value.shape)
         tape.backward(ad.sum_(ad.mul(out, g)))
         ref_out, ref_gx = pool_reference(vx, 4, g)
@@ -481,7 +482,7 @@ class TestGatherConcat:
 
     def test_concat_grad(self, rng):
         def build(tape, v):
-            y = ad.concat([v["a"], v["b"]], axis=1)
+            y = concat([v["a"], v["b"]], axis=1)
             return ad.sum_(ad.mul(y, np.arange(10.0).reshape(2, 5)))
 
         check_grads(build, {"a": rng.normal(size=(2, 2)), "b": rng.normal(size=(2, 3))})
@@ -548,7 +549,7 @@ class TestPropertySuite:
             x = rng.normal(size=(4, 4))
             x[np.abs(x) < 1e-3] += 0.1  # stay away from the kink
             check_grads(
-                lambda tape, v: ad.sum_(ad.mul(ad.leaky_relu(v["x"], 0.01), v["x"])),
+                lambda tape, v: ad.sum_(ad.mul(leaky_relu(v["x"], 0.01), v["x"])),
                 {"x": x},
                 tol=1e-4,
             )

@@ -17,6 +17,7 @@ from tmknet.backbone import (
 from tmknet.errors import ConfigError
 from tmknet.geometry import airm_dist, geo_mean
 
+from chain_ops import concat
 from conftest import batch_stats_oracle, random_spd, random_sym
 
 
@@ -401,7 +402,7 @@ def per_domain_dsbn(h, domain_ids, state, mode, g_phi=None, v_phi=None, eps_var=
         outs.append(out)
     if mode == "adapt":
         return None
-    merged = ad.concat(outs, axis=0) if len(outs) > 1 else outs[0]
+    merged = concat(outs, axis=0) if len(outs) > 1 else outs[0]
     return ad.gather(merged, np.argsort(np.concatenate(order), kind="stable"), axis=0)
 
 

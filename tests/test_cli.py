@@ -127,6 +127,19 @@ class TestTrainEval:
         assert f"error: {message}" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("slope", [-3.0, 0.0, 1.0, float("nan")],
+                             ids=["negative", "zero", "one", "nan"])
+    def test_config_file_leaky_slope_outside_unit_interval_exits_one(
+            self, dataset, tmp_path, capsys, slope):
+        cfg_file = tmp_path / "bad.json"
+        cfg_file.write_text(json.dumps({"n_t": 4, "n_s": 6, "n_b": 4, "batch_size": 16,
+                                        "domains_per_batch": 2, "epochs": 2,
+                                        "target_session": 2, "leaky_slope": slope}))
+        assert main(["train", "--data", str(dataset), "--out", str(tmp_path / "r"),
+                     "--config", str(cfg_file)]) == 1
+        assert "error: leaky_slope must lie in (0, 1)" in capsys.readouterr().err
+
+
 class TestErrorPaths:
     def test_unknown_flag_exits_one(self, capsys):
         assert main(["synth", "--does-not-exist", "1", "--out", "x"]) == 1
@@ -208,6 +221,11 @@ class TestErrorPaths:
                      *TRAIN_FLAGS, *flags]) == 1
         assert message in capsys.readouterr().err
 
+    def test_pool_size_beyond_conv_output_exits_one(self, dataset, tmp_path, capsys):
+        assert main(["train", "--data", str(dataset), "--out", str(tmp_path / "r"),
+                     *TRAIN_FLAGS, "--pool-size", "1000"]) == 1
+        assert "error: pool size 1000 exceeds" in capsys.readouterr().err
+
     def test_adapt_without_target_trials_exits_two(self, dataset, trained_run, tmp_path,
                                                    capsys):
         assert main(["adapt", "--checkpoint", str(trained_run / "checkpoint.tmk"),
@@ -236,8 +254,9 @@ class TestErrorPaths:
         ("manifest", {"overlap_ms": 1000.0}),
         ("config", {"lr": "0.1"}),
         ("config", {"gamma_target": 2}),
+        ("config", {"leaky_slope": -3.0}),
     ], ids=["adaptation-bogus", "n_t-zero", "manifest-overlap-exceeds-window",
-            "lr-string", "gamma-target-above-one"])
+            "lr-string", "gamma-target-above-one", "leaky-slope-negative"])
     def test_checkpoint_header_invalid_config_exits_two(self, dataset, trained_run, tmp_path,
                                                         capsys, section, edit):
         bad = tmp_path / "bad.tmk"

@@ -70,6 +70,17 @@ def brute_hampel(x, hw, ns):
     return out
 
 
+def nanmedian_hampel(x, hw, ns):
+    """Oracle: the Hampel filter as np.nanmedian over NaN-padded sliding
+    windows, which it was before it took its medians from one argsort."""
+    pad = [(0, 0)] * (x.ndim - 1) + [(hw, hw)]
+    win = np.lib.stride_tricks.sliding_window_view(
+        np.pad(x, pad, constant_values=np.nan), 2 * hw + 1, axis=-1)
+    med = np.nanmedian(win, axis=-1)
+    mad = np.nanmedian(np.abs(win - med[..., None]), axis=-1)
+    return np.where(np.abs(x - med) > ns * (1.4826 * mad), med, x)
+
+
 class TestHampel:
     def test_constant_unchanged(self):
         x = np.full(50, 3.3)
@@ -84,21 +95,21 @@ class TestHampel:
 
     def test_ramp_unchanged_matches_bruteforce(self):
         x = np.arange(10.0)
-        assert np.array_equal(hampel(x, 3, 3.0), brute_hampel(x, 3, 3.0))
+        assert hampel(x, 3, 3.0).tobytes() == brute_hampel(x, 3, 3.0).tobytes()
         assert np.array_equal(hampel(x, 3, 3.0), x)
 
     def test_matches_bruteforce_random(self, rng):
         x = rng.normal(size=64)
         x[10] = 40.0
         x[40] = -35.0
-        assert np.array_equal(hampel(x, 5, 3.0), brute_hampel(x, 5, 3.0))
+        assert hampel(x, 5, 3.0).tobytes() == brute_hampel(x, 5, 3.0).tobytes()
 
     @pytest.mark.parametrize("t,hw", [(5, 3), (1, 2), (60, 20)],
                              ids=["shorter-than-window", "one-sample", "half-window-20"])
     def test_matches_bruteforce_short_and_wide(self, t, hw, rng):
         x = np.round(rng.normal(size=t) * 2) / 2  # ties
         x[t // 2] = 30.0
-        assert np.array_equal(hampel(x, hw, 3.0), brute_hampel(x, hw, 3.0))
+        assert hampel(x, hw, 3.0).tobytes() == brute_hampel(x, hw, 3.0).tobytes()
 
     def test_stack_filters_each_row_bit_for_bit(self, rng):
         x = np.round(rng.normal(size=(5, 90)) * 3) / 3
@@ -107,6 +118,18 @@ class TestHampel:
         rows = np.stack([hampel(r, 4, 3.0) for r in x])
         assert out.tobytes() == rows.tobytes()
         assert rows.tobytes() == np.stack([brute_hampel(r, 4, 3.0) for r in x]).tobytes()
+
+    def test_matches_nanmedian_windows_bit_for_bit(self, rng):
+        # half the samples are +0.0 or -0.0, so many medians are a zero whose
+        # sign depends on how equal values rank
+        for _ in range(300):
+            t, hw = int(rng.integers(1, 120)), int(rng.integers(1, 12))
+            shape = (t,) if rng.random() < 0.5 else (3, t)
+            x = np.round(rng.normal(size=shape) * 2) / 2
+            x[rng.random(shape) < 0.25] = 0.0
+            x[rng.random(shape) < 0.25] = -0.0
+            x[rng.random(shape) < 0.05] *= 40.0
+            assert hampel(x, hw, 3.0).tobytes() == nanmedian_hampel(x, hw, 3.0).tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_rejected(self, bad):

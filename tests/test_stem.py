@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from chain_ops import concat, conv2d, leaky_relu, max_pool_time
 
 from tmknet import autodiff as ad
 from tmknet.autodiff import Tape
@@ -8,6 +11,7 @@ from tmknet.model import ModelConfig, TMKNet
 from tmknet.stem import (
     BN_EPS,
     BN_MOMENTUM,
+    MSS_KERNELS,
     BnState,
     StemConfig,
     euclid_batchnorm,
@@ -81,6 +85,11 @@ class TestStemConfig:
                        flexor_ids=(0, 1), extensor_ids=(1, 2),
                        proximal_ids=(0, 1), distal_ids=(2, 3))
 
+    @pytest.mark.parametrize("slope", [-3.0, 0.0, 1.0, 1.5, float("nan")])
+    def test_leaky_slope_outside_unit_interval(self, slope):
+        with pytest.raises(ConfigError, match="leaky_slope"):
+            dataclasses.replace(make_cfg(), leaky_slope=slope)
+
     def test_odd_sensor_count(self):
         with pytest.raises(ConfigError):
             StemConfig(fs=100, r_data=0.5, r_resolution=(0.5,), n_t=2, n_s=2,
@@ -119,6 +128,14 @@ class TestMrt:
         tape = Tape()
         out = mrt_branches(tape.constant(x), lift_params(tape, params), cfg)
         assert np.allclose(out.value, -0.01)
+
+    def test_pool_larger_than_conv_output(self, rng):
+        # kernel 25 on 30 samples leaves 6 conv samples, fewer than the pool
+        cfg = make_cfg(c=8, fs=2000.0, r_data=1 / 5, r_res=(1 / 16,), pool=7)
+        tape = Tape()
+        x = tape.constant(rng.normal(size=(2, 1, 8, 30)))
+        with pytest.raises(ConfigError, match="pool size 7 exceeds"):
+            mrt_branches(x, lift_params(tape, stem_params(cfg)), cfg)
 
     def test_kernel_larger_than_window(self, rng):
         cfg = make_cfg(c=8, fs=2000.0, r_data=1 / 5, r_res=(1 / 16,), pool=1)
@@ -320,6 +337,173 @@ class TestBatchnormMatchesChain:
             tape.backward(ad.sum_(ad.mul(out, g)))
             grads.append([gv.grad.tobytes(), bv.grad.tobytes()])
         assert grads[0] == grads[1]
+
+
+def chain_mrt_branches(x, params, cfg):
+    """Oracle: mrt_branches as the chain it was recorded as before it became
+    one node: conv2d, leaky_relu and max_pool_time per branch, then concat."""
+    outs = []
+    for i in range(len(cfg.r_resolution)):
+        z = conv2d(x, params[f"mrt.branch{i}.weight"], params[f"mrt.branch{i}.bias"])
+        z = leaky_relu(z, cfg.leaky_slope)
+        outs.append(max_pool_time(z, cfg.pool_size))
+    return outs[0] if len(outs) == 1 else concat(outs, axis=3)
+
+
+def chain_mss_branches(z_t, params, cfg):
+    """Oracle: mss_branches as the chain it was recorded as before it became
+    one node: gather, conv2d and leaky_relu per kernel, then concat."""
+    outs = []
+    for name, (rows, _, stride, dilation) in cfg.mss_geometry.items():
+        z = z_t if rows is None else ad.gather(z_t, rows, axis=2)
+        z = conv2d(z, params[f"mss.{name}.weight"], params[f"mss.{name}.bias"],
+                   stride=(stride, 1), dilation=(dilation, 1))
+        outs.append(leaky_relu(z, cfg.leaky_slope))
+    return outs[0] if len(outs) == 1 else concat(outs, axis=2)
+
+
+class TestStemMatchesChain:
+    """Each stem layer before batch norm is one tape node with the chain's
+    bits and memory order: output, input gradient, and every weight and bias
+    gradient, for a training step (parameters need gradients), saliency (the
+    input does), both, and a forward that needs none."""
+
+    # make_cfg arguments, batch, window length; paper kernels 6, 3 and 1 give
+    # conv outputs of 123, 126 and 128 samples, and `odd` pools by 3. With a
+    # batch of one, some patch matrices are views rather than copies, and
+    # their product rounds differently
+    SHAPES = {
+        "paper": (dict(fs=512.0, r_data=0.2, n_t=64, n_s=40), 6, 128),
+        "desk": (dict(fs=256.0, r_data=0.25, n_t=6, n_s=10), 5, 64),
+        "odd": (dict(fs=256.0, r_data=0.25, n_t=3, n_s=4, pool=3), 3, 71),
+        "batch_of_one": (dict(fs=256.0, r_data=0.25, n_t=6, n_s=10), 1, 64),
+    }
+    # input needs a gradient, parameters need gradients
+    MODES = {"train": (False, True), "saliency": (True, False), "both": (True, True),
+             "no_grad": (False, False)}
+
+    @staticmethod
+    def _order(a):
+        return a.shape, [st for st, n in zip(a.strides, a.shape) if n > 1]
+
+    def _compare(self, oracle, layer, cfg, x, params, g, mode):
+        x_grad, p_grad = self.MODES[mode]
+        results = []
+        for fn in (oracle, layer):
+            tape = Tape()
+            xv = tape.leaf(x, requires_grad=x_grad)
+            pv = {k: tape.leaf(v, requires_grad=p_grad) for k, v in params.items()}
+            out = fn(xv, pv, cfg)
+            nodes = len(tape._nodes)
+            arrays = [out.value]
+            if x_grad or p_grad:
+                # upstream gradient C-ordered, as batch norm hands it back
+                tape.backward(ad.sum_(ad.mul(out, g)))
+                arrays += [xv.grad] if x_grad else []
+                arrays += [pv[k].grad for k in sorted(pv)] if p_grad else []
+            results.append((nodes, arrays))
+        (_, want), (nodes, got) = results
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            # memory order too, which later sums round by; an axis of length
+            # one has no order, and numpy gives it arbitrary strides
+            assert self._order(a) == self._order(b)
+            assert a.tobytes() == b.tobytes()
+        assert nodes == (1 if x_grad or p_grad else 0)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("signal", ["normal", "ties", "nan"])
+    @pytest.mark.parametrize("branches", ["three", "single"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_mrt_bit_identical(self, rng, shape, branches, signal, mode):
+        kwargs, bsz, t = self.SHAPES[shape]
+        if branches == "single":
+            kwargs = dict(kwargs, r_res=(1 / 16,))
+        cfg = make_cfg(**kwargs)
+        params = {k: v for k, v in stem_params(cfg).items() if k.startswith("mrt.branch")}
+        x = rng.normal(size=(bsz, 1, cfg.sensors, t))
+        if signal == "ties":
+            # integer samples and weights: equal conv outputs in most windows
+            x = np.round(2 * x)
+            params = {k: np.round(2 * v) if k.endswith("weight") else np.zeros_like(v)
+                      for k, v in params.items()}
+        elif signal == "nan":
+            x[0, 0, 1, 5] = x[-1, 0, 3, 40:43] = np.nan
+        width = sum((t - k + 1) // cfg.pool_size for k in cfg.temporal_kernel_sizes)
+        g = rng.normal(size=(bsz, cfg.n_t, cfg.sensors, width))
+        self._compare(chain_mrt_branches, mrt_branches, cfg, x, params, g, mode)
+
+    KERNEL_SETS = {
+        "all": MSS_KERNELS,
+        "no_mss": ("global",),
+        "no_global": ("flexor", "extensor", "proximal_distal", "dilated"),
+        "no_flexor_extensor": ("global", "proximal_distal", "dilated"),
+        "no_proximal_distal": ("global", "flexor", "extensor", "dilated"),
+        "no_dilated": ("global", "flexor", "extensor", "proximal_distal"),
+        # a gathered kernel is the first the tape adds into the input gradient
+        "reordered": ("dilated", "global", "proximal_distal", "extensor", "flexor"),
+    }
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("kernels", KERNEL_SETS)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_mss_bit_identical(self, rng, shape, kernels, mode):
+        kwargs, bsz, t = self.SHAPES[shape]
+        cfg = make_cfg(**kwargs, kernels=self.KERNEL_SETS[kernels])
+        params = {k: v for k, v in stem_params(cfg).items()
+                  if k.startswith("mss.") and not k.startswith("mss.bn")}
+        z = rng.normal(size=(bsz, cfg.n_t, cfg.sensors, t // 4))
+        z[0, 0, 2, :3] = 0.0
+        rows = sum({"global": 1, "flexor": 1, "extensor": 1, "proximal_distal": 2,
+                    "dilated": cfg.sensors // 2}[k] for k in cfg.mss_kernels)
+        g = rng.normal(size=(bsz, cfg.n_s, rows, t // 4))
+        g[..., ::5] = -0.0
+        self._compare(chain_mss_branches, mss_branches, cfg, z, params, g, mode)
+
+    def test_mss_reads_no_row_twice(self, rng):
+        tape = Tape()
+        z = tape.leaf(rng.normal(size=(2, 3, 8, 5)))
+        w, b = tape.leaf(rng.normal(size=(4, 3, 2, 1))), tape.leaf(np.zeros(4))
+        with pytest.raises(AssertionError, match="twice"):
+            ad.mss_block(z, [((0, 1, 1, 2), w, b, 1, 1)], 0.01)
+        with pytest.raises(AssertionError, match="twice"):
+            ad.mss_block(z, [(None, w, b, 1, 1)], 0.01)  # overlapping taps
+
+    @pytest.mark.parametrize("slope", [1e-300, 1e-17, 0.01, 0.1, 0.25, 0.5, 0.75,
+                                       1 - 2 ** -53, 1 - 2 ** -52])
+    def test_leaky_in_place_equals_chain_factor(self, slope):
+        """max(z, z * s) == z * ((z > 0) * (1 - s) + s) bit for bit, on signed
+        zeros, infinities, NaN and values whose product with s underflows."""
+        z = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0,
+                      5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e300, -1e300, 3.7, -3.7])
+        factor = (z > 0) * (1.0 - slope)
+        factor += slope
+        assert np.maximum(z, z * slope).tobytes() == (z * factor).tobytes()
+
+    def test_mrt_no_grad_zero_sign(self):
+        """A window holding +0.0, then a negative value whose product with the
+        slope underflows to -0.0, pools to the chain's -0.0 in a forward without
+        gradients as well; pooling before LeakyReLU would give +0.0."""
+        x = np.array([-1e-323, 0.0, 0.0, -1e-323]).reshape(1, 1, 1, 4)
+        outs = []
+        for fn in (lambda xv, w, b: max_pool_time(leaky_relu(conv2d(xv, w, b), 0.01), 2),
+                   lambda xv, w, b: ad.mrt_block(xv, [(w, b)], 0.01, 2)):
+            tape = Tape()
+            xv, w, b = (tape.leaf(a, requires_grad=False)
+                        for a in (x, np.ones((1, 1, 1, 1)), np.zeros(1)))
+            outs.append(fn(xv, w, b).value)
+        assert np.signbit(outs[0]).tolist() == [[[[False, True]]]]
+        assert outs[1].tobytes() == outs[0].tobytes()
+
+    def test_factor_is_one_above_zero(self, rng):
+        """(1 - s) + s == 1.0 for s in (0, 1): the chain's factor for a
+        positive input is exactly 1.0, so in-place LeakyReLU keeps z."""
+        s = np.concatenate([rng.uniform(0.0, 1.0, 1_000_000),
+                            rng.uniform(0.0, 1e-3, 100_000),
+                            1.0 - rng.uniform(0.0, 1e-3, 100_000),
+                            2.0 ** -np.arange(1, 1075)])
+        s = s[(s > 0.0) & (s < 1.0)]
+        assert np.all((1.0 - s) + s == 1.0)
 
 
 class TestStemGradients:
