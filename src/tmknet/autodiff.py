@@ -104,9 +104,6 @@ class Tape:
             self._grad_leaves.append(v)
         return v
 
-    def constant(self, value) -> Variable:
-        return Variable(value, self, requires_grad=False)
-
     def record(self, parents: tuple[Variable, ...], value: np.ndarray, backward_fn) -> Variable:
         """Register an operation. `backward_fn(g)` returns one gradient per parent
         (None for parents that need none)."""
@@ -156,11 +153,8 @@ class Tape:
 
 
 def _lift(tape: Tape, x) -> Variable:
-    if isinstance(x, Variable):
-        if x.tape is not tape:
-            raise ValueError("cannot mix Variables from different tapes")
-        return x
-    return tape.constant(x)
+    """x as a Variable; `Tape.record` rejects one from another tape."""
+    return x if isinstance(x, Variable) else tape.leaf(x)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -235,29 +229,23 @@ def reshape(a: Variable, shape) -> Variable:
     return a.tape.record((a,), a.value.reshape(shape), lambda g: (g.reshape(old),))
 
 
-def transpose(a: Variable, axes=None) -> Variable:
-    if axes is None:
-        axes = tuple(range(a.value.ndim - 2)) + (a.value.ndim - 1, a.value.ndim - 2)
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    return a.tape.record((a,), a.value.transpose(axes), lambda g: (g.transpose(inv),))
+def transpose(a: Variable) -> Variable:
+    """Swap the last two axes; the value and its gradient are views."""
+    return a.tape.record((a,), np.swapaxes(a.value, -1, -2), lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def gather(a: Variable, idx, axis: int) -> Variable:
-    """Select indices along one axis; backward scatter-adds (a plain scatter
-    when the indices are unique, which gives the same sums)."""
+    """Select indices along one axis, each at most once; backward scatters."""
     idx = np.asarray(idx, dtype=np.intp)
     va = a.value
-    unique = np.unique(idx).size == idx.size
+    if np.unique(idx).size != idx.size:
+        raise ValueError("gather takes each index at most once")
 
     def backward(g):
         gx = np.zeros_like(va)
         sel = [slice(None)] * va.ndim
         sel[axis] = idx
-        if unique:
-            gx[tuple(sel)] = g
-        else:
-            np.add.at(gx, tuple(sel), g)
+        gx[tuple(sel)] = g
         return (gx,)
 
     return a.tape.record((a,), np.take(va, idx, axis=axis), backward)
@@ -405,19 +393,15 @@ def mrt_block(x: Variable, convs: list[tuple[Variable, Variable]], slope: float,
                 continue
             vw = w.value
             kw = vw.shape[3]
-            # the winner gets g * factor bit for bit, the others +0.0: AND its
-            # bits with an all-ones or all-zeros word
+            # the winner gets g * factor bit for bit, the others +0.0
             factor = (out[..., lo:hi] > 0) * (1.0 - slope)
             factor += slope
-            gbits = np.multiply(g[..., lo:hi], factor, out=np.empty_like(arg, dtype=np.float64))
-            gbits = gbits.view(np.uint64)
+            gp = np.multiply(g[..., lo:hi], factor, out=np.empty_like(arg, dtype=np.float64))
             gz = np.empty((bsz, h, t - kw + 1, vw.shape[0])).transpose(0, 3, 1, 2)
             n = (hi - lo) * size
             gz[..., n:] = 0.0
             for k in range(size):
-                keep = (arg == k).astype(np.uint64)
-                np.negative(keep, out=keep)
-                np.bitwise_and(gbits, keep, out=gz[..., k:n:size].view(np.uint64))
+                gz[..., k:n:size] = np.where(arg == k, gp, 0.0)
             if w.requires_grad:
                 grads[2 * i] = np.tensordot(gz, _windows(vx, 1, kw), axes=([0, 2, 3], [0, 2, 3]))
             if b.requires_grad:

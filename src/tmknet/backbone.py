@@ -221,7 +221,7 @@ def dsbn_forward(
         stats = [state.stats(d) for d in keys]
         g_run = np.stack([g for g, _ in stats])[grp]
         v_run = np.array([v for _, v in stats])[grp, None, None]
-        return spdbn_normalize(h, h.tape.constant(g_run), h.tape.constant(v_run),
+        return spdbn_normalize(h, h.tape.leaf(g_run), h.tape.leaf(v_run),
                                g_phi, v_phi, eps_var)
 
     kind = "source" if mode == "train" else "target"

@@ -40,6 +40,7 @@ from .experiment import (
     ablate,
     ablation_table,
     adapt,
+    build_model_config,
     domain_key,
     evaluate,
     export_features,
@@ -134,6 +135,24 @@ def _load_data(path: str):
     return load_dataset(p)
 
 
+# manifest fields a trained model depends on: trial shape, sensor groups, classes
+_MODEL_FIELDS = ("fs", "window_ms", "sensors", "class_names", "flexor_ids",
+                 "extensor_ids", "proximal_ids", "distal_ids")
+
+
+def _load_checkpoint_and_data(args):
+    """(model, cfg, manifest, trials) from --checkpoint and --data; DataError
+    naming each field in which --data is recorded differently."""
+    model, cfg, manifest = load_checkpoint(args.checkpoint)
+    data_manifest, trials = _load_data(args.data)
+    differ = [f"{k} {getattr(data_manifest, k)!r} (checkpoint: {getattr(manifest, k)!r})"
+              for k in _MODEL_FIELDS if getattr(data_manifest, k) != getattr(manifest, k)]
+    if differ:
+        raise DataError(f"{args.data} is recorded differently from the data "
+                        f"{args.checkpoint} was trained on: " + "; ".join(differ))
+    return model, cfg, manifest, trials
+
+
 def _parse_domain(text: str) -> tuple[int, int]:
     try:
         subject, session = text.split("/")
@@ -168,6 +187,7 @@ def _cmd_import(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _run_config(args)
     manifest, trials = _load_data(args.data)
+    build_model_config(manifest, cfg)  # reject the config before the run directory exists
     out = Path(args.out)
     _write_run_dir(out, cfg)
     if args.eval_target:
@@ -183,8 +203,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_adapt(args) -> int:
-    model, cfg, manifest = load_checkpoint(args.checkpoint)
-    _, trials = _load_data(args.data)
+    model, cfg, manifest, trials = _load_checkpoint_and_data(args)
     target = (cfg.subject, args.target_session if args.target_session is not None
               else cfg.target_session)
     signals = [t.signal for t in trials if t.domain == target]
@@ -200,8 +219,7 @@ def _cmd_adapt(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model, cfg, manifest = load_checkpoint(args.checkpoint)
-    _, trials = _load_data(args.data)
+    model, cfg, manifest, trials = _load_checkpoint_and_data(args)
     domain = _parse_domain(args.domain) if args.domain else (cfg.subject, cfg.target_session)
     chosen = [t for t in trials if t.domain == domain]
     if not chosen:
@@ -238,8 +256,7 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_saliency(args) -> int:
-    model, cfg, manifest = load_checkpoint(args.checkpoint)
-    _, trials = _load_data(args.data)
+    model, cfg, _, trials = _load_checkpoint_and_data(args)
     match = [t for t in trials if t.trial_id == args.trial_id]
     if not match:
         raise DataError(f"trial id {args.trial_id} not present in {args.data}")
@@ -258,8 +275,7 @@ def _cmd_saliency(args) -> int:
 
 
 def _cmd_export_features(args) -> int:
-    model, cfg, manifest = load_checkpoint(args.checkpoint)
-    _, trials = _load_data(args.data)
+    model, cfg, _, trials = _load_checkpoint_and_data(args)
     header, rows = export_features(model, trials)
     out = Path(args.out)
     _write_run_dir(out, cfg)

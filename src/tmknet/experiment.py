@@ -107,6 +107,7 @@ def domain_key(domain: tuple[int, int]) -> str:
 
 
 def build_model_config(manifest: DatasetManifest, cfg: RunConfig) -> ModelConfig:
+    """The network `cfg` describes for `manifest`'s trials; ConfigError if none fits."""
     r_resolution = cfg.r_resolution
     mss_kernels = list(MSS_KERNELS)
     if "no_mrt" in cfg.ablation:
@@ -137,6 +138,7 @@ def build_model_config(manifest: DatasetManifest, cfg: RunConfig) -> ModelConfig
         leaky_slope=cfg.leaky_slope,
         mss_kernels=tuple(mss_kernels),
     )
+    stem.check_window(manifest.window_samples)
     return ModelConfig(stem=stem, n_b=cfg.n_b, n_c=manifest.n_classes,
                        cov_lambda=cfg.cov_lambda, eps_reeig=cfg.eps_reeig,
                        eps_var=cfg.eps_var, gamma_source=cfg.gamma_source,
@@ -239,7 +241,7 @@ def _validation_loss(model: TMKNet, trials: list[Trial]) -> float:
     """Mean eval-mode cross-entropy over a labeled trial list."""
     total = 0.0
     for chunk, logits, _ in _predict_chunks(model, trials):
-        logp = ad.log_softmax(Tape().constant(logits)).value
+        logp = ad.log_softmax(Tape().leaf(logits)).value
         labels = np.array([t.label for t in chunk])
         total += -logp[np.arange(len(chunk)), labels].sum()
     return total / len(trials)

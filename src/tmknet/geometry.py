@@ -2,6 +2,10 @@
 
 All functions use the affine-invariant metric. Inputs may be batched over
 leading axes; an SPD batch has shape (K, n, n).
+
+An SPD argument is checked once, by the eigendecomposition that factors it
+(z2 as z1^{-1/2} z2 z1^{-1/2}, SPD exactly when z2 is); `check_spd` runs only
+on both arguments of `geo_mean` at w = 0 and w = 1, where nothing is factored.
 """
 
 from __future__ import annotations
@@ -24,11 +28,11 @@ __all__ = [
 
 
 def check_spd(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    m = np.asarray(m, dtype=np.float64)
-    lam = np.linalg.eigvalsh(symmetrize(m))
+    """`m` as float64; NumericalError unless it is SPD (see `linalg.sym_eig`)."""
+    lam = sym_eig(m)[0]
     if lam.min(initial=np.inf) <= 0.0:
         raise NumericalError(f"{name} is not positive definite (min eig {lam.min():.3e})")
-    return m
+    return np.asarray(m, dtype=np.float64)
 
 
 def _sqrt_pair(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -55,10 +59,8 @@ def airm_dist(z1: np.ndarray, z2: np.ndarray) -> float | np.ndarray:
         raise NumericalError(
             f"dimension mismatch: {z1.shape[-2:]} vs {z2.shape[-2:]}"
         )
-    check_spd(z1, "z1")
-    check_spd(z2, "z2")
     inv_sqrt = sym_fn(z1, "inv_sqrt")
-    lam = np.linalg.eigvalsh(symmetrize(inv_sqrt @ z2 @ inv_sqrt))
+    lam = sym_eig(symmetrize(inv_sqrt @ z2 @ inv_sqrt))[0]
     if lam.min(initial=np.inf) <= 0.0:
         raise NumericalError("whitened matrix has non-positive spectrum")
     d = np.sqrt((np.log(lam) ** 2).sum(axis=-1))
@@ -73,12 +75,9 @@ def geo_mean(z1: np.ndarray, z2: np.ndarray, w: float) -> np.ndarray:
     """
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"weight w must lie in [0, 1], got {w}")
-    z1 = check_spd(np.asarray(z1, dtype=np.float64), "z1")
-    z2 = check_spd(np.asarray(z2, dtype=np.float64), "z2")
-    if w == 0.0:
-        return z1.copy()
-    if w == 1.0:
-        return z2.copy()
+    if w in (0.0, 1.0):
+        z1, z2 = check_spd(z1, "z1"), check_spd(z2, "z2")
+        return (z1 if w == 0.0 else z2).copy()
     return _at_base(z1, z2, "pow", w)
 
 
@@ -114,7 +113,7 @@ def karcher_mean(
     if iters < 1:
         raise ValueError("iters must be >= 1")
     n = batch.shape[-1]
-    g = np.eye(n) if init is None else check_spd(np.asarray(init, dtype=np.float64), "init")
+    g = np.eye(n) if init is None else init
     for _ in range(iters):
         s, inv_s = _sqrt_pair(g)
         t = sym_fn(symmetrize(inv_s @ batch @ inv_s), "log").mean(axis=0)
@@ -141,8 +140,6 @@ def parallel_transport(s_tan: np.ndarray, z1: np.ndarray, z2: np.ndarray) -> np.
     The congruence preserves the metric norm; the output is symmetrized
     against round-off.
     """
-    z1 = check_spd(np.asarray(z1, dtype=np.float64), "z1")
-    z2 = check_spd(np.asarray(z2, dtype=np.float64), "z2")
     s_tan = np.asarray(s_tan, dtype=np.float64)
     sqrt1, inv_sqrt1 = _sqrt_pair(z1)
     mid = sym_fn(symmetrize(inv_sqrt1 @ z2 @ inv_sqrt1), "sqrt")

@@ -13,7 +13,7 @@ derivative f' and whether it needs a positive spectrum:
     'exp'        -          exp lam           no
     'sqrt'       -          lam^(1/2)         yes
     'inv_sqrt'   -          lam^(-1/2)        yes
-    'pow'        w          lam^w             yes, unless w is a non-negative integer
+    'pow'        w          lam^w             yes
     'clamp_min'  eps        max(lam, eps)     no
 
 The reverse-mode derivative of a spectral function is the Loewner-matrix
@@ -85,15 +85,10 @@ _SPECTRAL = {
 
 
 def _spectral(tag: str, lam: np.ndarray, param):
-    """The table's (f, f') for `tag`, once `lam` is checked against its domain.
-
-    A non-negative integer power is defined on any spectrum.
-    """
+    """The table's (f, f') for `tag`, once `lam` is checked against its domain."""
     if tag not in _SPECTRAL:
         raise ValueError(f"unknown spectral function tag {tag!r}")
     f, deriv, positive = _SPECTRAL[tag]
-    if tag == "pow" and float(param).is_integer() and float(param) >= 0:
-        positive = False
     if positive and lam.min(initial=np.inf) <= 0.0:
         raise NumericalError(
             f"spectral function {tag!r} requires positive eigenvalues, "

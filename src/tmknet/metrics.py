@@ -74,14 +74,17 @@ def scores_from_confusion(cm: np.ndarray) -> tuple[float, float, list[float], li
     return accuracy, float(f1.mean()), precision.tolist(), recall.tolist(), f1.tolist()
 
 
-def report_from_predictions(y_true, y_pred, n_classes: int, **extra) -> MetricsReport:
+def report_from_predictions(y_true, y_pred, n_classes: int) -> MetricsReport:
     cm = confusion_matrix(y_true, y_pred, n_classes)
     accuracy, macro_f1, precision, recall, f1 = scores_from_confusion(cm)
     return MetricsReport(accuracy=accuracy, macro_f1=macro_f1, precision=precision,
-                         recall=recall, f1=f1, confusion=cm.tolist(), **extra)
+                         recall=recall, f1=f1, confusion=cm.tolist())
 
 
 # --- Wilcoxon signed-rank test -------------------------------------------------------
+
+EXACT_PAIRS = 25  # most non-zero pairs whose p-value enumerates the null exactly
+
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     order = np.argsort(values, kind="stable")
@@ -123,12 +126,12 @@ def _normal_two_sided_p(ranks: np.ndarray, w: float) -> float:
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
-def wilcoxon_signed_rank(a, b, exact_threshold: int = 25) -> tuple[float, float]:
+def wilcoxon_signed_rank(a, b) -> tuple[float, float]:
     """Paired Wilcoxon signed-rank test.
 
     Returns (W, p) where W is the sum of the ranks of positive differences
     a - b and p is two-sided. Zero differences are dropped; at least 5 pairs
-    must remain. Up to `exact_threshold` pairs the p-value enumerates the
+    must remain. Up to EXACT_PAIRS pairs the p-value enumerates the
     sign-flip null exactly; beyond that a normal approximation with midrank
     tie correction and continuity correction is used.
     """
@@ -144,7 +147,7 @@ def wilcoxon_signed_rank(a, b, exact_threshold: int = 25) -> tuple[float, float]
         raise DataError(f"need at least 5 non-zero differences, got {d.size}")
     ranks = _average_ranks(np.abs(d))
     w = float(ranks[d > 0].sum())
-    if d.size <= exact_threshold:
+    if d.size <= EXACT_PAIRS:
         ranks2 = np.round(2.0 * ranks).astype(np.int64)
         p = _exact_two_sided_p(ranks2, int(round(2.0 * w)))
     else:

@@ -190,7 +190,7 @@ class TMKNet:
         """One training forward/backward; returns scalar loss and named grads."""
         tape = Tape()
         pvars = self.param_vars(tape, trainable=True)
-        logits = self.forward(tape, tape.constant(x), domain_ids, "train", pvars)
+        logits = self.forward(tape, tape.leaf(x), domain_ids, "train", pvars)
         loss = ad.cross_entropy(logits, labels)
         tape.backward(loss)
         grads = {name: v.grad for name, v in pvars.items()}
@@ -199,14 +199,14 @@ class TMKNet:
     def predict_logits(self, x: np.ndarray, domain_ids: list[str],
                        capture: dict | None = None) -> np.ndarray:
         tape = Tape()
-        logits = self.forward(tape, tape.constant(x), domain_ids, "eval", capture=capture)
+        logits = self.forward(tape, tape.leaf(x), domain_ids, "eval", capture=capture)
         return logits.value
 
     def prime_stats(self, x: np.ndarray, domain_ids: list[str]) -> None:
         """One train-mode forward without gradients: initializes the stem and
         domain running statistics so an untrained checkpoint is evaluable."""
         tape = Tape()
-        self.forward(tape, tape.constant(x), domain_ids, "train",
+        self.forward(tape, tape.leaf(x), domain_ids, "train",
                      pvars=self.param_vars(tape, trainable=False))
 
     def adapt_batch(self, x: np.ndarray, domain_ids: list[str]) -> None:
@@ -216,7 +216,7 @@ class TMKNet:
         nothing is recorded for differentiation.
         """
         tape = Tape()
-        h = self.features(tape, tape.constant(x), "eval",
+        h = self.features(tape, tape.leaf(x), "eval",
                           self.param_vars(tape, trainable=False))
         bk.dsbn_forward(h, self._bn_ids(domain_ids), self.dsbn, "adapt")
 

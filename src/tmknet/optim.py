@@ -25,6 +25,8 @@ from .linalg import symmetrize
 
 MANIFOLD_TAGS = ("euclidean", "stiefel", "spd", "log_scalar")
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # moment decay rates, denominator guard
+
 
 @dataclass
 class Param:
@@ -59,9 +61,6 @@ def adam_step(
     params: dict[str, Param],
     grads: dict[str, np.ndarray],
     lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
     weight_decay: float = 1e-4,
 ) -> None:
     """One Adam step over every parameter with a gradient in `grads`.
@@ -85,35 +84,35 @@ def adam_step(
         p = params[name]
         g = np.asarray(g, dtype=np.float64)
         p.step += 1
-        bc1 = 1.0 - beta1 ** p.step
-        bc2 = 1.0 - beta2 ** p.step
+        bc1 = 1.0 - BETA1 ** p.step
+        bc2 = 1.0 - BETA2 ** p.step
 
         if p.tag in ("euclidean", "log_scalar"):
             # manifold parameters and normalization scale/shift get no decay
             if p.tag == "euclidean" and p.decay and weight_decay:
                 p.value *= 1.0 - lr * weight_decay
-            p.m = beta1 * p.m + (1.0 - beta1) * g
-            p.v = beta2 * p.v + (1.0 - beta2) * g * g
-            p.value -= lr * (p.m / bc1) / (np.sqrt(p.v / bc2) + eps)
+            p.m = BETA1 * p.m + (1.0 - BETA1) * g
+            p.v = BETA2 * p.v + (1.0 - BETA2) * g * g
+            p.value -= lr * (p.m / bc1) / (np.sqrt(p.v / bc2) + EPS)
 
         elif p.tag == "stiefel":
             w = p.value
             # tangent projection for row-orthonormal W: G - (1/2)(G W^T + W G^T) W
             a = g @ w.T
             gt = g - 0.5 * (a + a.T) @ w
-            p.m = beta1 * p.m + (1.0 - beta1) * gt
-            p.v = beta2 * p.v + (1.0 - beta2) * gt * gt
-            w_raw = w - lr * (p.m / bc1) / (np.sqrt(p.v / bc2) + eps)
+            p.m = BETA1 * p.m + (1.0 - BETA1) * gt
+            p.v = BETA2 * p.v + (1.0 - BETA2) * gt * gt
+            w_raw = w - lr * (p.m / bc1) / (np.sqrt(p.v / bc2) + EPS)
             p.value = stiefel_retract_rows(w_raw)
 
         elif p.tag == "spd":
             point = p.value
             rgrad = point @ symmetrize(g) @ point
-            p.m = beta1 * p.m + (1.0 - beta1) * rgrad
+            p.m = BETA1 * p.m + (1.0 - BETA1) * rgrad
             inv = np.linalg.inv(point)
             sq_norm = float(np.trace(inv @ rgrad @ inv @ rgrad))
-            p.v = beta2 * p.v + (1.0 - beta2) * sq_norm
-            direction = (p.m / bc1) / (np.sqrt(p.v / bc2) + eps)
+            p.v = BETA2 * p.v + (1.0 - BETA2) * sq_norm
+            direction = (p.m / bc1) / (np.sqrt(p.v / bc2) + EPS)
             new_point = geometry.exp_map(point, -lr * direction)
             p.m = geometry.parallel_transport(p.m, point, new_point)
             p.value = new_point

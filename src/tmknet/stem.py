@@ -73,6 +73,15 @@ class StemConfig:
             temporal_kernel_size(self.fs, self.r_data, r) for r in self.r_resolution
         )
 
+    def check_window(self, t: int) -> None:
+        """ConfigError unless each temporal kernel and its pooling fit t samples."""
+        for k in self.temporal_kernel_sizes:
+            if k > t:
+                raise ConfigError(f"temporal kernel {k} exceeds window length {t}")
+            if t - k + 1 < self.pool_size:
+                raise ConfigError(f"pool size {self.pool_size} exceeds the {t - k + 1}-sample "
+                                  f"output of temporal kernel {k}")
+
     @property
     def mss_geometry(self) -> dict[str, tuple[tuple[int, ...] | None, int, int, int]]:
         """Per kernel in `mss_kernels`: the sensor rows it reads in order (None
@@ -139,13 +148,7 @@ def euclid_batchnorm(x: Variable, gamma: Variable, beta: Variable,
 def mrt_branches(x: Variable, params: dict[str, Variable], cfg: StemConfig) -> Variable:
     """Pre-normalization part of the temporal layer: per-resolution conv,
     LeakyReLU and max-pool, concatenated along time, as one tape node."""
-    t = x.value.shape[-1]
-    for k in cfg.temporal_kernel_sizes:
-        if k > t:
-            raise ConfigError(f"temporal kernel {k} exceeds window length {t}")
-        if t - k + 1 < cfg.pool_size:
-            raise ConfigError(f"pool size {cfg.pool_size} exceeds the {t - k + 1}-sample "
-                              f"output of temporal kernel {k}")
+    cfg.check_window(x.value.shape[-1])
     convs = [(params[f"mrt.branch{i}.weight"], params[f"mrt.branch{i}.bias"])
              for i in range(len(cfg.r_resolution))]
     return ad.mrt_block(x, convs, cfg.leaky_slope, cfg.pool_size)

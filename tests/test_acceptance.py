@@ -245,7 +245,7 @@ def test_criterion_02_gradient_suite():
         probe.register_domains(["0/0", "0/1"], [])
         probe.load_arrays({**probe.arrays(), **values})
         tape = Tape()
-        logits = probe.forward(tape, tape.constant(x), ids, "train",
+        logits = probe.forward(tape, tape.leaf(x), ids, "train",
                                probe.param_vars(tape, trainable=False))
         return float(ad.cross_entropy(logits, labels).value)
 
@@ -283,16 +283,16 @@ def test_criterion_03_spd_closure():
         st = DsbnState(4)
         st.register("a", "source")
         tape = Tape()
-        z = tape.constant(rng.normal(size=(4, 6, 3, 10)) * rng.uniform(0.3, 3.0))
+        z = tape.leaf(rng.normal(size=(4, 6, 3, 10)) * rng.uniform(0.3, 3.0))
         c = cov_pool(z, None)
         assert np.all(np.isfinite(c.value))
         assert np.linalg.eigvalsh(c.value).min() > 0
-        h = bimap(c, tape.constant(w))
+        h = bimap(c, tape.leaf(w))
         assert np.linalg.eigvalsh(h.value).min() > 0
         h = reeig(h, eps_reeig)
         assert np.linalg.eigvalsh(h.value).min() >= eps_reeig * (1 - 1e-9)
-        h = dsbn_forward(h, ["a"] * 4, st, "train", tape.constant(np.eye(4)),
-                         tape.constant(1.0), 1e-5)
+        h = dsbn_forward(h, ["a"] * 4, st, "train", tape.leaf(np.eye(4)),
+                         tape.leaf(1.0), 1e-5)
         assert np.all(np.isfinite(h.value))
         assert np.linalg.eigvalsh(h.value).min() > 0
         out = logeig(h)
@@ -307,9 +307,9 @@ def test_criterion_04_spdbn_centering_oracle():
     st = DsbnState(2)
     st.register("a", "source")
     tape = Tape()
-    z = tape.constant(np.stack([np.eye(2), np.diag([np.e ** 4, np.e ** 4])]))
-    out = dsbn_forward(z, ["a", "a"], st, "train", tape.constant(np.eye(2)),
-                       tape.constant(1.0), 1e-5)
+    z = tape.leaf(np.stack([np.eye(2), np.diag([np.e ** 4, np.e ** 4])]))
+    out = dsbn_forward(z, ["a", "a"], st, "train", tape.leaf(np.eye(2)),
+                       tape.leaf(1.0), 1e-5)
     remean = batch_stats_oracle(out.value)[0]
     assert np.abs(remean - np.eye(2)).max() <= 1e-10
 
@@ -322,8 +322,8 @@ def test_criterion_04_spdbn_centering_oracle():
         st = DsbnState(10)
         st.register("a", "source")
         tape = Tape()
-        out = dsbn_forward(tape.constant(batch), ["a"] * 64, st, "train",
-                           tape.constant(np.eye(10)), tape.constant(1.0), 1e-5)
+        out = dsbn_forward(tape.leaf(batch), ["a"] * 64, st, "train",
+                           tape.leaf(np.eye(10)), tape.leaf(1.0), 1e-5)
         g_after = batch_stats_oracle(out.value)[0]
         d_after = airm_dist(g_after, np.eye(10))
         assert d_after <= 0.5 * d_before, (d_after, d_before)

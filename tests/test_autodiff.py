@@ -92,7 +92,7 @@ class TestTapeMechanics:
         tape = Tape()
         a = tape.leaf(rng.normal(size=(3, 4)), requires_grad=True)
         b = tape.leaf(rng.normal(size=(4, 2)), requires_grad=True)
-        c = tape.constant(rng.normal(size=(3, 2)))
+        c = tape.leaf(rng.normal(size=(3, 2)))
         y = ad.matmul(a, b)
         z = leaky_relu(ad.add(y, c), 0.1)
         loss = ad.sum_(ad.mul(z, z))
@@ -130,7 +130,7 @@ class TestTapeMechanics:
         x = rng.normal(size=(3, 1))
         tape = Tape()
         wv = tape.leaf(w, requires_grad=True)
-        y = ad.matmul(wv, tape.constant(x))
+        y = ad.matmul(wv, tape.leaf(x))
         tape.backward(ad.sum_(ad.mul(y, y)))
         assert np.allclose(wv.grad, 2.0 * (w @ x) @ x.T)
 
@@ -342,7 +342,7 @@ class TestConv:
     def test_identity_kernel(self, rng):
         x = rng.uniform(0.5, 1.5, size=(2, 1, 3, 7))
         tape = Tape()
-        w = tape.constant(np.ones((1, 1, 1, 1)))
+        w = tape.leaf(np.ones((1, 1, 1, 1)))
         out = conv2d(tape.leaf(x), w, None)
         assert np.allclose(out.value, x)
 
@@ -373,8 +373,8 @@ def tied_conv_output(rng, t):
     """Integer-valued (2, 4, 3, t) conv output, full of ties; conv2d returns
     it channels-last in memory, so it is not C-contiguous."""
     tape = Tape()
-    x = tape.constant(rng.integers(-2, 3, size=(2, 1, 3, t + 2)).astype(float))
-    w = tape.constant(rng.integers(-1, 2, size=(4, 1, 1, 3)).astype(float))
+    x = tape.leaf(rng.integers(-2, 3, size=(2, 1, 3, t + 2)).astype(float))
+    w = tape.leaf(rng.integers(-1, 2, size=(4, 1, 1, 3)).astype(float))
     return conv2d(x, w).value
 
 
@@ -462,12 +462,20 @@ class TestSpectralOps:
 class TestGatherConcat:
     def test_gather_grad(self, rng):
         def build(tape, v):
-            y = ad.gather(v["x"], [2, 0, 2], axis=1)
+            y = ad.gather(v["x"], [2, 0, 3], axis=1)
             return ad.sum_(ad.mul(y, y))
 
         check_grads(build, {"x": rng.normal(size=(2, 4, 3))})
 
-    @pytest.mark.parametrize("axis,idx", [(0, [1, 0]), (1, [3, 0, 2]), (1, [2, 0, 2]), (2, [2, 1, 0])])
+    @pytest.mark.parametrize("axis,idx", [(1, [2, 0, 2]), (0, [1, 1]), (2, [0, 0, 0])])
+    def test_gather_rejects_repeated_indices(self, axis, idx, rng):
+        tape = Tape()
+        x = tape.leaf(rng.normal(size=(2, 4, 3)), requires_grad=True)
+        with pytest.raises(ValueError, match="at most once"):
+            ad.gather(x, idx, axis=axis)
+        assert tape._nodes == []
+
+    @pytest.mark.parametrize("axis,idx", [(0, [1, 0]), (1, [3, 0, 2]), (1, [2, 0]), (2, [2, 1, 0])])
     def test_gather_grad_matches_add_at(self, axis, idx, rng):
         x = rng.normal(size=(2, 4, 3))
         g = rng.normal(size=np.take(x, idx, axis=axis).shape)

@@ -22,7 +22,7 @@ from conftest import batch_stats_oracle, random_spd, random_sym
 
 
 def const(tape, x):
-    return tape.constant(np.asarray(x, dtype=float))
+    return tape.leaf(np.asarray(x, dtype=float))
 
 
 class TestCovPool:
@@ -389,7 +389,7 @@ def per_domain_dsbn(h, domain_ids, state, mode, g_phi=None, v_phi=None, eps_var=
         grp = ad.gather(h, idx, axis=0)
         if mode == "eval":
             g_run, v_run = state.stats(d)
-            out = rescale(log_whitened(grp, h.tape.constant(g_run)), h.tape.constant(v_run))
+            out = rescale(log_whitened(grp, h.tape.leaf(g_run)), h.tape.leaf(v_run))
         else:
             g_b = ad.sym_fn(ad.mean(ad.sym_fn(grp, "log"), axis=0), "exp")
             logm = log_whitened(grp, g_b)

@@ -225,6 +225,7 @@ class TestErrorPaths:
         assert main(["train", "--data", str(dataset), "--out", str(tmp_path / "r"),
                      *TRAIN_FLAGS, "--pool-size", "1000"]) == 1
         assert "error: pool size 1000 exceeds" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()  # rejected before the run directory
 
     def test_adapt_without_target_trials_exits_two(self, dataset, trained_run, tmp_path,
                                                    capsys):
@@ -238,6 +239,7 @@ class TestErrorPaths:
         assert main(["train", "--data", str(dataset), "--out", str(tmp_path / "r"),
                      *flags]) == 1
         assert "exceeds n_s" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()  # rejected before the run directory
 
     def test_checkpoint_header_wrong_type_exits_two(self, dataset, trained_run, tmp_path,
                                                     capsys):
@@ -326,6 +328,33 @@ class TestErrorPaths:
                      "--data", str(data), "--domain", "0/0",
                      "--out", str(tmp_path / "e")]) == 2
         assert "label_id" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("synth_flags,fields", [
+        (["--fs", "512"], ["fs"]),
+        (["--classes", "5"], ["class_names"]),
+        (["--fs", "512", "--classes", "2"], ["fs", "class_names"]),
+    ], ids=["fs-512", "five-classes", "fs-and-classes"])
+    @pytest.mark.parametrize("command,flags", [
+        ("adapt", []),
+        ("eval", ["--domain", "0/0"]),
+        ("saliency", ["--trial-id", "0", "--target-class", "0"]),
+        ("export-features", []),
+    ], ids=["adapt", "eval", "saliency", "export-features"])
+    def test_dataset_recorded_differently_exits_two(self, trained_run, tmp_path, capsys,
+                                                    synth_flags, fields, command, flags):
+        data = tmp_path / "data"
+        assert main(["synth", "--classes", "3", "--sensors", "8", "--domains", "3",
+                     "--trials-per-cell", "10", "--seed", "7", *synth_flags,
+                     "--out", str(data)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert main([command, "--checkpoint", str(trained_run / "checkpoint.tmk"),
+                     "--data", str(data), *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "recorded differently" in err
+        differ = err.split("trained on: ", 1)[1]
+        assert [part.split()[0] for part in differ.split("; ")] == fields
+        assert not out.exists()
 
 
 class TestSaliencyExport:

@@ -1,4 +1,5 @@
-"""Design rule: every definition in the package has a caller outside the tests.
+"""Design rules: every definition in the package has a caller outside the
+tests, and every optional parameter has a call that passes it.
 
 Each module-level function or class in `src/tmknet/*.py`, and each public
 method of a module-level class, must be referenced somewhere in `src/` or
@@ -12,6 +13,16 @@ Dunder methods are reached through syntax (`a + b`, `len(x)`, `x[k]`) rather
 than by name, so apart from the construction and repr hooks each one must be
 listed below with the code that reaches it, as must the test oracles and
 library entry points that only tests call.
+
+A parameter with a default, or a `**kwargs` catch-all, of a function or
+method in `src/tmknet/*.py` must be passed by some call in `src/` or
+`perfbench/`: a default that every caller keeps is a constant. Calls are
+matched to a definition by name only, so a call of any function or method of
+that name counts. A call passes a parameter by keyword or by position, and a
+`*` or `**` splat passes all of them. Matching by name is what keeps the rule
+simple, and it is also its blind spot: a parameter is missed whenever another
+callable shares the name, as numpy's `ndarray.transpose(*axes)` shares
+`autodiff.transpose`'s.
 """
 
 from __future__ import annotations
@@ -34,6 +45,17 @@ ALLOWED = {
                                     "means, checked by acceptance criterion 10's export test",
     "cli._Parser.error": "argparse calls it on a usage error; the override exits 1 "
                          "through ConfigError",
+}
+
+# function -> why it keeps defaulted parameters that no call in src/ or
+# perfbench/ passes
+PARAMS_ALLOWED = {
+    "cli.main": "console-script entry point: argv is None there, a list when the CLI "
+                "runs in-process",
+    "data.preprocess_stream": "library entry point: n_sigma is the Hampel threshold a "
+                              "caller tunes to its recording",
+    "geometry.karcher_mean": "test oracle: the tests run the flow from a chosen start, "
+                             "for a chosen number of steps, to a chosen tolerance",
 }
 
 # hooks the interpreter calls for every instance, so a class's use covers them
@@ -131,3 +153,63 @@ def test_every_definition_has_a_caller_outside_the_tests():
 def test_allowlist_names_existing_definitions():
     defined = {qual for qual, *_ in _definitions()}
     assert set(ALLOWED) <= defined, sorted(set(ALLOWED) - defined)
+
+
+def _signatures():
+    """Yield (qualified name, name, arguments, bound, file, first line, last
+    line) per module-level function and method; `bound` counts the leading
+    arguments a call does not spell (a method's self or cls)."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        mod = path.stem
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                yield (f"{mod}.{node.name}", node.name, node.args, 0, path,
+                       node.lineno, node.end_lineno)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield (f"{mod}.{node.name}.{item.name}", item.name, item.args, 1, path,
+                           item.lineno, item.end_lineno)
+
+
+def _passes(call: ast.Call, param: str, position: int | None) -> bool:
+    return (any(k.arg in (None, param) for k in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or (position is not None and len(call.args) > position))
+
+
+def _unpassed_parameters():
+    """Yield (qualified name, parameter) per defaulted parameter or
+    `**kwargs` that no call of that name in src/ or perfbench/ passes."""
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                calls.append((f.id if isinstance(f, ast.Name) else getattr(f, "attr", None),
+                              node, path))
+    for qual, name, a, bound, path, first, last in _signatures():
+        named = [c for n, c, p in calls
+                 if n == name and (p != path or not first <= c.lineno <= last)]
+        positional = a.posonlyargs + a.args
+        first_default = len(positional) - len(a.defaults)
+        optional = {arg.arg: i - bound for i, arg in enumerate(positional) if i >= first_default}
+        optional.update({arg.arg: None for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                         if d is not None})
+        for param, position in optional.items():
+            if not any(_passes(c, param, position) for c in named):
+                yield qual, param
+        known = {arg.arg for arg in positional + a.kwonlyargs}
+        if a.kwarg is not None and not any(k.arg not in known
+                                           for c in named for k in c.keywords):
+            yield qual, "**" + a.kwarg.arg
+
+
+def test_every_optional_parameter_is_passed_by_some_call():
+    unpassed = [f"{q}({p})" for q, p in _unpassed_parameters() if q not in PARAMS_ALLOWED]
+    assert not unpassed, f"optional parameters no call in src/ or perfbench/ passes: {unpassed}"
+
+
+def test_parameter_allowlist_names_functions_with_unpassed_parameters():
+    assert set(PARAMS_ALLOWED) <= {q for q, _ in _unpassed_parameters()}

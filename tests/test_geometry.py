@@ -187,3 +187,33 @@ class TestLogExpMap:
         e = np.linalg.eigh(z)
         expected = (e[1] * np.log(e[0])) @ e[1].T
         assert np.allclose(log_map(np.eye(4), z), expected, atol=1e-10)
+
+
+class TestNonSpdArguments:
+    """Every SPD argument is rejected through NumericalError, whether it is
+    checked by the eigendecomposition that factors it or, where nothing is
+    factored, by check_spd."""
+
+    BAD = {"indefinite": np.diag([1.0, -1.0, 2.0]), "singular": np.diag([1.0, 0.0, 1.0]),
+           "nan": np.diag([np.nan, 1.0, 1.0]), "inf": np.diag([np.inf, 1.0, 1.0])}
+    GOOD = 2.0 * np.eye(3)
+    CALLS = {
+        "airm_dist z1": lambda b, z: airm_dist(b, z),
+        "airm_dist z2": lambda b, z: airm_dist(z, b),
+        "geo_mean z1 w=0.3": lambda b, z: geo_mean(b, z, 0.3),
+        "geo_mean z2 w=0.3": lambda b, z: geo_mean(z, b, 0.3),
+        "geo_mean z1 w=0": lambda b, z: geo_mean(b, z, 0.0),
+        "geo_mean z2 w=0": lambda b, z: geo_mean(z, b, 0.0),
+        "geo_mean z1 w=1": lambda b, z: geo_mean(b, z, 1.0),
+        "geo_mean z2 w=1": lambda b, z: geo_mean(z, b, 1.0),
+        "karcher_mean init": lambda b, z: karcher_mean(z[None], init=b),
+        "parallel_transport z1": lambda b, z: parallel_transport(np.eye(3), b, z),
+        "parallel_transport z2": lambda b, z: parallel_transport(np.eye(3), z, b),
+    }
+
+    @pytest.mark.parametrize("call", list(CALLS))
+    @pytest.mark.parametrize("bad", list(BAD))
+    def test_raises_numerical_error(self, call, bad):
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalError):
+                self.CALLS[call](self.BAD[bad], self.GOOD)

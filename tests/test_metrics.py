@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from tmknet import metrics
 from tmknet.errors import DataError
 from tmknet.metrics import (
     MetricsReport,
@@ -43,7 +44,8 @@ class TestConfusionScores:
         assert acc == np.trace(cm) / cm.sum()
 
     def test_json_round_trip(self):
-        rep = report_from_predictions([0, 1], [0, 1], 2, seed=7, config_hash="abc")
+        rep = report_from_predictions([0, 1], [0, 1], 2)
+        rep.seed, rep.config_hash = 7, "abc"
         back = MetricsReport.from_json(rep.to_json())
         assert back == rep
 
@@ -116,12 +118,14 @@ class TestWilcoxon:
         with pytest.raises(DataError):
             wilcoxon_signed_rank([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0])
 
-    def test_normal_approximation_close_to_exact(self):
+    def test_normal_approximation_close_to_exact(self, monkeypatch):
         rng = np.random.default_rng(0)
         diffs = rng.normal(size=26) + 0.4
         w_norm, p_norm = wilcoxon_signed_rank(diffs, np.zeros(26))
-        w_exact, p_exact = wilcoxon_signed_rank(diffs, np.zeros(26), exact_threshold=26)
+        monkeypatch.setattr(metrics, "EXACT_PAIRS", 26)
+        w_exact, p_exact = wilcoxon_signed_rank(diffs, np.zeros(26))
         assert w_norm == w_exact
+        assert p_norm != p_exact  # 26 pairs switch to the normal path
         assert abs(p_norm - p_exact) < 0.01
 
     def test_zero_differences_dropped(self):

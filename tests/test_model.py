@@ -150,7 +150,7 @@ class TestEndToEndGradients:
             probe.load_arrays({**probe.arrays(), **values})
             tape = Tape()
             pvars = probe.param_vars(tape, trainable=False)
-            logits = probe.forward(tape, tape.constant(x), ids, "train", pvars)
+            logits = probe.forward(tape, tape.leaf(x), ids, "train", pvars)
             return float(ad.cross_entropy(logits, labels).value)
 
         base = {k: p.value.copy() for k, p in model.params.items()}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tmknet import optim
 from tmknet.errors import NumericalError
 from tmknet.optim import Param, adam_step
 
@@ -30,8 +31,8 @@ class TestAdamStep:
         store = {"x": Param(np.zeros(()), "euclidean")}
         g = 0.37
         lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
-        adam_step(store, {"x": np.array(g)}, lr=lr, beta1=b1, beta2=b2, eps=eps,
-                  weight_decay=0.0)
+        assert (optim.BETA1, optim.BETA2, optim.EPS) == (b1, b2, eps)
+        adam_step(store, {"x": np.array(g)}, lr=lr, weight_decay=0.0)
         ghat = (g * (1 - b1) / (1 - b1)) / (np.sqrt(g * g * (1 - b2) / (1 - b2)) + eps)
         assert abs(float(store["x"].value) + lr * ghat) < 1e-15
 

@@ -45,7 +45,7 @@ def stem_params(cfg):
 
 
 def lift_params(tape, params):
-    return {k: tape.constant(v) for k, v in params.items()}
+    return {k: tape.leaf(v) for k, v in params.items()}
 
 
 class TestTemporalKernelSize:
@@ -64,14 +64,14 @@ class TestStemConfig:
         assert cfg.temporal_kernel_sizes == (25, 12, 6)
         tape = Tape()
         params = lift_params(tape, stem_params(cfg))
-        z = mrt_branches(tape.constant(rng.normal(size=(1, 1, 14, 400))), params, cfg)
+        z = mrt_branches(tape.leaf(rng.normal(size=(1, 1, 14, 400))), params, cfg)
         assert z.value.shape[3] == 94 + 97 + 98  # (400 - k + 1) // 4 per kernel
         assert mss_branches(z, params, cfg).value.shape[2] == 1 + 1 + 1 + 2 + 7
 
     def test_mss_sensor_law_large(self, rng):
         cfg = make_cfg(c=64)
         tape = Tape()
-        z = tape.constant(rng.normal(size=(1, cfg.n_t, 64, 3)))
+        z = tape.leaf(rng.normal(size=(1, cfg.n_t, 64, 3)))
         out = mss_branches(z, lift_params(tape, stem_params(cfg)), cfg)
         assert out.value.shape[2] == 37  # 1+1+1+2+32
 
@@ -106,7 +106,7 @@ class TestMrt:
         params = {"mrt.branch0.weight": np.ones((3, 1, 1, 1)),
                   "mrt.branch0.bias": np.zeros(3)}
         tape = Tape()
-        out = mrt_branches(tape.constant(x), lift_params(tape, params), cfg)
+        out = mrt_branches(tape.leaf(x), lift_params(tape, params), cfg)
         assert out.value.shape == (2, 3, 8, 10)
         for ch in range(3):
             assert np.allclose(out.value[:, ch], x[:, 0])
@@ -115,7 +115,7 @@ class TestMrt:
         cfg = make_cfg(c=8, fs=2000.0, r_data=1 / 5, r_res=(1 / 16, 1 / 32, 1 / 64), pool=4)
         params = stem_params(cfg)
         tape = Tape()
-        x = tape.constant(rng.normal(size=(3, 1, 8, 400)))
+        x = tape.leaf(rng.normal(size=(3, 1, 8, 400)))
         state = BnState.create(cfg.n_t)
         out = mrt_forward(x, lift_params(tape, params), cfg, state, "train")
         assert out.value.shape == (3, cfg.n_t, 8, 94 + 97 + 98)
@@ -126,14 +126,14 @@ class TestMrt:
         params = {"mrt.branch0.weight": np.ones((2, 1, 1, 1)),
                   "mrt.branch0.bias": np.zeros(2)}
         tape = Tape()
-        out = mrt_branches(tape.constant(x), lift_params(tape, params), cfg)
+        out = mrt_branches(tape.leaf(x), lift_params(tape, params), cfg)
         assert np.allclose(out.value, -0.01)
 
     def test_pool_larger_than_conv_output(self, rng):
         # kernel 25 on 30 samples leaves 6 conv samples, fewer than the pool
         cfg = make_cfg(c=8, fs=2000.0, r_data=1 / 5, r_res=(1 / 16,), pool=7)
         tape = Tape()
-        x = tape.constant(rng.normal(size=(2, 1, 8, 30)))
+        x = tape.leaf(rng.normal(size=(2, 1, 8, 30)))
         with pytest.raises(ConfigError, match="pool size 7 exceeds"):
             mrt_branches(x, lift_params(tape, stem_params(cfg)), cfg)
 
@@ -141,7 +141,7 @@ class TestMrt:
         cfg = make_cfg(c=8, fs=2000.0, r_data=1 / 5, r_res=(1 / 16,), pool=1)
         params = stem_params(cfg)
         tape = Tape()
-        x = tape.constant(rng.normal(size=(2, 1, 8, 10)))  # t=10 < kernel 25
+        x = tape.leaf(rng.normal(size=(2, 1, 8, 10)))  # t=10 < kernel 25
         with pytest.raises(ConfigError):
             mrt_branches(x, lift_params(tape, params), cfg)
 
@@ -151,7 +151,7 @@ class TestMss:
         cfg = make_cfg(c=8, n_t=3, n_s=5)
         params = stem_params(cfg)
         tape = Tape()
-        z = tape.constant(rng.normal(size=(2, 3, 8, 7)))
+        z = tape.leaf(rng.normal(size=(2, 3, 8, 7)))
         state = BnState.create(cfg.n_s)
         out = mss_forward(z, lift_params(tape, params), cfg, state, "train")
         assert out.value.shape == (2, 5, 1 + 1 + 1 + 2 + 4, 7)
@@ -162,7 +162,7 @@ class TestMss:
         params = {"mss.global.weight": np.ones((2, 3, 8, 1)),
                   "mss.global.bias": np.zeros(2)}
         tape = Tape()
-        out = mss_branches(tape.constant(z), lift_params(tape, params), cfg)
+        out = mss_branches(tape.leaf(z), lift_params(tape, params), cfg)
         assert out.value.shape == (1, 2, 1, 4)
         assert np.allclose(out.value, 8 * 3)  # c * n_t
 
@@ -187,8 +187,8 @@ class TestMss:
             pool_size=cfg.pool_size, mss_kernels=cfg.mss_kernels,
         )
         t1, t2 = Tape(), Tape()
-        out1 = mss_branches(t1.constant(z), lift_params(t1, params), cfg)
-        out2 = mss_branches(t2.constant(z_perm), lift_params(t2, params), cfg_perm)
+        out1 = mss_branches(t1.leaf(z), lift_params(t1, params), cfg)
+        out2 = mss_branches(t2.leaf(z_perm), lift_params(t2, params), cfg_perm)
         assert np.allclose(out1.value, out2.value)
 
     def test_dilated_depends_on_raw_order(self, rng):
@@ -196,8 +196,8 @@ class TestMss:
         params = stem_params(cfg)
         z = rng.normal(size=(1, 2, 8, 5))
         t1, t2 = Tape(), Tape()
-        out1 = mss_branches(t1.constant(z), lift_params(t1, params), cfg)
-        out2 = mss_branches(t2.constant(z[:, :, ::-1, :].copy()), lift_params(t2, params), cfg)
+        out1 = mss_branches(t1.leaf(z), lift_params(t1, params), cfg)
+        out2 = mss_branches(t2.leaf(z[:, :, ::-1, :].copy()), lift_params(t2, params), cfg)
         assert not np.allclose(out1.value, out2.value)
 
 
@@ -207,9 +207,9 @@ class TestEuclidBatchnorm:
         state = state or BnState.create(ch)
         tape = Tape()
         out = euclid_batchnorm(
-            tape.constant(x),
-            tape.constant(np.ones(ch) if gamma is None else gamma),
-            tape.constant(np.zeros(ch) if beta is None else beta),
+            tape.leaf(x),
+            tape.leaf(np.ones(ch) if gamma is None else gamma),
+            tape.leaf(np.zeros(ch) if beta is None else beta),
             state, mode,
         )
         return out.value, state
@@ -298,8 +298,8 @@ class TestBatchnormMatchesChain:
         bv = tape.leaf(beta, requires_grad=gamma_grad)
         out = bn(xv, gv, bv, state, mode)
         nodes = len(tape._nodes)
-        # the transpose hands `out` a gradient in the memory order g_perm gives
-        tape.backward(ad.sum_(ad.mul(ad.transpose(out, g_perm), g)))
+        # hand `out` the gradient g, in the memory order g_perm gives it
+        tape.backward(tape.record((out,), np.zeros(()), lambda _: (g.transpose(np.argsort(g_perm)),)))
         grads = [xv.grad] + ([gv.grad, bv.grad] if gamma_grad else [])
         return nodes, [out.value, *grads, state.mean, state.var]
 
@@ -333,7 +333,7 @@ class TestBatchnormMatchesChain:
         for bn in (chain_batchnorm, euclid_batchnorm):
             tape = Tape()
             gv, bv = tape.leaf(gamma, True), tape.leaf(beta, True)
-            out = bn(tape.constant(x), gv, bv, BnState.create(5), "train")
+            out = bn(tape.leaf(x), gv, bv, BnState.create(5), "train")
             tape.backward(ad.sum_(ad.mul(out, g)))
             grads.append([gv.grad.tobytes(), bv.grad.tobytes()])
         assert grads[0] == grads[1]
@@ -521,13 +521,13 @@ class TestStemGradients:
         def loss_value(vals):
             tape = Tape()
             pv = {k: tape.leaf(v) for k, v in vals.items()}
-            z = mrt_forward(tape.constant(x), pv, cfg, BnState.create(cfg.n_t), "train")
+            z = mrt_forward(tape.leaf(x), pv, cfg, BnState.create(cfg.n_t), "train")
             z = mss_forward(z, pv, cfg, BnState.create(cfg.n_s), "train")
             return float(ad.sum_(ad.mul(z, coeffs)).value)
 
         tape = Tape()
         pv = {k: tape.leaf(v.copy(), requires_grad=True) for k, v in params.items()}
-        z = mrt_forward(tape.constant(x), pv, cfg, BnState.create(cfg.n_t), "train")
+        z = mrt_forward(tape.leaf(x), pv, cfg, BnState.create(cfg.n_t), "train")
         z = mss_forward(z, pv, cfg, BnState.create(cfg.n_s), "train")
         tape.backward(ad.sum_(ad.mul(z, coeffs)))
 
