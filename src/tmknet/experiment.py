@@ -24,14 +24,13 @@ from .data import _check_field_types, leave_one_session_out
 from .errors import ConfigError, DataError, NumericalError
 from .linalg import sym_fn
 from .metrics import MetricsReport, report_from_predictions
-from .model import ModelConfig, TMKNet, layout
+from .model import ModelConfig, TMKNet, eval_blocks, layout
 from .optim import adam_step
 from .stem import MSS_KERNELS, StemConfig
 
 CHECKPOINT_MAGIC = b"TMKN"
 CHECKPOINT_VERSION = 2
 DIGEST_LEN = 32  # trailing SHA-256 of every checkpoint byte before it
-INFER_CHUNK = 256  # rows per eval-mode forward in chunked inference
 
 ABLATION_VARIANTS = (
     "no_mrt",
@@ -238,13 +237,13 @@ def train(cfg: RunConfig, manifest: DatasetManifest,
 
 
 def _validation_loss(model: TMKNet, trials: list[Trial]) -> float:
-    """Mean eval-mode cross-entropy over a labeled trial list."""
-    total = 0.0
+    """Mean eval-mode cross-entropy over a labeled trial list, summed once
+    over all trials, so the blocks of the forward do not round the sum."""
+    picked = []
     for chunk, logits, _ in _predict_chunks(model, trials):
         logp = ad.log_softmax(Tape().leaf(logits)).value
-        labels = np.array([t.label for t in chunk])
-        total += -logp[np.arange(len(chunk)), labels].sum()
-    return total / len(trials)
+        picked.append(logp[np.arange(len(chunk)), [t.label for t in chunk]])
+    return -np.concatenate(picked).sum() / len(trials)
 
 
 def adapt(model: TMKNet, signals: np.ndarray, domain: tuple[int, int],
@@ -252,7 +251,9 @@ def adapt(model: TMKNet, signals: np.ndarray, domain: tuple[int, int],
     """Accumulate target-domain normalization statistics from unlabeled data.
 
     `signals` is a bare (n, c, t) stack; labels are structurally absent from
-    this path. Weights are untouched.
+    this path. Weights are untouched. Each `batch_size` batch updates the
+    statistics once; within it the stem runs in `model.eval_blocks` slices
+    (see `TMKNet.adapt_batch`).
     """
     signals = np.asarray(signals, dtype=np.float64)
     if signals.ndim != 3:
@@ -268,13 +269,15 @@ def adapt(model: TMKNet, signals: np.ndarray, domain: tuple[int, int],
 
 
 def _predict_chunks(model: TMKNet, trials: list[Trial], capture: bool = False):
-    """Eval-mode logits over `trials`, INFER_CHUNK rows per forward.
+    """Eval-mode logits over `trials`, one `model.predict_logits` call per
+    `model.eval_blocks` slice, in trial order: at most EVAL_BLOCK rows per
+    forward, so memory does not grow with the number of trials.
 
     Yields (chunk, logits, captured): `captured` holds the chunk's pre- and
     post-DSBN matrices when `capture` is set, and is None otherwise.
     """
-    for start in range(0, len(trials), INFER_CHUNK):
-        chunk = trials[start: start + INFER_CHUNK]
+    for s in eval_blocks(len(trials)):
+        chunk = trials[s]
         x = np.stack([t.signal for t in chunk]).astype(np.float64)
         captured = {} if capture else None
         logits = model.predict_logits(x, [domain_key(t.domain) for t in chunk], captured)

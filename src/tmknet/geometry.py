@@ -6,6 +6,10 @@ leading axes; an SPD batch has shape (K, n, n).
 An SPD argument is checked once, by the eigendecomposition that factors it
 (z2 as z1^{-1/2} z2 z1^{-1/2}, SPD exactly when z2 is); `check_spd` runs only
 on both arguments of `geo_mean` at w = 0 and w = 1, where nothing is factored.
+The whitened z2 is symmetrized before it is factored, which would hide an
+asymmetric z2, so z2 first passes `linalg.check_sym` (the eigensolver's own
+input checks, O(n^2)) and must have z1's size: either argument fails the
+same way.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalError
-from .linalg import sym_eig, sym_fn, symmetrize
+from .linalg import check_sym, sym_eig, sym_fn, symmetrize
 
 __all__ = [
     "check_spd",
@@ -35,6 +39,14 @@ def check_spd(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return np.asarray(m, dtype=np.float64)
 
 
+def _check_z2(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """`z2` as float64 once it passes `check_sym` and has `z1`'s matrix size."""
+    z2 = check_sym(z2)
+    if z2.shape[-1:] != np.shape(z1)[-1:]:
+        raise NumericalError(f"dimension mismatch: {np.shape(z1)[-2:]} vs {z2.shape[-2:]}")
+    return z2
+
+
 def _sqrt_pair(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(b^{1/2}, b^{-1/2}) from one eigendecomposition of b."""
     e = sym_eig(b)
@@ -44,6 +56,7 @@ def _sqrt_pair(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _at_base(base: np.ndarray, x: np.ndarray, tag: str, param=None) -> np.ndarray:
     """base^{1/2} f(base^{-1/2} x base^{-1/2}) base^{1/2} for the spectral
     function `tag`, broadcasting `x` over leading axes."""
+    x = _check_z2(base, x)
     s, inv_s = _sqrt_pair(base)
     return symmetrize(s @ sym_fn(symmetrize(inv_s @ x @ inv_s), tag, param) @ s)
 
@@ -53,12 +66,7 @@ def airm_dist(z1: np.ndarray, z2: np.ndarray) -> float | np.ndarray:
 
     Broadcasts over leading axes; scalar for single matrices.
     """
-    z1 = np.asarray(z1, dtype=np.float64)
-    z2 = np.asarray(z2, dtype=np.float64)
-    if z1.shape[-1] != z2.shape[-1]:
-        raise NumericalError(
-            f"dimension mismatch: {z1.shape[-2:]} vs {z2.shape[-2:]}"
-        )
+    z2 = _check_z2(z1, z2)
     inv_sqrt = sym_fn(z1, "inv_sqrt")
     lam = sym_eig(symmetrize(inv_sqrt @ z2 @ inv_sqrt))[0]
     if lam.min(initial=np.inf) <= 0.0:
@@ -76,7 +84,7 @@ def geo_mean(z1: np.ndarray, z2: np.ndarray, w: float) -> np.ndarray:
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"weight w must lie in [0, 1], got {w}")
     if w in (0.0, 1.0):
-        z1, z2 = check_spd(z1, "z1"), check_spd(z2, "z2")
+        z1, z2 = check_spd(z1, "z1"), check_spd(_check_z2(z1, z2), "z2")
         return (z1 if w == 0.0 else z2).copy()
     return _at_base(z1, z2, "pow", w)
 
@@ -141,6 +149,7 @@ def parallel_transport(s_tan: np.ndarray, z1: np.ndarray, z2: np.ndarray) -> np.
     against round-off.
     """
     s_tan = np.asarray(s_tan, dtype=np.float64)
+    z2 = _check_z2(z1, z2)
     sqrt1, inv_sqrt1 = _sqrt_pair(z1)
     mid = sym_fn(symmetrize(inv_sqrt1 @ z2 @ inv_sqrt1), "sqrt")
     e = sqrt1 @ mid @ inv_sqrt1

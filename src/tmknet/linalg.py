@@ -27,6 +27,7 @@ import numpy as np
 from .errors import NumericalError
 
 __all__ = [
+    "check_sym",
     "sym_eig",
     "sym_fn",
     "sym_fn_vjp",
@@ -42,26 +43,33 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
-def sym_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition (lam, u) of a symmetric matrix (stack): eigenvalues
-    lam (..., n) ascending along the last axis, and orthogonal u (..., n, n)
-    whose columns are the eigenvectors.
-
-    The input is symmetrized as (m + m^T)/2 before factorization. Raises
-    NumericalError when the input is not square, is asymmetric beyond 1e-8
-    relative, contains non-finite values, or the eigensolver fails.
-    """
+def check_sym(m: np.ndarray) -> np.ndarray:
+    """`m` as float64; NumericalError unless it is a stack of square, finite
+    matrices, symmetric to 1e-8 relative. These are `sym_eig`'s input checks,
+    for arguments that reach the eigensolver only after a congruence."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise NumericalError(f"sym_eig expects square matrices, got shape {m.shape}")
+        raise NumericalError(f"expected square matrices, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise NumericalError("sym_eig input contains NaN or Inf")
+        raise NumericalError("matrix contains NaN or Inf")
     scale = np.abs(m).max(initial=0.0)
     asym = np.abs(m - np.swapaxes(m, -1, -2)).max(initial=0.0)
     if scale > 0 and asym > 1e-8 * scale:
         raise NumericalError(
             f"matrix asymmetry {asym:.3e} exceeds 1e-8 relative tolerance"
         )
+    return m
+
+
+def sym_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (lam, u) of a symmetric matrix (stack): eigenvalues
+    lam (..., n) ascending along the last axis, and orthogonal u (..., n, n)
+    whose columns are the eigenvectors.
+
+    The input is symmetrized as (m + m^T)/2 before factorization. Raises
+    NumericalError when the input fails `check_sym` or the eigensolver fails.
+    """
+    m = check_sym(m)
     try:
         lam, u = np.linalg.eigh(symmetrize(m))
     except np.linalg.LinAlgError as exc:  # iteration cap exceeded in LAPACK

@@ -24,6 +24,19 @@ from .optim import Param, stiefel_retract_rows
 from .stem import BnState, StemConfig
 
 SHARED_DOMAIN = "shared"
+# most trials per gradient-free stem forward (evaluation, adaptation); larger
+# forwards hold feature maps that grow with the batch and score no faster
+EVAL_BLOCK = 8
+
+
+def eval_blocks(n: int) -> list[slice]:
+    """ceil(n / EVAL_BLOCK) ordered slices covering range(n), with the sizes
+    `np.array_split` gives: for n >= EVAL_BLOCK every block holds between
+    EVAL_BLOCK // 2 and EVAL_BLOCK rows, so none is left with one or two."""
+    k = -(-n // EVAL_BLOCK)
+    q, r = divmod(n, max(k, 1))
+    edges = [i * q + min(i, r) for i in range(k + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 @dataclass
@@ -198,6 +211,11 @@ class TMKNet:
 
     def predict_logits(self, x: np.ndarray, domain_ids: list[str],
                        capture: dict | None = None) -> np.ndarray:
+        """Eval-mode logits of (b, c, t) signals in one forward of all b rows.
+
+        The forward's memory grows with b; a caller with many trials should
+        pass them in `eval_blocks` slices, as `experiment.evaluate` does.
+        """
         tape = Tape()
         logits = self.forward(tape, tape.leaf(x), domain_ids, "eval", capture=capture)
         return logits.value
@@ -212,13 +230,16 @@ class TMKNet:
     def adapt_batch(self, x: np.ndarray, domain_ids: list[str]) -> None:
         """Update target-domain SPD statistics from an unlabeled batch.
 
-        The stem runs in eval mode (its running statistics stay source-only);
-        nothing is recorded for differentiation.
+        The stem runs in eval mode (its running statistics stay source-only)
+        over `eval_blocks` slices of the batch, one forward each, on one tape
+        that records nothing for differentiation. DSBN then folds the
+        statistics of the whole batch, as one forward of all rows would.
         """
         tape = Tape()
-        h = self.features(tape, tape.leaf(x), "eval",
-                          self.param_vars(tape, trainable=False))
-        bk.dsbn_forward(h, self._bn_ids(domain_ids), self.dsbn, "adapt")
+        pvars = self.param_vars(tape, trainable=False)
+        h = np.concatenate([self.features(tape, tape.leaf(x[s]), "eval", pvars).value
+                            for s in eval_blocks(len(x))])
+        bk.dsbn_forward(tape.leaf(h), self._bn_ids(domain_ids), self.dsbn, "adapt")
 
     # --- array snapshot ---------------------------------------------------------
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import struct
@@ -7,12 +8,17 @@ import numpy as np
 import pytest
 from conftest import reseal_checkpoint, seal_checkpoint, set_array_value
 
-from tmknet.data import SynthSpec, leave_one_session_out, synth_generate
+from tmknet import autodiff as ad
+from tmknet.autodiff import Tape
+from tmknet.backbone import dsbn_forward
+from tmknet.data import DomainBatchSampler, SynthSpec, leave_one_session_out, synth_generate
 from tmknet.errors import ConfigError, DataError
 from tmknet.experiment import (
     ABLATION_VARIANTS,
     RunConfig,
     ablate,
+    _tangent_vector,
+    _validation_loss,
     ablation_table,
     adapt,
     build_model_config,
@@ -26,7 +32,9 @@ from tmknet.experiment import (
     train,
 )
 from tmknet.geometry import airm_dist
-from tmknet.model import TMKNet, layout
+from tmknet.linalg import sym_fn
+from tmknet.metrics import report_from_predictions
+from tmknet.model import EVAL_BLOCK, TMKNet, layout
 
 
 SPEC = SynthSpec(n_classes=3, sensors=8, n_domains=3, trials_per_cell=12,
@@ -213,6 +221,153 @@ class TestExportFeatures:
         _, rows1 = export_features(model, chosen)
         _, rows2 = export_features(model, chosen)
         assert rows1 == rows2
+
+
+# the acceptance suite's desk shape: 8 sensors at 256 Hz, n_t 6, n_s 10, n_b 6
+DESK_SPEC = SynthSpec(n_classes=4, sensors=8, n_domains=4, trials_per_cell=50,
+                      fs=256.0, domain_shift=1.4, seed=7)
+DESK_CFG = RunConfig(subject=0, target_session=3, n_t=6, n_s=10, n_b=6, r_data=0.25,
+                     batch_size=32, domains_per_batch=3, seed=1)
+
+
+@pytest.fixture(scope="module")
+def desk_primed():
+    """An untrained desk-shape model with primed source and target statistics,
+    and a trial list that mixes all four sessions."""
+    manifest, trials = synth_generate(DESK_SPEC)
+    plan = leave_one_session_out(manifest, 0, DESK_CFG.target_session)
+    model = TMKNet(build_model_config(manifest, DESK_CFG), seed=DESK_CFG.seed)
+    model.register_domains([domain_key(d) for d in plan.sources], [domain_key(plan.target)])
+    sampler = DomainBatchSampler([t for t in trials if t.domain in plan.sources], 30, 3,
+                                 np.random.default_rng(0))
+    for _ in range(3):
+        x, _, doms = sampler.next_batch()
+        model.prime_stats(x, [domain_key(d) for d in doms])
+    target = np.stack([t.signal for t in trials if t.domain == plan.target])
+    adapt(model, target, plan.target, batch_size=50)
+    return manifest, trials, model
+
+
+def _whole(model, trials, capture=None):
+    """Logits of one forward over every trial: the unblocked oracle."""
+    x = np.stack([t.signal for t in trials]).astype(np.float64)
+    return model.predict_logits(x, [domain_key(t.domain) for t in trials], capture)
+
+
+def _spied(model):
+    """A copy of `model` whose predict_logits records (rows, logits, capture)
+    per call, as a caller that replaces the attribute sees them."""
+    model = copy.deepcopy(model)
+    calls = []
+    predict = model.predict_logits
+
+    def spy(x, ids, capture=None):
+        logits = predict(x, ids, capture)
+        calls.append((x, logits, capture))
+        return logits
+
+    model.predict_logits = spy
+    return model, calls
+
+
+def _blocked(calls, trials):
+    """The spied calls' logits stacked in order, after checking that they
+    cover `trials` in order, EVAL_BLOCK rows at most per call."""
+    assert all(len(x) <= EVAL_BLOCK for x, _, _ in calls)
+    x = np.stack([t.signal for t in trials]).astype(np.float64)
+    assert np.concatenate([x for x, _, _ in calls]).tobytes() == x.tobytes()
+    return np.concatenate([logits for _, logits, _ in calls])
+
+
+class TestBlockedForwards:
+    """Evaluation, validation, feature export and adaptation run the stem in
+    blocks of at most EVAL_BLOCK trials, with the bits of one whole forward."""
+
+    def test_evaluate_matches_one_forward(self, desk_primed):
+        manifest, trials, model = desk_primed
+        chosen = trials[::8]
+        whole = _whole(model, chosen)
+        spied, calls = _spied(model)
+        report = evaluate(spied, chosen, manifest)
+        assert _blocked(calls, chosen).tobytes() == whole.tobytes()
+        assert report == report_from_predictions([t.label for t in chosen],
+                                                 whole.argmax(axis=1).tolist(),
+                                                 manifest.n_classes)
+
+    def test_validation_loss_matches_one_forward(self, desk_primed):
+        _, trials, model = desk_primed
+        chosen = [t for t in trials if t.domain != (0, 3)][::5]
+        logp = ad.log_softmax(Tape().leaf(_whole(model, chosen))).value
+        labels = [t.label for t in chosen]
+        oracle = -logp[np.arange(len(chosen)), labels].sum() / len(chosen)
+        spied, calls = _spied(model)
+        loss = _validation_loss(spied, chosen)
+        _blocked(calls, chosen)
+        assert np.float64(loss).tobytes() == np.float64(oracle).tobytes()
+
+    def test_export_features_matches_one_forward(self, desk_primed):
+        _, trials, model = desk_primed
+        chosen = trials[3::9]
+        captured = {}
+        whole = _whole(model, chosen, captured)
+        spied, calls = _spied(model)
+        _, rows = export_features(spied, chosen)
+        assert _blocked(calls, chosen).tobytes() == whole.tobytes()
+        for key in ("pre_dsbn", "post_dsbn"):
+            assert (np.concatenate([c[key] for _, _, c in calls]).tobytes()
+                    == captured[key].tobytes())
+        pre = _tangent_vector(sym_fn(captured["pre_dsbn"], "log"))
+        post = _tangent_vector(sym_fn(captured["post_dsbn"], "log"))
+        assert rows == [[t.trial_id, t.label, t.domain[0], t.domain[1],
+                         *pre[i].tolist(), *post[i].tolist()]
+                        for i, t in enumerate(chosen)]
+
+    @pytest.mark.parametrize("sizes", [(50, 50), (9,), (17, 32), (7, 2)])
+    def test_adapt_batch_matches_one_features_call(self, desk_primed, sizes):
+        _, trials, model = desk_primed
+        signals = np.stack([t.signal for t in trials if t.domain == (0, 3)]).astype(np.float64)
+        blocked, oracle = copy.deepcopy(model), copy.deepcopy(model)
+        for m in (blocked, oracle):  # a fresh target domain
+            m.dsbn.domains.pop("0/3")
+            m.dsbn.register("0/3", "target")
+        rows = []
+        features = blocked.features
+
+        def spy(tape, x, mode, pvars):
+            rows.append(len(x.value))
+            return features(tape, x, mode, pvars)
+
+        blocked.features = spy
+        start = 0
+        for n in sizes:
+            x, ids = signals[start:start + n], ["0/3"] * n
+            start += n
+            blocked.adapt_batch(x, ids)
+            tape = Tape()
+            h = oracle.features(tape, tape.leaf(x), "eval",
+                                oracle.param_vars(tape, trainable=False))
+            dsbn_forward(h, ids, oracle.dsbn, "adapt")
+        assert max(rows) <= EVAL_BLOCK and sum(rows) == sum(sizes)
+        got, want = blocked.dsbn.domains["0/3"], oracle.dsbn.domains["0/3"]
+        assert got.g_run.tobytes() == want.g_run.tobytes()
+        assert np.float64(got.v_run).tobytes() == np.float64(want.v_run).tobytes()
+        assert got.steps == want.steps == len(sizes)
+
+    def test_evaluate_peak_memory_does_not_grow_with_trials(self, desk_primed):
+        manifest, trials, model = desk_primed
+        evaluate(model, trials[:EVAL_BLOCK], manifest)  # first-call allocations
+
+        def peak(n):
+            chosen = trials[:n]
+            tracemalloc.start()
+            try:
+                evaluate(model, chosen, manifest)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(4 * EVAL_BLOCK), peak(16 * EVAL_BLOCK)
+        assert large <= 1.1 * small, (small, large)
 
 
 class TestAblate:

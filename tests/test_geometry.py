@@ -217,3 +217,33 @@ class TestNonSpdArguments:
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericalError):
                 self.CALLS[call](self.BAD[bad], self.GOOD)
+
+
+class TestMalformedArguments:
+    """A matrix that is not square, has the other argument's size wrong, or is
+    asymmetric beyond 1e-8 relative is a NumericalError in either position."""
+
+    BAD = {"asymmetric": np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]]),
+           "non-square": np.ones((2, 3)) + np.eye(2, 3),
+           "wrong-size": 2.0 * np.eye(4)}
+    GOOD = 2.0 * np.eye(3)
+    TANGENT = np.diag([0.1, -0.2, 0.3])
+    CALLS = {
+        "airm_dist": lambda z1, z2: airm_dist(z1, z2),
+        "geo_mean w=0.3": lambda z1, z2: geo_mean(z1, z2, 0.3),
+        "geo_mean w=0": lambda z1, z2: geo_mean(z1, z2, 0.0),
+        "geo_mean w=1": lambda z1, z2: geo_mean(z1, z2, 1.0),
+        "log_map": lambda z1, z2: log_map(z1, z2),
+        "exp_map": lambda z1, z2: exp_map(z1, z2),
+        "parallel_transport": lambda z1, z2: parallel_transport(
+            TestMalformedArguments.TANGENT, z1, z2),
+    }
+
+    @pytest.mark.parametrize("bad", list(BAD))
+    @pytest.mark.parametrize("position", ["z1", "z2"])
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_raises_numerical_error(self, call, position, bad):
+        other = self.TANGENT if call == "exp_map" and position == "z1" else self.GOOD
+        args = (self.BAD[bad], other) if position == "z1" else (self.GOOD, self.BAD[bad])
+        with pytest.raises(NumericalError):
+            self.CALLS[call](*args)

@@ -8,7 +8,7 @@ from tmknet import autodiff as ad
 from tmknet import model as model_module
 from tmknet.autodiff import Tape
 from tmknet.errors import ConfigError
-from tmknet.model import ModelConfig, TMKNet
+from tmknet.model import EVAL_BLOCK, ModelConfig, TMKNet, eval_blocks
 from tmknet.stem import StemConfig
 
 
@@ -28,6 +28,20 @@ def toy_model():
     model = TMKNet(toy_config(), seed=0)
     model.register_domains(["0/0", "0/1"], ["0/2"])
     return model
+
+
+class TestEvalBlocks:
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 17, 60, 200, 256])
+    def test_balanced_ordered_cover(self, n):
+        blocks = eval_blocks(n)
+        assert len(blocks) == -(-n // EVAL_BLOCK)
+        assert [i for s in blocks for i in range(n)[s]] == list(range(n))
+        sizes = [len(range(n)[s]) for s in blocks]
+        assert max(sizes, default=0) <= EVAL_BLOCK
+        if n >= EVAL_BLOCK:
+            assert min(sizes) >= EVAL_BLOCK // 2
+        if blocks:
+            assert sizes == [len(a) for a in np.array_split(np.arange(n), len(blocks))]
 
 
 class TestForward:
@@ -60,9 +74,16 @@ class TestForward:
         permuted = np.empty_like(batch)
         permuted[perm] = toy_model.predict_logits(x[perm], [ids[i] for i in perm])
         assert np.abs(permuted - batch).max() <= 1e-15
-        # the MSS conv's GEMM rounds differently for one row than for six
-        # (1e-16 before DSBN), and this small random network amplifies that
-        # to about 1e-11 at the logits
+        # measured with OpenBLAS on one thread: at this toy shape the MSS
+        # layer's small GEMMs (44 rows per trial, 16-64 columns in, 6 out)
+        # round some rows differently with the product's row count, by about
+        # 1e-15 before DSBN, and this small random network amplifies that to
+        # about 1e-11 at the logits. At paper shape a 1-trial forward's stem,
+        # DSBN and LogEig outputs equal a 2-trial forward's bit for bit; only
+        # the head's (1, 900) @ (900, 4) product differs (1.7e-16 on a primed
+        # model), because numpy takes the matrix-vector path for one row. At
+        # desk shape blocks of 1 or 2 trials differ and blocks of 3 or more
+        # do not, which is why `eval_blocks` never forms a block below 4
         assert np.abs(single - batch).max() <= 1e-10
         for other in (single, permuted):
             assert np.array_equal(other.argmax(axis=1), batch.argmax(axis=1))
