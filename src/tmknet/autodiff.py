@@ -19,13 +19,16 @@ so its values and gradients are the chain's bit for bit:
 - `batch_norm`, per-channel batch normalization (the mean, sub, mul, power
   and add chain). It allocates two full-size arrays in forward where the
   chain allocates five, and keeps one of them for backward where the chain
-  keeps four.
+  keeps four. Its backward frees each full-size temporary after its last
+  use.
 - `mrt_block`, the temporal layer's branches (per branch a time
-  convolution, LeakyReLU and max-pooling, then a concat along time). For
-  backward it keeps only the pooling winners' indices.
+  convolution, LeakyReLU and max-pooling, then a concat along time). Its
+  forward runs over blocks of trials; for backward it keeps only the pooling
+  winners' indices.
 - `mss_block`, the spatial layer's kernels (per kernel a row gather, a
   strided or dilated sensor-axis convolution and LeakyReLU, then a concat
-  along the sensors). For backward it keeps each kernel's patch matrix.
+  along the sensors). For backward it keeps only its output; backward
+  rebuilds each kernel's patch matrix from the input, one kernel at a time.
 
 Allocator policy: importing this module sets glibc's malloc, once, to keep
 freed memory in the process (`_keep_freed_memory`). A training step frees
@@ -348,6 +351,20 @@ def _running_max(z: np.ndarray, size: int, with_arg: bool):
     return peak, arg
 
 
+# conv output per block of trials in mrt_block's forward: a block's conv output
+# stays in cache through bias, LeakyReLU and pooling
+_MRT_BLOCK_BYTES = 2 << 20
+
+
+def _winners(gp: np.ndarray, arg: np.ndarray, k: int, out: np.ndarray) -> None:
+    """Write np.where(arg == k, gp, 0.0) into `out` without a branch: gp's
+    bits where arg == k and all-zero bits (+0.0) elsewhere, so NaN payloads
+    and -0.0 pass bit for bit. The int8 mask -(arg == k) is all ones or all
+    zeros, and sign-extends to int64 inside the AND."""
+    np.bitwise_and(gp.view(np.int64), np.negative(arg == k, dtype=np.int8),
+                   out=out.view(np.int64))
+
+
 def mrt_block(x: Variable, convs: list[tuple[Variable, Variable]], slope: float,
               size: int) -> Variable:
     """Time convolutions, each followed by LeakyReLU and max-pooling, as one node.
@@ -359,28 +376,45 @@ def mrt_block(x: Variable, convs: list[tuple[Variable, Variable]], slope: float,
     (b, c_out, h, sum of pooled lengths) array.
 
     Values and gradients are those of the chain conv2d → leaky_relu →
-    max_pool_time per branch, then concat, bit for bit. LeakyReLU runs in
-    place as max(z, z * slope), which equals the chain's z * factor because
-    (1 - slope) + slope == 1.0. A branch that needs a gradient keeps only its
-    winner indices: in backward the factor at each winner is read off the
-    pooled output, whose sign is the conv output's, and the pooled gradient is
-    scattered into a conv-shaped gradient in the conv output's channel-fastest
-    memory order. The caller checks that each kernel and pooling window fits.
+    max_pool_time per branch, then concat, bit for bit. Forward runs each
+    branch over blocks of trials, as many as keep the widest conv output of a
+    block within `_MRT_BLOCK_BYTES`; every output row is the one a
+    whole-batch pass computes, and each block writes its slice of the output
+    and of the winner indices. LeakyReLU runs in place as max(z, z * slope),
+    which equals the chain's z * factor because (1 - slope) + slope == 1.0. A
+    branch that needs a gradient keeps only its winner indices: in backward
+    the factor at each winner is read off the pooled output, whose sign is
+    the conv output's, and per pool offset one branch-free select
+    (`_winners`) writes the pooled gradient at the winners, +0.0 elsewhere,
+    into a conv-shaped gradient in the conv output's channel-fastest memory
+    order. The caller checks that each kernel and pooling window fits.
     """
     vx = x.value
     bsz, _, h, t = vx.shape
-    bounds = np.cumsum([0, *((t - w.value.shape[3] + 1) // size for w, _ in convs)])
-    out = np.empty((bsz, convs[0][0].value.shape[0], h, bounds[-1]))
+    cout = convs[0][0].value.shape[0]
+    widths = [t - w.value.shape[3] + 1 for w, _ in convs]
+    bounds = np.cumsum([0, *(wd // size for wd in widths)])
+    out = np.empty((bsz, cout, h, bounds[-1]))
+    step = max(1, _MRT_BLOCK_BYTES // (8 * cout * h * max(widths)))
+    blocks = [slice(lo, lo + step) for lo in range(0, bsz, step)]
     args = []
     for (w, b), lo, hi in zip(convs, bounds[:-1], bounds[1:]):
-        z = np.tensordot(_windows(vx, 1, w.value.shape[3]), w.value,
-                         axes=([1, 4, 5], [1, 2, 3])).transpose(0, 3, 1, 2)
-        z += b.value[None, :, None, None]
-        np.maximum(z, z * slope, out=z)
-        peak, arg = _running_max(z, size, x.requires_grad or w.requires_grad or b.requires_grad)
-        out[..., lo:hi] = peak
+        arg = None
+        if x.requires_grad or w.requires_grad or b.requires_grad:
+            # in the conv output's memory order, as `_running_max` returns it
+            arg = np.empty((bsz, h, hi - lo, cout),
+                           np.min_scalar_type(size - 1)).transpose(0, 3, 1, 2)
+        for blk in blocks:
+            z = np.tensordot(_windows(vx[blk], 1, w.value.shape[3]), w.value,
+                             axes=([1, 4, 5], [1, 2, 3])).transpose(0, 3, 1, 2)
+            z += b.value[None, :, None, None]
+            np.maximum(z, z * slope, out=z)
+            peak, arg_blk = _running_max(z, size, arg is not None)
+            out[blk, ..., lo:hi] = peak
+            if arg is not None:
+                arg[blk] = arg_blk
+            del z, peak  # before the next block allocates its own
         args.append(arg)
-        del z, peak  # before the next branch allocates its own
 
     def backward(g):
         grads = [None] * (2 * len(convs))
@@ -401,7 +435,8 @@ def mrt_block(x: Variable, convs: list[tuple[Variable, Variable]], slope: float,
             n = (hi - lo) * size
             gz[..., n:] = 0.0
             for k in range(size):
-                gz[..., k:n:size] = np.where(arg == k, gp, 0.0)
+                _winners(gp, arg, k, gz[..., k:n:size])
+            del gp
             if w.requires_grad:
                 grads[2 * i] = np.tensordot(gz, _windows(vx, 1, kw), axes=([0, 2, 3], [0, 2, 3]))
             if b.requires_grad:
@@ -430,23 +465,28 @@ def mss_block(z: Variable, convs: list[tuple[tuple[int, ...] | None, Variable, V
     with that stride and dilation, and applies LeakyReLU with `slope` in
     (0, 1). The outputs concatenate along the sensor axis into one
     channel-fastest (b, c_out, sum of output heights, t) array, the memory
-    order in which `np.concatenate` keeps channel-fastest conv outputs. No
-    kernel may read one row of z twice.
+    order in which `np.concatenate` keeps channel-fastest conv outputs. A
+    kernel that reads one row of z twice raises ValueError.
 
     Values and gradients are those of the chain gather → conv2d → leaky_relu
     per kernel, then concat, bit for bit. Each kernel builds the patch matrix
-    that conv2d's `tensordot` forms, once, and keeps it for the weight
-    gradient when the weight needs one. Backward adds each tap's contribution
-    c to the input gradient in place, kernel by kernel, last kernel first as
-    the tape did. The chain added 0.0 + c for a read row and 0.0 for an unread
-    one, from its zero-filled scatters; the sum starts from +0.0 and so never
-    holds -0.0, and adding c or nothing gives the same bits.
+    that conv2d's `tensordot` forms and drops it after its product. The node
+    keeps no patch matrix for backward: where a weight needs a gradient,
+    backward rebuilds that kernel's patch matrix from z with the forward's
+    expression, uses it for the weight gradient and drops it before the next
+    kernel. Backward puts the output gradient of a kernel in the (b·oh·t,
+    c_out) order that each tap's product reads once, not once per tap, and
+    adds each tap's contribution c to the input gradient in place, kernel by
+    kernel, last kernel first as the tape did. The chain added 0.0 + c for a
+    read row and 0.0 for an unread one, from its zero-filled scatters; the
+    sum starts from +0.0 and so never holds -0.0, and adding c or nothing
+    gives the same bits.
     """
     vz = z.value
     bsz, cin, h, t = vz.shape
     cout = convs[0][1].value.shape[0]
-    # per kernel: first output row, output height and the input rows (a
-    # slice where it reads every row) each tap reads
+    # per kernel: first output row, output height, the input rows (a slice
+    # where it reads every row) each tap reads, and all of them tap by tap
     plans = []
     top = 0
     for rows, w, _, stride, dilation in convs:
@@ -458,51 +498,75 @@ def mss_block(z: Variable, convs: list[tuple[tuple[int, ...] | None, Variable, V
         # the in-place sums in backward are the chain's only if each input row
         # takes at most one contribution per kernel
         read = np.concatenate(taps)
-        assert np.unique(read).size == read.size, "a sensor kernel reads one input row twice"
+        if np.unique(read).size != read.size:
+            raise ValueError("a sensor kernel reads one input row twice")
         if rows is None:
             taps = [slice(i * dilation, i * dilation + (oh - 1) * stride + 1, stride)
                     for i in range(kh)]
-        plans.append((top, oh, taps))
+        plans.append((top, oh, taps, read))
         top += oh
-    mem = np.empty((bsz, top, t, cout))
-    kept = []
-    for (rows, w, b, stride, dilation), (lo, oh, _) in zip(convs, plans):
+
+    def patch_matrix(i):
+        """Kernel i's patch matrix, the (b·oh·t, c_in·k) matrix of windows
+        that conv2d's np.tensordot(patches, w, ([1, 4, 5], [1, 2, 3])) forms.
+
+        For a batch of one it is the chain's own expression, whose reshape
+        may return a view, and the product's rounding follows that view's
+        layout. For more trials the chain's reshape copies; the same
+        C-ordered bytes come here from the rows in tap order, in which each
+        window's (c_in, k) block is one strided run, so the copy streams
+        instead of stepping k rows at a time.
+        """
+        rows, w, _, stride, dilation = convs[i]
         kh = w.value.shape[2]
-        zk = vz if rows is None else np.take(vz, np.asarray(rows, dtype=np.intp), axis=2)
-        patches = _windows(zk, kh, 1, stride, dilation)
-        # the patch matrix and the product of conv2d's np.tensordot(patches,
-        # w, ([1, 4, 5], [1, 2, 3])); the reshape copies, or for a batch of
-        # one may return a view whose layout the product's rounding follows.
-        # The patch matrix serves the weight gradient again
-        pm = patches.transpose(0, 2, 3, 1, 4, 5).reshape(bsz * oh * t, cin * kh)
-        zo = np.dot(pm, w.value.transpose(1, 2, 3, 0).reshape(cin * kh, cout))
+        _, oh, _, read = plans[i]
+        shape = (bsz * oh * t, cin * kh)
+        if bsz == 1:
+            zk = vz if rows is None else np.take(vz, np.asarray(rows, dtype=np.intp), axis=2)
+            return _windows(zk, kh, 1, stride, dilation).transpose(0, 2, 3, 1, 4, 5).reshape(shape)
+        zt = vz if np.array_equal(read, np.arange(h)) else np.take(vz, read, axis=2)
+        return zt.reshape(bsz, cin, kh, oh, t).transpose(0, 3, 4, 1, 2).reshape(shape)
+
+    mem = np.empty((bsz, top, t, cout))
+    for i, ((_, w, b, _, _), (lo, oh, _, _)) in enumerate(zip(convs, plans)):
+        kh = w.value.shape[2]
+        zo = np.dot(patch_matrix(i), w.value.transpose(1, 2, 3, 0).reshape(cin * kh, cout))
         zo = zo.reshape(bsz, oh, t, cout)
         zo += b.value
         np.maximum(zo, zo * slope, out=mem[:, lo:lo + oh])
-        kept.append(pm if w.requires_grad else None)
-        del zk, patches, pm, zo  # before the next kernel allocates its own
+        del zo  # before the next kernel allocates its own
     out = mem.transpose(0, 3, 1, 2)
 
     def backward(g):
         grads = [None] * (2 * len(convs))
         gz_total = np.zeros_like(vz) if z.requires_grad else None
         for i in reversed(range(len(convs))):
-            (_, w, b, _, _), (lo, oh, taps), pm = convs[i], plans[i], kept[i]
+            (_, w, b, _, _), (lo, oh, taps, _) = convs[i], plans[i]
             vw = w.value
             factor = (out[:, :, lo:lo + oh] > 0) * (1.0 - slope)
             factor += slope
             gz = g[:, :, lo:lo + oh] * factor
-            if pm is not None:
+            del factor
+            if w.requires_grad:
+                # built before gz's copy below, so its gathered rows are gone
+                # by then
+                pm = patch_matrix(i)
                 # the product of np.tensordot(gz, patches, ([0, 2, 3], [0, 2, 3]))
                 grads[2 * i] = np.dot(gz.transpose(1, 0, 2, 3).reshape(vw.shape[0], -1),
                                       pm).reshape(vw.shape)
+                del pm
             if b.requires_grad:
                 grads[2 * i + 1] = gz.sum(axis=(0, 2, 3))
             if gz_total is None:
                 continue
+            # the operands of each tap's np.tensordot(gz, w_tap, ([1], [0])):
+            # gz in (b·oh·t, c_out) order, made once for all taps
+            gz_rows = gz.transpose(0, 2, 3, 1).reshape(-1, vw.shape[0])
+            del gz
             for j, rows in enumerate(taps):
-                contrib = np.tensordot(gz, vw[:, :, j, 0], axes=([1], [0]))
+                contrib = np.dot(gz_rows, vw[:, :, j, 0]).reshape(bsz, oh, t, cin)
                 gz_total[:, :, rows] += contrib.transpose(0, 3, 1, 2)
+            del gz_rows, contrib  # before the next kernel's patch matrix
         return (gz_total, *grads)
 
     return z.tape.record((z, *(p for _, w, b, _, _ in convs for p in (w, b))), out, backward)
@@ -521,7 +585,13 @@ def batch_norm(x: Variable, gamma: Variable, beta: Variable, eps: float,
     Forward and backward evaluate the expressions of the equivalent node
     chain (mean, sub, mul, mean, add, power, mul, mul, add) in its order, and
     allocate each array a reduction reads in the memory order the chain
-    would, so values and gradients equal the chain's bit for bit.
+    would, so values and gradients equal the chain's bit for bit. Forward
+    keeps the centred input for backward. Backward drops each full-size
+    temporary once its reduction or last use has run, and writes a later
+    result into a spent buffer only where that buffer has the result's
+    memory order. With a C-ordered upstream gradient, as the layers above
+    hand it back, at most two full-size arrays of its own are live at a
+    time, the input gradient included; three otherwise.
     """
     vx = x.value
     ch = vx.shape[1]
@@ -553,22 +623,29 @@ def batch_norm(x: Variable, gamma: Variable, beta: Variable, eps: float,
             # in xc's memory order rather than the chain's
             xn = xc * r
             g_gamma = _unbroadcast(g * xn, shape).reshape(ch)
+            del xn
         if not x.requires_grad:
             return None, g_gamma, g_beta
         g_xn = g * gr
         if stats is not None:
-            return g_xn * r, g_gamma, g_beta
-        g_r = _unbroadcast(g_xn * xc, shape)
+            return np.multiply(g_xn, r, out=g_xn), g_gamma, g_beta
+        g_xc = g_xn * xc
+        g_r = _unbroadcast(g_xc, shape)
         g_ve = g_r * -0.5 * ve ** -1.5
         count = xc.size // ch
         # numpy orders a result C-first when its operands' orders disagree;
         # the chain's g_sq is a C-ordered broadcast copy, so its t = g_sq * xc,
-        # its xc gradient (g_xn * r + t) + t and its x gradient are C-ordered
-        t = np.multiply(g_ve / count, xc, out=np.empty(xc.shape))
-        gx = np.multiply(g_xn, r, out=np.empty(xc.shape))
+        # its xc gradient (g_xn * r + t) + t and its x gradient are C-ordered.
+        # Each reuses a spent full-size buffer only where that one is C-ordered
+        t = np.multiply(g_ve / count, xc,
+                        out=g_xc if g_xc.flags.c_contiguous else np.empty(xc.shape))
+        del g_xc
+        gx = np.multiply(g_xn, r, out=g_xn if g_xn.flags.c_contiguous else np.empty(xc.shape))
+        del g_xn
         gx += t
         gx += t
         g_mu = _unbroadcast(np.negative(gx, out=t), shape)
+        del t
         gx += g_mu / count
         return gx, g_gamma, g_beta
 

@@ -1,4 +1,10 @@
 import dataclasses
+import inspect
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -464,10 +470,24 @@ class TestStemMatchesChain:
         tape = Tape()
         z = tape.leaf(rng.normal(size=(2, 3, 8, 5)))
         w, b = tape.leaf(rng.normal(size=(4, 3, 2, 1))), tape.leaf(np.zeros(4))
-        with pytest.raises(AssertionError, match="twice"):
+        with pytest.raises(ValueError, match="twice"):
             ad.mss_block(z, [((0, 1, 1, 2), w, b, 1, 1)], 0.01)
-        with pytest.raises(AssertionError, match="twice"):
+        with pytest.raises(ValueError, match="twice"):
             ad.mss_block(z, [(None, w, b, 1, 1)], 0.01)  # overlapping taps
+
+    def test_mss_reads_no_row_twice_under_optimize(self):
+        """The check is no assertion: `python -O` keeps it."""
+        code = ("import numpy as np\nfrom tmknet import autodiff as ad\n"
+                "t = ad.Tape()\nz = t.leaf(np.ones((2, 3, 8, 5)))\n"
+                "w, b = t.leaf(np.ones((4, 3, 2, 1))), t.leaf(np.zeros(4))\n"
+                "ad.mss_block(z, [((0, 1, 1, 2), w, b, 1, 1)], 0.01)\n")
+        src = str(Path(ad.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 1
+        assert "ValueError: a sensor kernel reads one input row twice" in run.stderr
 
     @pytest.mark.parametrize("slope", [1e-300, 1e-17, 0.01, 0.1, 0.25, 0.5, 0.75,
                                        1 - 2 ** -53, 1 - 2 ** -52])
@@ -504,6 +524,107 @@ class TestStemMatchesChain:
                             2.0 ** -np.arange(1, 1075)])
         s = s[(s > 0.0) & (s < 1.0)]
         assert np.all((1.0 - s) + s == 1.0)
+
+
+class TestNodeMemory:
+    """What a training step holds from forward to backward, by tracemalloc:
+    the spatial node keeps no patch matrix, and batch norm's backward frees
+    its full-size temporaries as it goes."""
+
+    def test_mss_block_keeps_no_patch_matrix(self, rng):
+        # the five kernels' patch matrices hold 4x the input at any sensor
+        # count; the output, 9 rows of 8 channels against 8 rows of 16, 0.56x
+        cfg = make_cfg(n_t=16, n_s=8)
+        params = {k: v for k, v in stem_params(cfg).items()
+                  if k.startswith("mss.") and not k.startswith("mss.bn")}
+        tape = Tape()
+        z = tape.leaf(rng.normal(size=(4, cfg.n_t, cfg.sensors, 64)))
+        pv = {k: tape.leaf(v, requires_grad=True) for k, v in params.items()}
+        tracemalloc.start()
+        try:
+            out = mss_branches(z, pv, cfg)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tape._nodes) == 1 and out.value.nbytes < z.value.nbytes
+        assert held < 2 * z.value.nbytes
+
+    @pytest.mark.parametrize("layout", ["c", "channel_fastest"])
+    def test_batch_norm_backward_peak(self, rng, layout):
+        shape = (8, 16, 9, 64)
+        perm = TestBatchnormMatchesChain.LAYOUTS[layout]
+        x = rng.normal(size=[shape[i] for i in perm]).transpose(np.argsort(perm))
+        tape = Tape()
+        xv = tape.leaf(x, requires_grad=True)
+        ad.batch_norm(xv, tape.leaf(rng.normal(size=16), requires_grad=True),
+                      tape.leaf(rng.normal(size=16), requires_grad=True), BN_EPS)
+        (_, _, backward), = tape._nodes
+        g = rng.normal(size=shape)  # C-ordered, as the layer above hands it back
+        tracemalloc.start()
+        try:
+            grads = backward(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grads[0].shape == shape
+        # the x gradient it returns is one of the three
+        assert peak <= 3 * x.nbytes
+
+
+class TestMrtBlocks:
+    """The temporal node's forward over blocks of trials and its backward's
+    branch-free select of the winners' gradients."""
+
+    def test_winners_select_is_where(self, rng):
+        # integer samples tie in most windows; a NaN window picks its first NaN
+        z = np.round(rng.normal(size=(3, 5, 4, 4 * 12)))
+        z[0, 1, 2, 8:12] = [1.0, np.nan, 2.0, np.nan]
+        _, arg = ad._running_max(z, 4, True)
+        gp = rng.normal(size=arg.shape)
+        payload = np.frombuffer(np.int64(0x7FF8_DEAD_0000_0001).tobytes(), np.float64)[0]
+        specials = [-0.0, 0.0, np.nan, -np.nan, payload, np.inf, -np.inf, 5e-324, -5e-324]
+        gp.reshape(-1)[::2] = np.resize(specials, gp.size // 2)
+        for k in range(4):
+            picked = gp[arg == k]
+            assert np.isnan(picked).any() and np.isinf(picked).any()
+            assert (np.signbit(picked) & (picked == 0)).any()
+            want = np.where(arg == k, gp, 0.0)
+            got = np.full_like(gp, np.nan)
+            ad._winners(gp, arg, k, got)
+            assert got.tobytes() == want.tobytes()
+            # into a strided slot, as backward writes it
+            slot = np.full((*gp.shape[:-1], 4 * gp.shape[-1]), np.nan)
+            ad._winners(gp, arg, k, slot[..., k::4])
+            assert slot[..., k::4].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bsz", [1, 3, 4, 5, 9, 50])
+    def test_blocked_forward_equals_whole_batch(self, rng, monkeypatch, bsz):
+        # paper shape: 64 channels x 8 sensors x conv outputs of up to 128
+        # samples, 512 KiB a trial
+        cfg = make_cfg(fs=512.0, r_data=0.2, n_t=64)
+        params = {k: v for k, v in stem_params(cfg).items() if k.startswith("mrt.branch")}
+        x = rng.normal(size=(bsz, 1, cfg.sensors, 128))
+
+        def run():
+            tape = Tape()
+            pv = {k: tape.leaf(v, requires_grad=True) for k, v in params.items()}
+            out = mrt_branches(tape.leaf(x), pv, cfg)
+            (_, _, backward), = tape._nodes
+            return [out.value, *inspect.getclosurevars(backward).nonlocals["args"]]
+
+        rows = []
+        running_max = ad._running_max
+        monkeypatch.setattr(ad, "_running_max", lambda z, size, with_arg: (
+            rows.append(len(z)) or running_max(z, size, with_arg)))
+        blocked = run()
+        step = ad._MRT_BLOCK_BYTES // (64 * 8 * 128 * 8)
+        assert 1 < step < 50
+        assert rows == [min(step, bsz - lo) for lo in range(0, bsz, step)] * 3
+        monkeypatch.setattr(ad, "_MRT_BLOCK_BYTES", 1 << 62)
+        whole = run()
+        assert len(rows) == 3 * len(range(0, bsz, step)) + 3
+        assert [(a.dtype, a.strides, a.tobytes()) for a in blocked] == \
+            [(a.dtype, a.strides, a.tobytes()) for a in whole]
 
 
 class TestStemGradients:
