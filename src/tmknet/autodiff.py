@@ -307,7 +307,7 @@ def sym_fn(a: Variable, tag: str, param=None) -> Variable:
     out = linalg.sym_fn(a.value, tag, param, eig=eig)
 
     def backward(g):
-        return (linalg.sym_fn_vjp(a.value, tag, g, param, eig=eig),)
+        return (linalg.sym_fn_vjp(eig, tag, g, param),)
 
     return a.tape.record((a,), out, backward)
 
@@ -455,6 +455,15 @@ def mrt_block(x: Variable, convs: list[tuple[Variable, Variable]], slope: float,
     return x.tape.record((x, *(p for conv in convs for p in conv)), out, backward)
 
 
+def _as_slice(idx) -> slice | np.ndarray:
+    """The slice that reads the indices `idx`, a non-empty sequence, when they
+    form an increasing, evenly spaced run; an index array otherwise."""
+    step = idx[1] - idx[0] if len(idx) > 1 else 1
+    if step > 0 and all(b - a == step for a, b in zip(idx, idx[1:])):
+        return slice(idx[0], idx[-1] + 1, step)
+    return np.array(idx, dtype=np.intp)
+
+
 def mss_block(z: Variable, convs: list[tuple[tuple[int, ...] | None, Variable, Variable, int, int]],
               slope: float) -> Variable:
     """Sensor-axis convolutions, each followed by LeakyReLU, as one node.
@@ -476,34 +485,34 @@ def mss_block(z: Variable, convs: list[tuple[tuple[int, ...] | None, Variable, V
     expression, uses it for the weight gradient and drops it before the next
     kernel. Backward puts the output gradient of a kernel in the (b·oh·t,
     c_out) order that each tap's product reads once, not once per tap, and
-    adds each tap's contribution c to the input gradient in place, kernel by
-    kernel, last kernel first as the tape did. The chain added 0.0 + c for a
-    read row and 0.0 for an unread one, from its zero-filled scatters; the
-    sum starts from +0.0 and so never holds -0.0, and adding c or nothing
-    gives the same bits.
+    adds each tap's contribution c to the input gradient in place (on a view
+    where the tap's rows form a run), kernel by kernel, last kernel first as
+    the tape did. The chain added 0.0 + c for a read row and 0.0 for an
+    unread one, from its zero-filled scatters; the sum starts from +0.0 and
+    so never holds -0.0, and adding c or nothing gives the same bits.
     """
     vz = z.value
     bsz, cin, h, t = vz.shape
     cout = convs[0][1].value.shape[0]
-    # per kernel: first output row, output height, the input rows (a slice
-    # where it reads every row) each tap reads, and all of them tap by tap
+    # per kernel: first output row, output height, the input rows each tap
+    # reads (a slice where they form a run), and all of them tap by tap (None
+    # where that is every row in order); plain Python, as a batch of one
+    # pays for the plan on every call
     plans = []
     top = 0
     for rows, w, _, stride, dilation in convs:
         kh = w.value.shape[2]
-        src = np.arange(h) if rows is None else np.asarray(rows, dtype=np.intp)
-        oh = (src.size - (kh - 1) * dilation - 1) // stride + 1
+        src = range(h) if rows is None else tuple(rows)
+        oh = (len(src) - (kh - 1) * dilation - 1) // stride + 1
         taps = [src[i * dilation: i * dilation + (oh - 1) * stride + 1: stride]
                 for i in range(kh)]
         # the in-place sums in backward are the chain's only if each input row
         # takes at most one contribution per kernel
-        read = np.concatenate(taps)
-        if np.unique(read).size != read.size:
+        read = [r for tap in taps for r in tap]
+        if len(set(read)) != len(read):
             raise ValueError("a sensor kernel reads one input row twice")
-        if rows is None:
-            taps = [slice(i * dilation, i * dilation + (oh - 1) * stride + 1, stride)
-                    for i in range(kh)]
-        plans.append((top, oh, taps, read))
+        plans.append((top, oh, [_as_slice(tap) for tap in taps],
+                      None if read == list(range(h)) else np.array(read, dtype=np.intp)))
         top += oh
 
     def patch_matrix(i):
@@ -515,7 +524,9 @@ def mss_block(z: Variable, convs: list[tuple[tuple[int, ...] | None, Variable, V
         layout. For more trials the chain's reshape copies; the same
         C-ordered bytes come here from the rows in tap order, in which each
         window's (c_in, k) block is one strided run, so the copy streams
-        instead of stepping k rows at a time.
+        instead of stepping k rows at a time. Unless they are every row of z
+        in order, the rows are packed by `np.take` first: the transposing
+        copy reads a packed subset faster than a strided view of z.
         """
         rows, w, _, stride, dilation = convs[i]
         kh = w.value.shape[2]
@@ -524,7 +535,7 @@ def mss_block(z: Variable, convs: list[tuple[tuple[int, ...] | None, Variable, V
         if bsz == 1:
             zk = vz if rows is None else np.take(vz, np.asarray(rows, dtype=np.intp), axis=2)
             return _windows(zk, kh, 1, stride, dilation).transpose(0, 2, 3, 1, 4, 5).reshape(shape)
-        zt = vz if np.array_equal(read, np.arange(h)) else np.take(vz, read, axis=2)
+        zt = vz if read is None else np.take(vz, read, axis=2)
         return zt.reshape(bsz, cin, kh, oh, t).transpose(0, 3, 4, 1, 2).reshape(shape)
 
     mem = np.empty((bsz, top, t, cout))

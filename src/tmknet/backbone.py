@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 
-def cov_pool(z_s: Variable, lam: float | None = None) -> Variable:
+def cov_pool(z_s: Variable, lam: float | None) -> Variable:
     """Project (b, n_s, c_s, t_t) features to SPD matrices (b, n_s, n_s).
 
     The trailing two axes are flattened, rows are mean-centered, and the
@@ -62,7 +62,7 @@ def bimap(c: Variable, w: Variable) -> Variable:
     return ad.matmul(ad.matmul(w, c), wt)
 
 
-def reeig(h: Variable, eps_reeig: float = 1e-4) -> Variable:
+def reeig(h: Variable, eps_reeig: float) -> Variable:
     """Clamp eigenvalues below eps_reeig and reconstruct."""
     return ad.sym_fn(h, "clamp_min", eps_reeig)
 
@@ -129,8 +129,8 @@ def spdbn_normalize(
 class _DomainStats:
     kind: str  # 'source' | 'target'
     g_run: np.ndarray
-    v_run: float = 1.0
-    steps: int = 0
+    v_run: float = field(default=1.0, init=False)
+    steps: int = field(default=0, init=False)
 
     @property
     def initialized(self) -> bool:
@@ -148,9 +148,9 @@ class DsbnState:
     """
 
     n: int
-    gamma_source: float = 0.1
-    gamma_target: float = 0.05
-    domains: dict[str, _DomainStats] = field(default_factory=dict)
+    gamma_source: float
+    gamma_target: float
+    domains: dict[str, _DomainStats] = field(default_factory=dict, init=False)
 
     def register(self, domain_id: str, kind: str) -> None:
         if kind not in ("source", "target"):

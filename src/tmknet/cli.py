@@ -95,10 +95,8 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     doc: dict = {}
     if args.config:
         path = Path(args.config)
-        if not path.exists():
-            raise DataError(f"--config file not found: {path}")
         try:
-            doc = json.loads(path.read_text())
+            doc = json.loads(_read_store_file(path).decode("utf-8"))
         except ValueError as exc:  # both UnicodeDecodeError and JSONDecodeError
             raise DataError(f"--config {path} is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):

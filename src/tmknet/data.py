@@ -161,7 +161,7 @@ def window(signal: np.ndarray, fs: float, window_ms: float,
     return [signal[:, i * hop: i * hop + w].copy() for i in range(count)]
 
 
-def hampel(x: np.ndarray, half_window: int, n_sigma: float = 3.0) -> np.ndarray:
+def hampel(x: np.ndarray, half_window: int, n_sigma: float) -> np.ndarray:
     """Sliding median/MAD outlier replacement along the last axis of a 1-D
     series or a (c, t) stack; non-finite input raises DataError.
 

@@ -44,6 +44,15 @@ ABLATION_VARIANTS = (
 
 @dataclass
 class RunConfig:
+    """Every setting of a run, each with its default. `ModelConfig`,
+    `StemConfig`, `DsbnState` and `adam_step` hold no second default: their
+    values come from here.
+
+    A training batch holds `batch_size` trials rounded down to a multiple of
+    min(`domains_per_batch`, number of source sessions), in equal groups per
+    domain: batch 32 from 3 domains trains on 30 trials.
+    """
+
     subject: int = 0
     target_session: int = 0
     n_t: int = 64
@@ -247,7 +256,7 @@ def _validation_loss(model: TMKNet, trials: list[Trial]) -> float:
 
 
 def adapt(model: TMKNet, signals: np.ndarray, domain: tuple[int, int],
-          batch_size: int = 50) -> None:
+          batch_size: int) -> None:
     """Accumulate target-domain normalization statistics from unlabeled data.
 
     `signals` is a bare (n, c, t) stack; labels are structurally absent from

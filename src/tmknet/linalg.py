@@ -118,19 +118,19 @@ def sym_fn(m: np.ndarray, tag: str, param=None,
 
 
 def sym_fn_vjp(
-    m: np.ndarray,
+    eig: tuple[np.ndarray, np.ndarray],
     tag: str,
     upstream: np.ndarray,
-    param=None,
-    eig: tuple[np.ndarray, np.ndarray] | None = None,
+    param,
 ) -> np.ndarray:
-    """Reverse-mode derivative of :func:`sym_fn` at `m` against `upstream`.
+    """Reverse-mode derivative of :func:`sym_fn` against `upstream`, at the
+    matrix (stack) that `eig` = (lam, u) from :func:`sym_eig` decomposes.
 
     Returns U (K o (U^T sym(upstream) U)) U^T where K is the Loewner matrix
     K_ij = (f(lam_i) - f(lam_j)) / (lam_i - lam_j), replaced by f'(lam_i) when
     |lam_i - lam_j| <= EIG_GAP_RTOL * max|lam|.
     """
-    lam, u = sym_eig(m) if eig is None else eig
+    lam, u = eig
     fn, deriv = _spectral(tag, lam, param)
     f, d = fn(lam, param), deriv(lam, param)
 

@@ -44,12 +44,12 @@ class ModelConfig:
     stem: StemConfig
     n_b: int
     n_c: int
-    cov_lambda: float | None = None  # None -> trace-scaled shrinkage
-    eps_reeig: float = 1e-4
-    eps_var: float = 1e-5
-    gamma_source: float = 0.1
-    gamma_target: float = 0.05
-    shared_bn: bool = False  # single normalization bucket for all domains
+    cov_lambda: float | None  # None -> trace-scaled shrinkage
+    eps_reeig: float
+    eps_var: float
+    gamma_source: float
+    gamma_target: float
+    shared_bn: bool  # single normalization bucket for all domains
 
     def __post_init__(self):
         if self.n_b < 1 or self.n_c < 1:

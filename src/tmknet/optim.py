@@ -32,20 +32,18 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # moment decay rates, denominator guard
 class Param:
     value: np.ndarray
     tag: str
-    decay: bool = False
-    m: np.ndarray = field(default=None, repr=False)
-    v: np.ndarray = field(default=None, repr=False)
-    step: int = 0
+    decay: bool
+    m: np.ndarray = field(init=False, repr=False)
+    v: np.ndarray = field(init=False, repr=False)
+    step: int = field(default=0, init=False)
 
     def __post_init__(self):
         if self.tag not in MANIFOLD_TAGS:
             raise ValueError(f"unknown manifold tag {self.tag!r}")
         # start in C order: matmul's rounding depends on its operands' memory order
         self.value = np.asarray(self.value, dtype=np.float64, order="C")
-        if self.m is None:
-            self.m = np.zeros_like(self.value)
-        if self.v is None:
-            self.v = np.zeros(()) if self.tag == "spd" else np.zeros_like(self.value)
+        self.m = np.zeros_like(self.value)
+        self.v = np.zeros(()) if self.tag == "spd" else np.zeros_like(self.value)
 
 
 def stiefel_retract_rows(w_raw: np.ndarray) -> np.ndarray:
@@ -60,8 +58,8 @@ def stiefel_retract_rows(w_raw: np.ndarray) -> np.ndarray:
 def adam_step(
     params: dict[str, Param],
     grads: dict[str, np.ndarray],
-    lr: float = 1e-3,
-    weight_decay: float = 1e-4,
+    lr: float,
+    weight_decay: float,
 ) -> None:
     """One Adam step over every parameter with a gradient in `grads`.
 

@@ -13,7 +13,7 @@ batch norm as one `ad.batch_norm` node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,9 +35,9 @@ class StemConfig:
     extensor_ids: tuple[int, ...]
     proximal_ids: tuple[int, ...]
     distal_ids: tuple[int, ...]
-    pool_size: int = 4
-    leaky_slope: float = 0.01
-    mss_kernels: tuple[str, ...] = MSS_KERNELS
+    pool_size: int
+    leaky_slope: float
+    mss_kernels: tuple[str, ...]
 
     def __post_init__(self):
         ratios = (self.r_data, *self.r_resolution)
@@ -108,7 +108,7 @@ class BnState:
 
     mean: np.ndarray
     var: np.ndarray
-    initialized: bool = False
+    initialized: bool = field(default=False, init=False)
 
     @classmethod
     def create(cls, channels: int) -> "BnState":

@@ -5,8 +5,12 @@ import struct
 import numpy as np
 import pytest
 
-from tmknet.experiment import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, DIGEST_LEN
-from tmknet.geometry import frechet_variance, karcher_mean
+from tmknet.backbone import DsbnState
+from tmknet.experiment import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, DIGEST_LEN, RunConfig
+from tmknet.model import ModelConfig
+from tmknet.stem import MSS_KERNELS, StemConfig
+
+from spd_oracles import frechet_variance, karcher_mean
 
 
 def random_spd(rng, n, eig_range=(0.5, 3.0), min_gap=0.0):
@@ -24,6 +28,30 @@ def batch_stats_oracle(x):
     identity, and the root Frechet variance about it."""
     g = karcher_mean(x, iters=1)
     return g, float(np.sqrt(frechet_variance(x, g)))
+
+
+def stem_config(**fields):
+    """StemConfig with the pool size and LeakyReLU slope of `RunConfig()` and
+    every spatial kernel, unless `fields` gives them."""
+    run = RunConfig()
+    return StemConfig(**{"pool_size": run.pool_size, "leaky_slope": run.leaky_slope,
+                         "mss_kernels": MSS_KERNELS, **fields})
+
+
+def model_config(stem, n_b, n_c, **fields):
+    """ModelConfig with the backbone settings of `RunConfig()`, unless `fields`
+    gives them."""
+    run = RunConfig()
+    return ModelConfig(stem=stem, n_b=n_b, n_c=n_c, **{
+        "cov_lambda": run.cov_lambda, "eps_reeig": run.eps_reeig, "eps_var": run.eps_var,
+        "gamma_source": run.gamma_source, "gamma_target": run.gamma_target,
+        "shared_bn": run.shared_bn, **fields})
+
+
+def dsbn_state(n):
+    """DsbnState for n x n matrices with the momentum floors of `RunConfig()`."""
+    run = RunConfig()
+    return DsbnState(n, run.gamma_source, run.gamma_target)
 
 
 def random_sym(rng, n, scale=1.0):

@@ -13,7 +13,7 @@ import pytest
 from tmknet import autodiff as ad
 from tmknet import linalg
 from tmknet.autodiff import Tape
-from tmknet.backbone import DsbnState, bimap, cov_pool, dsbn_forward, logeig, reeig
+from tmknet.backbone import bimap, cov_pool, dsbn_forward, logeig, reeig
 from tmknet.data import SynthSpec, leave_one_session_out, save_dataset, load_dataset, synth_generate
 from tmknet.experiment import (
     RunConfig,
@@ -27,12 +27,13 @@ from tmknet.experiment import (
     save_checkpoint,
     train,
 )
-from tmknet.geometry import airm_dist, geo_mean, karcher_mean, parallel_transport
+from tmknet.geometry import airm_dist, geo_mean, parallel_transport
 from tmknet.metrics import wilcoxon_signed_rank
 from tmknet.model import TMKNet
 from tmknet.optim import adam_step
 
-from conftest import batch_stats_oracle, random_spd, random_sym
+from conftest import (batch_stats_oracle, dsbn_state, model_config, random_spd, random_sym,
+                      stem_config)
 
 
 # --- shared desk-scale experiment fixture -------------------------------------------
@@ -224,14 +225,11 @@ def test_criterion_02_gradient_suite():
         _fd_check(build, arrays, tol=1e-4, rng=rng)
 
     # full network loss on a 4-sample batch, c=8, t=64, n_t=8, n_s=6, n_b=4
-    from tmknet.stem import StemConfig
-    from tmknet.model import ModelConfig
-
-    stem_cfg = StemConfig(fs=512.0, r_data=0.25, r_resolution=(1 / 16, 1 / 32, 1 / 64),
-                          n_t=8, n_s=6,
-                          flexor_ids=tuple(range(4)), extensor_ids=tuple(range(4, 8)),
-                          proximal_ids=tuple(range(0, 8, 2)), distal_ids=tuple(range(1, 8, 2)))
-    mc = ModelConfig(stem=stem_cfg, n_b=4, n_c=4)
+    stem_cfg = stem_config(fs=512.0, r_data=0.25, r_resolution=(1 / 16, 1 / 32, 1 / 64),
+                           n_t=8, n_s=6,
+                           flexor_ids=tuple(range(4)), extensor_ids=tuple(range(4, 8)),
+                           proximal_ids=tuple(range(0, 8, 2)), distal_ids=tuple(range(1, 8, 2)))
+    mc = model_config(stem_cfg, n_b=4, n_c=4)
     model = TMKNet(mc, seed=1)
     model.register_domains(["0/0", "0/1"], [])
     x = rng.normal(size=(4, 8, 64))
@@ -280,7 +278,7 @@ def test_criterion_03_spd_closure():
     w = np.linalg.qr(rng.normal(size=(6, 4)))[0].T
     eps_reeig = 1e-4
     for trial in range(1000):
-        st = DsbnState(4)
+        st = dsbn_state(4)
         st.register("a", "source")
         tape = Tape()
         z = tape.leaf(rng.normal(size=(4, 6, 3, 10)) * rng.uniform(0.3, 3.0))
@@ -304,7 +302,7 @@ def test_criterion_03_spd_closure():
 
 def test_criterion_04_spdbn_centering_oracle():
     # exactness on commuting diagonal batches
-    st = DsbnState(2)
+    st = dsbn_state(2)
     st.register("a", "source")
     tape = Tape()
     z = tape.leaf(np.stack([np.eye(2), np.diag([np.e ** 4, np.e ** 4])]))
@@ -319,7 +317,7 @@ def test_criterion_04_spdbn_centering_oracle():
         batch = np.stack([random_spd(rng, 10, eig_range=(0.3, 4.0)) for _ in range(64)])
         g_before = batch_stats_oracle(batch)[0]
         d_before = airm_dist(g_before, np.eye(10))
-        st = DsbnState(10)
+        st = dsbn_state(10)
         st.register("a", "source")
         tape = Tape()
         out = dsbn_forward(tape.leaf(batch), ["a"] * 64, st, "train",
@@ -405,7 +403,7 @@ def test_criterion_08_stiefel_feasibility():
         picks = rng.choice(len(source), size=12, replace=False)
         loss, grads = model.loss_and_grads(x_all[picks], y_all[picks],
                                            [domain_key((0, 0))] * 12)
-        adam_step(model.params, grads, lr=1e-3)
+        adam_step(model.params, grads, lr=1e-3, weight_decay=1e-4)
     w = model.params["bimap.weight"].value
     orth_err = np.linalg.norm(w @ w.T - np.eye(w.shape[0]))
     assert orth_err < 1e-6, f"Stiefel violation after 1000 steps: {orth_err:.2e}"

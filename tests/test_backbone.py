@@ -18,7 +18,7 @@ from tmknet.errors import ConfigError
 from tmknet.geometry import airm_dist, geo_mean
 
 from chain_ops import concat
-from conftest import batch_stats_oracle, random_spd, random_sym
+from conftest import batch_stats_oracle, dsbn_state, random_spd, random_sym
 
 
 def const(tape, x):
@@ -169,7 +169,7 @@ class TestSpdbnNormalize:
 
 class TestDsbnState:
     def test_first_update_adopts_batch_stats(self, rng):
-        st = DsbnState(3)
+        st = dsbn_state(3)
         st.register("d0", "target")
         g_b = random_spd(rng, 3)
         st.update("d0", g_b, 0.7)
@@ -178,7 +178,7 @@ class TestDsbnState:
         assert abs(v_run - 0.7) < 1e-12
 
     def test_constant_stream_fixed_point(self, rng):
-        st = DsbnState(3)
+        st = dsbn_state(3)
         st.register("d0", "source")
         g_b = random_spd(rng, 3)
         for _ in range(10):
@@ -188,7 +188,7 @@ class TestDsbnState:
         assert abs(v_run - 0.5) < 1e-12
 
     def test_gamma_schedule(self):
-        st = DsbnState(2, gamma_source=0.1)
+        st = DsbnState(2, gamma_source=0.1, gamma_target=0.05)
         st.register("d0", "source")
         assert st.gamma("d0") == 1.0
         st.update("d0", np.eye(2), 1.0)
@@ -198,12 +198,12 @@ class TestDsbnState:
         assert st.gamma("d0") == 0.1  # clamped at the floor
 
     def test_unknown_domain(self):
-        st = DsbnState(2)
+        st = dsbn_state(2)
         with pytest.raises(ConfigError):
             st.stats("nope")
 
     def test_uninitialized_stats(self):
-        st = DsbnState(2)
+        st = dsbn_state(2)
         st.register("d0", "target")
         with pytest.raises(ConfigError):
             st.stats("d0")
@@ -224,7 +224,7 @@ class TestDsbnForward:
         return const(tape, np.eye(n)), const(tape, 1.0)
 
     def test_train_commuting_recenters_exactly(self):
-        st = DsbnState(2)
+        st = dsbn_state(2)
         st.register("a", "source")
         z = np.stack([np.eye(2), np.diag([np.e ** 4, np.e ** 4])])
         tape = Tape()
@@ -234,7 +234,7 @@ class TestDsbnForward:
         assert np.abs(remean - np.eye(2)).max() <= 1e-10
 
     def test_train_then_eval_constant_target(self, rng):
-        st = DsbnState(3)
+        st = dsbn_state(3)
         st.register("t", "target")
         z = random_spd(rng, 3)
         batch = np.stack([z, z])
@@ -248,7 +248,7 @@ class TestDsbnForward:
         assert np.allclose(out.value[0], g_phi.value, atol=1e-8)
 
     def test_single_batch_adapt_adopts_batch_mean(self, rng):
-        st = DsbnState(3)
+        st = dsbn_state(3)
         st.register("t", "target")
         batch = np.stack([random_spd(rng, 3) for _ in range(5)])
         tape = Tape()
@@ -264,7 +264,7 @@ class TestDsbnForward:
         # domain updated in adapt mode see one batch: same bytes
         for k, n in ((2, 3), (5, 4), (12, 6), (30, 8)):
             batch = np.stack([random_spd(rng, n, eig_range=(0.2, 5.0)) for _ in range(k)])
-            st = DsbnState(n)
+            st = dsbn_state(n)
             st.register("s", "source")
             st.register("t", "target")
             tape = Tape()
@@ -276,14 +276,14 @@ class TestDsbnForward:
             assert v_s == v_t, (k, n, v_s - v_t)
 
     def test_adapt_needs_no_bias_parameters(self, rng):
-        st = DsbnState(3)
+        st = dsbn_state(3)
         st.register("t", "target")
         batch = np.stack([random_spd(rng, 3) for _ in range(4)])
         assert dsbn_forward(const(Tape(), batch), ["t"] * 4, st, "adapt") is None
         assert st.domains["t"].steps == 1
 
     def test_adapt_on_source_rejected(self, rng):
-        st = DsbnState(3)
+        st = dsbn_state(3)
         st.register("s", "source")
         batch = np.stack([random_spd(rng, 3) for _ in range(4)])
         tape = Tape()
@@ -292,7 +292,7 @@ class TestDsbnForward:
             dsbn_forward(const(tape, batch), ["s"] * 4, st, "adapt", g_phi, v_phi)
 
     def test_train_on_target_rejected(self, rng):
-        st = DsbnState(3)
+        st = dsbn_state(3)
         st.register("t", "target")
         batch = np.stack([random_spd(rng, 3) for _ in range(4)])
         tape = Tape()
@@ -301,7 +301,7 @@ class TestDsbnForward:
             dsbn_forward(const(tape, batch), ["t"] * 4, st, "train", g_phi, v_phi)
 
     def test_unknown_domain_rejected(self, rng):
-        st = DsbnState(3)
+        st = dsbn_state(3)
         batch = np.stack([random_spd(rng, 3) for _ in range(2)])
         tape = Tape()
         g_phi, v_phi = self._phi(tape, 3)
@@ -309,7 +309,7 @@ class TestDsbnForward:
             dsbn_forward(const(tape, batch), ["x", "x"], st, "train", g_phi, v_phi)
 
     def test_min_group_size(self, rng):
-        st = DsbnState(3)
+        st = dsbn_state(3)
         st.register("a", "source")
         st.register("b", "source")
         batch = np.stack([random_spd(rng, 3) for _ in range(3)])
@@ -319,7 +319,7 @@ class TestDsbnForward:
             dsbn_forward(const(tape, batch), ["a", "a", "b"], st, "train", g_phi, v_phi)
 
     def test_sample_order_restored(self, rng):
-        st = DsbnState(3)
+        st = dsbn_state(3)
         st.register("a", "source")
         st.register("b", "source")
         batch = np.stack([random_spd(rng, 3) for _ in range(6)])
@@ -329,7 +329,7 @@ class TestDsbnForward:
         out = dsbn_forward(const(tape, batch), ids, st, "train", g_phi, v_phi)
         # grouped-by-domain run must agree with per-domain manual runs, in the
         # original interleaved order
-        st2 = DsbnState(3)
+        st2 = dsbn_state(3)
         st2.register("a", "source")
         st2.register("b", "source")
         tape2 = Tape()
@@ -343,7 +343,7 @@ class TestDsbnForward:
 
     @pytest.mark.parametrize("mode,kind", [("train", "source"), ("adapt", "target")])
     def test_unequal_groups_rejected(self, rng, mode, kind):
-        st = DsbnState(3)
+        st = dsbn_state(3)
         st.register("a", kind)
         st.register("b", kind)
         batch = np.stack([random_spd(rng, 3) for _ in range(5)])
@@ -356,7 +356,7 @@ class TestDsbnForward:
     def test_variance_rescaling_shrinks_dispersion_toward_target(self, rng):
         # after normalization with p = v_phi / (v_b + eps), the dispersion of
         # the batch around identity is close to v_phi
-        st = DsbnState(4)
+        st = dsbn_state(4)
         st.register("a", "source")
         batch = np.stack([random_spd(rng, 4, eig_range=(0.2, 5.0)) for _ in range(16)])
         tape = Tape()
@@ -414,7 +414,7 @@ class TestDsbnMatchesPerDomainLoop:
     N = 5
 
     def _state(self, rng, ids, kind, primed):
-        st = DsbnState(self.N)
+        st = dsbn_state(self.N)
         for d in dict.fromkeys(ids):
             st.register(d, kind)
             if primed:
@@ -505,7 +505,7 @@ class TestSpdClosure:
         eps_reeig, eps_var = 1e-4, 1e-5
         w = np.linalg.qr(rng.normal(size=(6, 4)))[0].T
         for _ in range(50):
-            st = DsbnState(4)
+            st = dsbn_state(4)
             st.register("a", "source")
             tape = Tape()
             z = const(tape, rng.normal(size=(4, 6, 3, 7)))
@@ -531,7 +531,7 @@ class TestDsbnGradients:
         coeffs = rng.normal(size=(4, 3, 3))
 
         def loss_value(vals):
-            st = DsbnState(3)
+            st = dsbn_state(3)
             st.register("a", "source")
             tape = Tape()
             zc = ad.mul(ad.add(tape.leaf(vals["z"]), ad.transpose(tape.leaf(vals["z"]))), 0.5)
@@ -541,7 +541,7 @@ class TestDsbnGradients:
             return float(ad.sum_(ad.mul(out, coeffs)).value)
 
         vals = {"z": base, "g": g_phi0, "lv": np.zeros(())}
-        st = DsbnState(3)
+        st = dsbn_state(3)
         st.register("a", "source")
         tape = Tape()
         leaves = {k: tape.leaf(v.copy(), requires_grad=True) for k, v in vals.items()}

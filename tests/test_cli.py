@@ -166,6 +166,12 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "e")]) == 2
         assert "data error: cannot read" in capsys.readouterr().err
 
+    def test_config_file_is_directory_exits_two(self, dataset, tmp_path, capsys):
+        assert main(["train", "--data", str(dataset), "--out", str(tmp_path / "r"),
+                     "--config", str(tmp_path)]) == 2
+        assert "data error: cannot read" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()  # rejected before the run directory
+
     def test_non_finite_checkpoint_exits_two(self, dataset, trained_run, tmp_path, capsys):
         bad = tmp_path / "bad.tmk"
         shutil.copy(trained_run / "checkpoint.tmk", bad)

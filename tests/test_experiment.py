@@ -84,6 +84,26 @@ class TestTrain:
         with pytest.raises(DataError):
             train(quick_cfg(), MANIFEST, lone)
 
+    def test_batch_rounds_down_to_a_multiple_of_the_domains(self, monkeypatch):
+        # the acceptance desk config: batch 32 from 3 of its 3 source sessions
+        cfg = RunConfig(subject=0, target_session=3, epochs=25, n_t=6, n_s=10, n_b=6,
+                        r_data=0.25, batch_size=32, domains_per_batch=3)
+        manifest, trials = synth_generate(SynthSpec(n_classes=2, sensors=8, n_domains=4,
+                                                    trials_per_cell=4, fs=256.0, seed=7))
+        built = []
+
+        class Built(Exception):
+            pass
+
+        def sampler(trials, batch_size, domains_per_batch, rng):
+            built.append((batch_size, domains_per_batch))
+            raise Built  # the sampler's batch is all this test reads
+
+        monkeypatch.setattr("tmknet.experiment.DomainBatchSampler", sampler)
+        with pytest.raises(Built):
+            train(cfg, manifest, trials)
+        assert built == [(30, 3)]
+
 
 class TestAdapt:
     def test_stats_converge_on_repeat(self, trained):
@@ -102,12 +122,12 @@ class TestAdapt:
         signals = np.stack([t.signal for t in TRIALS if t.domain == (0, 0)][:6]
                            ).astype(np.float64)
         with pytest.raises(ConfigError):
-            adapt(model, signals, (0, 0))
+            adapt(model, signals, (0, 0), batch_size=50)
 
     def test_too_few_trials(self, trained):
         _, model, _ = trained
         with pytest.raises(DataError):
-            adapt(model, np.zeros((1, 8, 64)), (0, 2))
+            adapt(model, np.zeros((1, 8, 64)), (0, 2), batch_size=50)
 
     def test_no_labels_in_signature(self):
         import inspect

@@ -1,5 +1,6 @@
 """Design rules: every definition in the package has a caller outside the
-tests, and every optional parameter has a call that passes it.
+tests, every default has a call that leaves it out and one that passes it,
+and so `src/` holds only what a run uses.
 
 Each module-level function or class in `src/tmknet/*.py`, and each public
 method of a module-level class, must be referenced somewhere in `src/` or
@@ -15,14 +16,19 @@ listed below with the code that reaches it, as must the test oracles and
 library entry points that only tests call.
 
 A parameter with a default, or a `**kwargs` catch-all, of a function or
-method in `src/tmknet/*.py` must be passed by some call in `src/` or
-`perfbench/`: a default that every caller keeps is a constant. Calls are
-matched to a definition by name only, so a call of any function or method of
-that name counts. A call passes a parameter by keyword or by position, and a
-`*` or `**` splat passes all of them. Matching by name is what keeps the rule
-simple, and it is also its blind spot: a parameter is missed whenever another
-callable shares the name, as numpy's `ndarray.transpose(*axes)` shares
-`autodiff.transpose`'s.
+method in `src/tmknet/*.py`, and a field with a default of a dataclass there,
+must be passed by some call in `src/` or `perfbench/`: a default that every
+caller keeps is a constant, and a field that no call passes is state, which
+`field(init=False)` declares. Conversely, some call must leave each default
+out: a default that every call overrides is a second copy of a value its
+callers hold. Calls are matched to a definition by name only, so a call of
+any function, method or class of that name counts; a `cls(...)` call in a
+classmethod calls its class. A call passes a parameter by keyword or by
+position. A `*` or `**` splat may pass any parameter and may leave any out,
+so it counts as passing for the first rule and as leaving out for the
+second. Matching by name is what keeps the rules simple, and it is also
+their blind spot: a parameter is missed whenever another callable shares the
+name, as numpy's `ndarray.transpose(*axes)` shares `autodiff.transpose`'s.
 """
 
 from __future__ import annotations
@@ -36,9 +42,8 @@ PERFBENCH = ROOT / "perfbench"
 
 # name -> why it stays although no code outside the tests calls it
 ALLOWED = {
-    "geometry.karcher_mean": "oracle for DSBN's one-step batch mean (tests/conftest.py)",
-    "geometry.frechet_variance": "oracle for DSBN's batch dispersion (tests/conftest.py)",
-    "geometry.log_map": "oracle for the parallel-transport and Karcher tests",
+    "geometry.airm_dist": "library entry point: the affine-invariant distance, checked "
+                          "by acceptance criterion 1",
     "data.preprocess_stream": "library entry point: windowing, Hampel filter and z-score "
                               "for a raw recording",
     "experiment.domain_dispersion": "library entry point: spread of per-domain feature "
@@ -54,8 +59,15 @@ PARAMS_ALLOWED = {
                 "runs in-process",
     "data.preprocess_stream": "library entry point: n_sigma is the Hampel threshold a "
                               "caller tunes to its recording",
-    "geometry.karcher_mean": "test oracle: the tests run the flow from a chosen start, "
-                             "for a chosen number of steps, to a chosen tolerance",
+}
+
+# function or dataclass -> why it keeps defaults that every call in src/ or
+# perfbench/ overrides
+DEFAULTS_ALLOWED = {
+    "autodiff.sum_": "axis and keepdims default to a full reduction, the scalar loss "
+                     "sum_(x) of the gradient tests",
+    "data.SynthSpec": "library config: seed defaults to 0 for a caller who wants any "
+                      "synthetic dataset",
 }
 
 # hooks the interpreter calls for every instance, so a class's use covers them
@@ -155,55 +167,124 @@ def test_allowlist_names_existing_definitions():
     assert set(ALLOWED) <= defined, sorted(set(ALLOWED) - defined)
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _field_default(value: ast.expr | None) -> bool | None:
+    """Whether a dataclass field with this right-hand side has a default;
+    None when it is no parameter of `__init__` (`field(init=False)`)."""
+    if not (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"):
+        return value is not None
+    keywords = {k.arg: k.value for k in value.keywords}
+    if isinstance(keywords.get("init"), ast.Constant) and keywords["init"].value is False:
+        return None
+    return "default" in keywords or "default_factory" in keywords
+
+
 def _signatures():
-    """Yield (qualified name, name, arguments, bound, file, first line, last
-    line) per module-level function and method; `bound` counts the leading
-    arguments a call does not spell (a method's self or cls)."""
+    """Yield (qualified name, name, parameters, `**` name or None, file,
+    first line, last line) per module-level function, method and dataclass.
+    `parameters` holds (name, position in a call or None, has a default) per
+    parameter that a call can pass; a method's self or cls is not one. The
+    lines are the body a call from itself is not counted in: a function's,
+    and none for a dataclass, whose methods construct it as any caller does.
+    """
     for path in sorted(PACKAGE.glob("*.py")):
         mod = path.stem
         for node in ast.parse(path.read_text()).body:
+            functions = []
             if isinstance(node, ast.FunctionDef):
-                yield (f"{mod}.{node.name}", node.name, node.args, 0, path,
-                       node.lineno, node.end_lineno)
-            if not isinstance(node, ast.ClassDef):
-                continue
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef):
-                    yield (f"{mod}.{node.name}.{item.name}", item.name, item.args, 1, path,
-                           item.lineno, item.end_lineno)
+                functions.append((f"{mod}.{node.name}", node, 0))
+            if isinstance(node, ast.ClassDef):
+                functions += [(f"{mod}.{node.name}.{item.name}", item, 1)
+                              for item in node.body if isinstance(item, ast.FunctionDef)]
+            for qual, fn, bound in functions:
+                a = fn.args
+                positional = a.posonlyargs + a.args
+                first_default = len(positional) - len(a.defaults)
+                params = [(arg.arg, i - bound, i >= first_default)
+                          for i, arg in enumerate(positional) if i >= bound]
+                params += [(arg.arg, None, d is not None)
+                           for arg, d in zip(a.kwonlyargs, a.kw_defaults)]
+                yield (qual, fn.name, params, a.kwarg and a.kwarg.arg, path,
+                       fn.lineno, fn.end_lineno)
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields = [(item.target.id, _field_default(item.value)) for item in node.body
+                          if isinstance(item, ast.AnnAssign)
+                          and "ClassVar" not in ast.unparse(item.annotation)]
+                params = [(name, i, default) for i, (name, default)
+                          in enumerate((f for f in fields if f[1] is not None))]
+                yield f"{mod}.{node.name}", node.name, params, None, path, 0, -1
+
+
+def _calls():
+    """Yield (name, call, file) per call in src/ and perfbench/, named by the
+    function or attribute it calls; a `cls(...)` call in a classmethod is a
+    call of its class."""
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef) and any(
+                        getattr(d, "id", None) == "classmethod" for d in item.decorator_list):
+                    owner.update({id(n): cls.name for n in ast.walk(item)
+                                  if isinstance(n, ast.Call)
+                                  and getattr(n.func, "id", None) == "cls"})
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                yield owner.get(id(node), name), node, path
 
 
 def _passes(call: ast.Call, param: str, position: int | None) -> bool:
+    """Whether `call` may pass `param`: a `*` or `**` splat may pass anything."""
     return (any(k.arg in (None, param) for k in call.keywords)
             or any(isinstance(a, ast.Starred) for a in call.args)
             or (position is not None and len(call.args) > position))
 
 
+def _surely_passes(call: ast.Call, param: str, position: int | None) -> bool:
+    """Whether `call` passes `param` whatever its splats hold."""
+    spelled = next((i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)),
+                   len(call.args))
+    return (any(k.arg == param for k in call.keywords)
+            or (position is not None and spelled > position))
+
+
+def _named_calls():
+    """Yield (qualified name, parameters, `**` name or None, calls) per
+    signature, with the calls of its name in src/ and perfbench/ outside its
+    own body."""
+    calls = list(_calls())
+    for qual, name, params, kwarg, path, first, last in _signatures():
+        yield qual, params, kwarg, [c for n, c, p in calls
+                                    if n == name and (p != path or not first <= c.lineno <= last)]
+
+
 def _unpassed_parameters():
-    """Yield (qualified name, parameter) per defaulted parameter or
-    `**kwargs` that no call of that name in src/ or perfbench/ passes."""
-    calls = []
-    for path in sorted(PACKAGE.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call):
-                f = node.func
-                calls.append((f.id if isinstance(f, ast.Name) else getattr(f, "attr", None),
-                              node, path))
-    for qual, name, a, bound, path, first, last in _signatures():
-        named = [c for n, c, p in calls
-                 if n == name and (p != path or not first <= c.lineno <= last)]
-        positional = a.posonlyargs + a.args
-        first_default = len(positional) - len(a.defaults)
-        optional = {arg.arg: i - bound for i, arg in enumerate(positional) if i >= first_default}
-        optional.update({arg.arg: None for arg, d in zip(a.kwonlyargs, a.kw_defaults)
-                         if d is not None})
-        for param, position in optional.items():
-            if not any(_passes(c, param, position) for c in named):
+    """Yield (qualified name, parameter) per default or `**kwargs` that no
+    call of that name in src/ or perfbench/ passes."""
+    for qual, params, kwarg, named in _named_calls():
+        for param, position, default in params:
+            if default and not any(_passes(c, param, position) for c in named):
                 yield qual, param
-        known = {arg.arg for arg in positional + a.kwonlyargs}
-        if a.kwarg is not None and not any(k.arg not in known
-                                           for c in named for k in c.keywords):
-            yield qual, "**" + a.kwarg.arg
+        known = {param for param, *_ in params}
+        if kwarg is not None and not any(k.arg not in known
+                                         for c in named for k in c.keywords):
+            yield qual, "**" + kwarg
+
+
+def _overridden_defaults():
+    """Yield (qualified name, parameter) per default that every call of that
+    name in src/ or perfbench/ passes, when there is such a call."""
+    for qual, params, _, named in _named_calls():
+        for param, position, default in params:
+            if default and named and all(_surely_passes(c, param, position) for c in named):
+                yield qual, param
 
 
 def test_every_optional_parameter_is_passed_by_some_call():
@@ -213,3 +294,12 @@ def test_every_optional_parameter_is_passed_by_some_call():
 
 def test_parameter_allowlist_names_functions_with_unpassed_parameters():
     assert set(PARAMS_ALLOWED) <= {q for q, _ in _unpassed_parameters()}
+
+
+def test_no_default_is_overridden_by_every_call():
+    overridden = [f"{q}({p})" for q, p in _overridden_defaults() if q not in DEFAULTS_ALLOWED]
+    assert not overridden, f"defaults every call in src/ or perfbench/ overrides: {overridden}"
+
+
+def test_default_allowlist_names_overridden_defaults():
+    assert set(DEFAULTS_ALLOWED) <= {q for q, _ in _overridden_defaults()}

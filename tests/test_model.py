@@ -8,19 +8,20 @@ from tmknet import autodiff as ad
 from tmknet import model as model_module
 from tmknet.autodiff import Tape
 from tmknet.errors import ConfigError
-from tmknet.model import EVAL_BLOCK, ModelConfig, TMKNet, eval_blocks
-from tmknet.stem import StemConfig
+from tmknet.model import EVAL_BLOCK, TMKNet, eval_blocks
+
+from conftest import model_config, stem_config
 
 
 def toy_config(n_t=8, n_s=6, n_b=4, n_c=4, shared_bn=False):
-    stem = StemConfig(
+    stem = stem_config(
         fs=512.0, r_data=0.25, r_resolution=(1 / 16, 1 / 32, 1 / 64),
         n_t=n_t, n_s=n_s,
         flexor_ids=tuple(range(4)), extensor_ids=tuple(range(4, 8)),
         proximal_ids=tuple(range(0, 8, 2)), distal_ids=tuple(range(1, 8, 2)),
         pool_size=4,
     )
-    return ModelConfig(stem=stem, n_b=n_b, n_c=n_c, shared_bn=shared_bn)
+    return model_config(stem, n_b=n_b, n_c=n_c, shared_bn=shared_bn)
 
 
 @pytest.fixture

@@ -11,10 +11,10 @@ from conftest import random_spd, random_sym
 def make_store(rng):
     q = np.linalg.qr(rng.normal(size=(5, 3)))[0].T
     return {"w": Param(rng.normal(size=(3, 4)), "euclidean", decay=True),
-            "b": Param(np.zeros(3), "euclidean"),
-            "stiefel": Param(q, "stiefel"),
-            "spd": Param(random_spd(rng, 3), "spd"),
-            "logv": Param(np.zeros(()), "log_scalar")}
+            "b": Param(np.zeros(3), "euclidean", decay=False),
+            "stiefel": Param(q, "stiefel", decay=False),
+            "spd": Param(random_spd(rng, 3), "spd", decay=False),
+            "logv": Param(np.zeros(()), "log_scalar", decay=False)}
 
 
 class TestAdamStep:
@@ -22,13 +22,13 @@ class TestAdamStep:
         store = make_store(rng)
         before = {k: p.value.copy() for k, p in store.items()}
         grads = {k: np.zeros_like(p.value) for k, p in store.items() if not p.decay}
-        adam_step(store, grads, weight_decay=0.0)
+        adam_step(store, grads, lr=1e-3, weight_decay=0.0)
         for k in grads:
             assert np.allclose(store[k].value, before[k], atol=1e-12)
             assert store[k].step == 1
 
     def test_one_step_euclidean_hand_value(self):
-        store = {"x": Param(np.zeros(()), "euclidean")}
+        store = {"x": Param(np.zeros(()), "euclidean", decay=False)}
         g = 0.37
         lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
         assert (optim.BETA1, optim.BETA2, optim.EPS) == (b1, b2, eps)
@@ -40,7 +40,7 @@ class TestAdamStep:
         store = make_store(rng)
         for _ in range(100):
             grads = {"stiefel": rng.normal(size=(3, 5))}
-            adam_step(store, grads, lr=0.01)
+            adam_step(store, grads, lr=0.01, weight_decay=1e-4)
             w = store["stiefel"].value
             assert np.linalg.norm(w @ w.T - np.eye(3)) < 1e-6
 
@@ -48,14 +48,14 @@ class TestAdamStep:
         store = make_store(rng)
         for _ in range(200):
             grads = {"spd": random_sym(rng, 3, scale=0.5)}
-            adam_step(store, grads, lr=0.05)
+            adam_step(store, grads, lr=0.05, weight_decay=1e-4)
             lam = np.linalg.eigvalsh(store["spd"].value)
             assert lam.min() > 0
 
     def test_log_scalar_decodes_positive(self, rng):
         store = make_store(rng)
         for _ in range(100):
-            adam_step(store, {"logv": np.array(rng.normal())}, lr=0.1)
+            adam_step(store, {"logv": np.array(rng.normal())}, lr=0.1, weight_decay=1e-4)
             assert np.exp(float(store["logv"].value)) > 0
 
     def test_nan_gradient_aborts_without_mutation(self, rng):
@@ -63,19 +63,19 @@ class TestAdamStep:
         before = {k: p.value.copy() for k, p in store.items()}
         grads = {"w": np.full((3, 4), np.nan)}
         with pytest.raises(NumericalError):
-            adam_step(store, grads)
+            adam_step(store, grads, lr=1e-3, weight_decay=1e-4)
         assert np.array_equal(store["w"].value, before["w"])
         assert store["w"].step == 0
 
     def test_shape_mismatch_rejected(self, rng):
         store = make_store(rng)
         with pytest.raises(ValueError):
-            adam_step(store, {"w": np.zeros((2, 2))})
+            adam_step(store, {"w": np.zeros((2, 2))}, lr=1e-3, weight_decay=1e-4)
 
     def test_unknown_parameter_rejected(self, rng):
         store = make_store(rng)
         with pytest.raises(KeyError):
-            adam_step(store, {"nope": np.zeros(3)})
+            adam_step(store, {"nope": np.zeros(3)}, lr=1e-3, weight_decay=1e-4)
 
     def test_determinism(self, rng):
         def run():
@@ -83,7 +83,7 @@ class TestAdamStep:
             store = make_store(r)
             for _ in range(20):
                 grads = {k: r.normal(size=p.value.shape) for k, p in store.items()}
-                adam_step(store, grads, lr=0.01)
+                adam_step(store, grads, lr=0.01, weight_decay=1e-4)
             return {k: p.value.copy() for k, p in store.items()}
 
         a, b = run(), run()
@@ -96,7 +96,7 @@ class TestDescent:
         # f(x) = 0.5 x^T A x with SPD A; Adam should crush the objective
         a = random_spd(rng, 5, eig_range=(0.5, 2.0))
         x0 = rng.normal(size=5) * 3.0
-        store = {"x": Param(x0, "euclidean")}
+        store = {"x": Param(x0, "euclidean", decay=False)}
         f0 = 0.5 * x0 @ a @ x0
         for _ in range(500):
             x = store["x"].value
@@ -107,12 +107,12 @@ class TestDescent:
     def test_spd_parameter_descends(self, rng):
         # minimize squared distance to a fixed SPD target in embedding space
         target = random_spd(rng, 3)
-        store = {"p": Param(np.eye(3), "spd")}
+        store = {"p": Param(np.eye(3), "spd", decay=False)}
         losses = []
         for _ in range(300):
             p = store["p"].value
             losses.append(float(np.sum((p - target) ** 2)))
-            adam_step(store, {"p": 2.0 * (p - target)}, lr=0.05)
+            adam_step(store, {"p": 2.0 * (p - target)}, lr=0.05, weight_decay=1e-4)
         assert losses[-1] < 0.05 * losses[0]
 
 

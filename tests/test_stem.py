@@ -9,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from chain_ops import concat, conv2d, leaky_relu, max_pool_time
+from conftest import model_config, stem_config
 
 from tmknet import autodiff as ad
 from tmknet.autodiff import Tape
 from tmknet.errors import ConfigError
-from tmknet.model import ModelConfig, TMKNet
+from tmknet.model import TMKNet
 from tmknet.stem import (
     BN_EPS,
     BN_MOMENTUM,
@@ -30,22 +31,19 @@ from tmknet.stem import (
 
 
 def make_cfg(c=8, fs=2000.0, r_data=0.2, r_res=(1 / 16, 1 / 32, 1 / 64),
-             n_t=4, n_s=6, pool=4, kernels=None):
+             n_t=4, n_s=6, pool=4, kernels=MSS_KERNELS):
     half = c // 2
-    kwargs = {}
-    if kernels is not None:
-        kwargs["mss_kernels"] = kernels
-    return StemConfig(
+    return stem_config(
         fs=fs, r_data=r_data, r_resolution=r_res, n_t=n_t, n_s=n_s,
         flexor_ids=tuple(range(half)), extensor_ids=tuple(range(half, c)),
         proximal_ids=tuple(range(0, c, 2)), distal_ids=tuple(range(1, c, 2)),
-        pool_size=pool, **kwargs,
+        pool_size=pool, mss_kernels=kernels,
     )
 
 
 def stem_params(cfg):
     """Copies of the stem parameters TMKNet initializes for `cfg`."""
-    model = TMKNet(ModelConfig(stem=cfg, n_b=1, n_c=2), seed=0)
+    model = TMKNet(model_config(cfg, n_b=1, n_c=2), seed=0)
     return {k: p.value.copy() for k, p in model.params.items()
             if k.startswith(("mrt.", "mss."))}
 
@@ -87,9 +85,9 @@ class TestStemConfig:
 
     def test_bad_partition(self):
         with pytest.raises(ConfigError):
-            StemConfig(fs=100, r_data=0.5, r_resolution=(0.5,), n_t=2, n_s=2,
-                       flexor_ids=(0, 1), extensor_ids=(1, 2),
-                       proximal_ids=(0, 1), distal_ids=(2, 3))
+            stem_config(fs=100, r_data=0.5, r_resolution=(0.5,), n_t=2, n_s=2,
+                        flexor_ids=(0, 1), extensor_ids=(1, 2),
+                        proximal_ids=(0, 1), distal_ids=(2, 3))
 
     @pytest.mark.parametrize("slope", [-3.0, 0.0, 1.0, 1.5, float("nan")])
     def test_leaky_slope_outside_unit_interval(self, slope):
@@ -98,9 +96,9 @@ class TestStemConfig:
 
     def test_odd_sensor_count(self):
         with pytest.raises(ConfigError):
-            StemConfig(fs=100, r_data=0.5, r_resolution=(0.5,), n_t=2, n_s=2,
-                       flexor_ids=(0,), extensor_ids=(1, 2),
-                       proximal_ids=(0,), distal_ids=(1, 2))
+            stem_config(fs=100, r_data=0.5, r_resolution=(0.5,), n_t=2, n_s=2,
+                        flexor_ids=(0,), extensor_ids=(1, 2),
+                        proximal_ids=(0,), distal_ids=(1, 2))
 
 
 class TestMrt:
@@ -190,7 +188,7 @@ class TestMss:
             extensor_ids=tuple(inv[list(cfg.extensor_ids)]),
             proximal_ids=tuple(inv[list(cfg.proximal_ids)]),
             distal_ids=tuple(inv[list(cfg.distal_ids)]),
-            pool_size=cfg.pool_size, mss_kernels=cfg.mss_kernels,
+            pool_size=cfg.pool_size, leaky_slope=cfg.leaky_slope, mss_kernels=cfg.mss_kernels,
         )
         t1, t2 = Tape(), Tape()
         out1 = mss_branches(t1.leaf(z), lift_params(t1, params), cfg)
@@ -324,7 +322,8 @@ class TestBatchnormMatchesChain:
         mean, var = rng.normal(size=ch), rng.uniform(0.5, 2.0, size=ch)
         results = []
         for bn in (chain_batchnorm, euclid_batchnorm):
-            state = BnState(mean=mean.copy(), var=var.copy(), initialized=True)
+            state = BnState(mean=mean.copy(), var=var.copy())
+            state.initialized = True
             results.append(self._run(bn, x, gamma, beta, g_perm, g, state, mode, gamma_grad))
         (_, want), (nodes, got) = results
         # strides too: upstream ops round by the memory order of what they get
@@ -450,12 +449,34 @@ class TestStemMatchesChain:
         "reordered": ("dilated", "global", "proximal_distal", "extensor", "flexor"),
     }
 
+    # muscle groups on 8 sensors other than make_cfg's contiguous halves:
+    # evenly spaced flexor and extensor rows, which `ad.mss_block` reads
+    # through strided views, and unevenly spaced ones, which it gathers; in
+    # both, the proximal-distal kernel's rows in tap order are gathered
+    GROUPS = {
+        "strided": dict(flexor_ids=(0, 2, 4, 6), extensor_ids=(1, 3, 5, 7),
+                        proximal_ids=(0, 1, 2, 3), distal_ids=(4, 5, 6, 7)),
+        "scattered": dict(flexor_ids=(0, 2, 5, 7), extensor_ids=(1, 3, 4, 6),
+                          proximal_ids=(0, 2, 5, 7), distal_ids=(1, 3, 4, 6)),
+    }
+
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("kernels", KERNEL_SETS)
     @pytest.mark.parametrize("shape", SHAPES)
     def test_mss_bit_identical(self, rng, shape, kernels, mode):
         kwargs, bsz, t = self.SHAPES[shape]
-        cfg = make_cfg(**kwargs, kernels=self.KERNEL_SETS[kernels])
+        self._check_mss(rng, make_cfg(**kwargs, kernels=self.KERNEL_SETS[kernels]), bsz, t,
+                        mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("groups", GROUPS)
+    @pytest.mark.parametrize("shape", ["desk", "batch_of_one"])
+    def test_mss_bit_identical_muscle_groups(self, rng, shape, groups, mode):
+        kwargs, bsz, t = self.SHAPES[shape]
+        cfg = dataclasses.replace(make_cfg(**kwargs), **self.GROUPS[groups])
+        self._check_mss(rng, cfg, bsz, t, mode)
+
+    def _check_mss(self, rng, cfg, bsz, t, mode):
         params = {k: v for k, v in stem_params(cfg).items()
                   if k.startswith("mss.") and not k.startswith("mss.bn")}
         z = rng.normal(size=(bsz, cfg.n_t, cfg.sensors, t // 4))
@@ -465,6 +486,25 @@ class TestStemMatchesChain:
         g = rng.normal(size=(bsz, cfg.n_s, rows, t // 4))
         g[..., ::5] = -0.0
         self._compare(chain_mss_branches, mss_branches, cfg, z, params, g, mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("bsz", [1, 3])
+    def test_mss_taps_in_no_even_spacing(self, rng, bsz, mode):
+        # a height-2 kernel with stride 2 over rows (0, 1, 3, 4, 7, 6): its
+        # taps read rows (0, 3, 7) and (1, 4, 6), neither an evenly spaced run
+        rows = (0, 1, 3, 4, 7, 6)
+
+        def chain(x, p, _):
+            z = conv2d(ad.gather(x, rows, axis=2), p["w"], p["b"], stride=(2, 1))
+            return leaky_relu(z, 0.01)
+
+        def node(x, p, _):
+            return ad.mss_block(x, [(rows, p["w"], p["b"], 2, 1)], 0.01)
+
+        params = {"w": rng.normal(size=(4, 3, 2, 1)), "b": rng.normal(size=4)}
+        x = rng.normal(size=(bsz, 3, 8, 5))
+        g = rng.normal(size=(bsz, 4, 3, 5))
+        self._compare(chain, node, None, x, params, g, mode)
 
     def test_mss_reads_no_row_twice(self, rng):
         tape = Tape()
