@@ -192,9 +192,9 @@ def dsbn_forward(
     domain_ids: list[str],
     state: DsbnState,
     mode: str,
-    g_phi: Variable | None = None,
-    v_phi: Variable | None = None,
-    eps_var: float = 1e-5,
+    g_phi: Variable | None,
+    v_phi: Variable | None,
+    eps_var: float,
 ) -> Variable | None:
     """Domain-specific SPD batch normalization, one stacked computation for
     all domains of the batch.
@@ -204,8 +204,8 @@ def dsbn_forward(
       group with its differentiable batch statistics, fold those statistics
       into the running ones and return the samples in their original order.
     adapt: the same grouping for target domains; folds the batch statistics
-      into the running ones and returns None (no output, so g_phi and v_phi
-      are not read).
+      into the running ones and returns None (no output, so g_phi, v_phi and
+      eps_var are not read, and g_phi and v_phi may be None).
     eval: normalize each sample with its domain's stored running statistics,
       stacked per sample as bases (b, n, n) and dispersions (b, 1, 1).
     """

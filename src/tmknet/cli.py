@@ -19,16 +19,17 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .data import (
     SynthSpec,
+    _json_object,
     _read_store_file,
-    leave_one_session_out,
     load_dataset,
     save_dataset,
     synth_generate,
@@ -64,25 +65,25 @@ def build_id(cfg_hash: str) -> str:
 
 def _default_seed() -> int:
     env = os.environ.get("TMKNET_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise ConfigError(f"TMKNET_SEED must be an integer, got {env!r}") from None
 
 
-_CONFIG_FLAGS = {
-    "subject": int, "target_session": int, "n_t": int, "n_s": int, "n_b": int,
-    "r_data": float, "pool_size": int, "lr": float, "weight_decay": float,
-    "batch_size": int, "domains_per_batch": int, "epochs": int, "seed": int,
-    "val_fraction": float, "adaptation": str, "gamma_source": float,
-    "gamma_target": float,
-}
+# RunConfig fields with a flag of their own, typed by RunConfig's annotations
+_CONFIG_FLAGS = ("subject", "target_session", "n_t", "n_s", "n_b", "r_data", "pool_size",
+                 "lr", "weight_decay", "batch_size", "domains_per_batch", "epochs", "seed",
+                 "val_fraction", "adaptation", "gamma_source", "gamma_target")
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with RunConfig fields, or a run's "
                    "config.json snapshot; flags override it")
-    defaults = RunConfig()
-    for name, typ in _CONFIG_FLAGS.items():
+    defaults, types = RunConfig(), get_type_hints(RunConfig)
+    for name in _CONFIG_FLAGS:
         flag = "--" + name.replace("_", "-")
-        p.add_argument(flag, type=typ, default=None,
+        p.add_argument(flag, type=types[name], default=None,
                        help=f"default {getattr(defaults, name)}")
     p.add_argument("--shared-bn", action="store_true", default=None,
                    help="single shared SPD batch norm instead of domain-specific")
@@ -91,21 +92,12 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
-    valid = {f.name for f in fields(RunConfig)}
     doc: dict = {}
     if args.config:
         path = Path(args.config)
-        try:
-            doc = json.loads(_read_store_file(path).decode("utf-8"))
-        except ValueError as exc:  # both UnicodeDecodeError and JSONDecodeError
-            raise DataError(f"--config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise DataError(f"--config {path} is not a JSON object")
+        doc = _json_object(_read_store_file(path), f"--config {path}")
         if isinstance(doc.get("config"), dict):  # a run directory's config.json
             doc = doc["config"]
-        unknown = set(doc) - valid
-        if unknown:
-            raise ConfigError(f"--config {path} has unknown keys: {sorted(unknown)}")
     for name in _CONFIG_FLAGS:
         value = getattr(args, name)
         if value is not None:
@@ -116,21 +108,17 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         doc["ablation"] = [v for v in args.ablation.split(",") if v]
     if "seed" not in doc:
         doc["seed"] = _default_seed()
-    return RunConfig.from_doc(doc)
+    try:
+        return RunConfig(**doc)
+    except TypeError as exc:  # a --config key that names no field
+        raise ConfigError(f"--config {args.config}: {exc}") from exc
 
 
 def _write_run_dir(out: Path, cfg: RunConfig) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    snapshot = {"config": cfg.to_doc(), "seed": cfg.seed, "config_hash": cfg.hash(),
+    snapshot = {"config": asdict(cfg), "seed": cfg.seed, "config_hash": cfg.hash(),
                 "build_id": build_id(cfg.hash())}
     (out / "config.json").write_text(json.dumps(snapshot, indent=2))
-
-
-def _load_data(path: str):
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"--data directory not found: {p}")
-    return load_dataset(p)
 
 
 # manifest fields a trained model depends on: trial shape, sensor groups, classes
@@ -142,7 +130,7 @@ def _load_checkpoint_and_data(args):
     """(model, cfg, manifest, trials) from --checkpoint and --data; DataError
     naming each field in which --data is recorded differently."""
     model, cfg, manifest = load_checkpoint(args.checkpoint)
-    data_manifest, trials = _load_data(args.data)
+    data_manifest, trials = load_dataset(args.data)
     differ = [f"{k} {getattr(data_manifest, k)!r} (checkpoint: {getattr(manifest, k)!r})"
               for k in _MODEL_FIELDS if getattr(data_manifest, k) != getattr(manifest, k)]
     if differ:
@@ -176,7 +164,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_import(args) -> int:
-    manifest, trials = _load_data(args.src)
+    manifest, trials = load_dataset(args.src)
     save_dataset(args.out, manifest, trials)
     print(f"validated and copied {len(trials)} trials to {args.out}")
     return 0
@@ -184,7 +172,7 @@ def _cmd_import(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _run_config(args)
-    manifest, trials = _load_data(args.data)
+    manifest, trials = load_dataset(args.data)
     build_model_config(manifest, cfg)  # reject the config before the run directory exists
     out = Path(args.out)
     _write_run_dir(out, cfg)
@@ -235,7 +223,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_ablate(args) -> int:
     cfg = _run_config(args)
-    manifest, trials = _load_data(args.data)
+    manifest, trials = load_dataset(args.data)
     variants = [v for v in (args.variants.split(",") if args.variants else []) if v]
     results = ablate(cfg, manifest, trials, variants)
     out = Path(args.out)
@@ -290,14 +278,15 @@ def _cmd_compare(args) -> int:
         vals = []
         for p in paths:
             path = Path(p)
-            try:  # not UTF-8 JSON, or not a report's fields
-                rep = MetricsReport.from_json(_read_store_file(path).decode("utf-8"))
-            except (ValueError, TypeError) as exc:
+            doc = _json_object(_read_store_file(path), f"{flag}: {path}")
+            try:  # not a report's fields, or a value of the wrong type
+                rep = MetricsReport(**doc)
+            except (TypeError, ConfigError) as exc:
                 raise DataError(f"{flag}: {path} is not a metrics report: {exc}") from exc
             val = getattr(rep, args.metric)
-            try:  # a bool is an int to Python but not a score
-                finite = not isinstance(val, bool) and math.isfinite(val)
-            except (TypeError, OverflowError):  # not a number, or an int beyond float
+            try:
+                finite = math.isfinite(val)
+            except OverflowError:  # an int beyond float
                 finite = False
             if not finite:
                 raise DataError(f"{flag}: {path} has {args.metric} {val!r}, "

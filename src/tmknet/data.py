@@ -25,32 +25,51 @@ FORMAT_VERSION = 1
 INDEX_COLUMNS = ("trial_id", "byte_offset", "label_id", "subject", "session")
 
 
-def _has_type(value, hint) -> bool:
-    """Whether `value` fits the field type `hint` as JSON spells it: an int fits
-    a float field, a bool fits no number field, and a list or tuple fits when
-    it has the annotated length and each element fits its type."""
-    if hint in (int, float) and isinstance(value, bool):
-        return False
-    if hint is float:
-        return isinstance(value, (int, float))
+def _fitted(value, hint):
+    """`value` as a field annotated `hint` holds it; ConfigError if it does
+    not fit. An int fits a float field, a bool no number field. A list or
+    tuple fits a list or tuple field of its length when each element fits its
+    type, and comes back as the field's container: a JSON list as a tuple."""
     origin, args = get_origin(hint), get_args(hint)
     if origin in (list, tuple):  # list[X], tuple[X, ...] or tuple[X, Y]
-        if isinstance(value, origin) and (origin is list or args[-1] is Ellipsis):
+        sequence = isinstance(value, (list, tuple))
+        if sequence and (origin is list or args[-1] is Ellipsis):
             args = args[:1] * len(value)
-        return (isinstance(value, origin) and len(value) == len(args)
-                and all(map(_has_type, value, args)))
+        if not sequence or len(value) != len(args):
+            raise ConfigError(hint)
+        return origin(map(_fitted, value, args))
     if args:  # an optional field, X | None
-        return any(_has_type(value, h) for h in args)
-    return isinstance(value, hint)
+        return None if value is None else _fitted(value, args[0])
+    if (isinstance(value, bool) and hint in (int, float)
+            or not isinstance(value, (int, float) if hint is float else hint)):
+        raise ConfigError(hint)
+    return value
 
 
 def _check_field_types(obj) -> None:
-    """Raise ConfigError naming the first field of dataclass `obj` not fitting its type."""
+    """Put each field of dataclass `obj` into its annotated type (see
+    `_fitted`); ConfigError names the first field whose value does not fit.
+    So a class whose `__post_init__` calls this reads its stored document
+    back as `Cls(**doc)`, doc being the decoded `json.dumps(asdict(x))`."""
     for name, hint in get_type_hints(type(obj)).items():
         value = getattr(obj, name)
-        if not _has_type(value, hint):
+        try:
+            setattr(obj, name, _fitted(value, hint))
+        except ConfigError:
             spelled = hint.__name__ if isinstance(hint, type) else str(hint)
-            raise ConfigError(f"{name} must be {spelled}, got {value!r}")
+            raise ConfigError(f"{name} must be {spelled}, got {value!r}") from None
+
+
+def _json_object(raw: bytes, what: str) -> dict:
+    """The JSON object that the UTF-8 bytes `raw` spell; DataError, naming
+    `what`, for anything else."""
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # both UnicodeDecodeError and JSONDecodeError
+        raise DataError(f"{what} is not UTF-8 JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{what} is not a JSON object")
+    return doc
 
 
 @dataclass
@@ -70,7 +89,6 @@ class DatasetManifest:
     format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
-        self.domains = [tuple(d) for d in self.domains]
         _check_field_types(self)
         if not self.window_ms > self.overlap_ms > 0:
             raise ConfigError(
@@ -79,10 +97,6 @@ class DatasetManifest:
         for ids in (self.flexor_ids, self.extensor_ids, self.proximal_ids, self.distal_ids):
             if any(not 0 <= i < self.sensors for i in ids):
                 raise ConfigError("muscle-group indices must lie in [0, sensors)")
-
-    def to_doc(self) -> dict:
-        """The fields as a JSON-ready dict; domain pairs become lists."""
-        return {**asdict(self), "domains": [list(d) for d in self.domains]}
 
     @property
     def n_classes(self) -> int:
@@ -444,7 +458,7 @@ def synth_generate(spec: SynthSpec) -> tuple[DatasetManifest, list[Trial]]:
 def save_dataset(path: str | Path, manifest: DatasetManifest, trials: list[Trial]) -> None:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    (path / "manifest.json").write_text(json.dumps(manifest.to_doc(), indent=2),
+    (path / "manifest.json").write_text(json.dumps(asdict(manifest), indent=2),
                                         encoding="utf-8")
 
     offset = 0
@@ -495,12 +509,7 @@ def _index_rows(path: Path):
 def load_dataset(path: str | Path) -> tuple[DatasetManifest, list[Trial]]:
     path = Path(path)
     manifest_path = path / "manifest.json"
-    try:
-        doc = json.loads(_read_store_file(manifest_path).decode("utf-8"))
-    except ValueError as exc:  # both UnicodeDecodeError and JSONDecodeError
-        raise DataError(f"corrupt manifest.json: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataError(f"{manifest_path} is not a JSON object")
+    doc = _json_object(_read_store_file(manifest_path), str(manifest_path))
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise DataError(f"unknown dataset format version {version!r} "

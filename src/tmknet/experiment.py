@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape
 from .data import DatasetManifest, DomainBatchSampler, Trial, _read_store_file
-from .data import _check_field_types, leave_one_session_out
+from .data import _check_field_types, _json_object, leave_one_session_out
 from .errors import ConfigError, DataError, NumericalError
 from .linalg import sym_fn
 from .metrics import MetricsReport, report_from_predictions
@@ -96,17 +96,8 @@ class RunConfig:
                               f"domains_per_batch, got batch_size={self.batch_size}, "
                               f"domains_per_batch={self.domains_per_batch}")
 
-    def to_doc(self) -> dict:
-        """The fields as a JSON-ready dict; tuple fields become lists."""
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "RunConfig":
-        """Inverse of `to_doc`; absent fields take their defaults."""
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
-
     def hash(self) -> str:
-        blob = json.dumps(self.to_doc(), sort_keys=True).encode()
+        blob = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -424,7 +415,7 @@ def save_checkpoint(path: str | Path, model: TMKNet, cfg: RunConfig,
     so every array's shape; the payload is the model's arrays in
     `model.layout` order as little-endian float64; the SHA-256 covers every
     byte before it. Round trips bit-exactly."""
-    header = json.dumps({"config": cfg.to_doc(), "manifest": manifest.to_doc(),
+    header = json.dumps({"config": asdict(cfg), "manifest": asdict(manifest),
                          "domain_kinds": model.dsbn_domain_kinds()}, sort_keys=True).encode()
     body = b"".join([CHECKPOINT_MAGIC, struct.pack("<IQ", CHECKPOINT_VERSION, len(header)),
                      header, *(np.ascontiguousarray(a, dtype="<f8").tobytes()
@@ -450,12 +441,7 @@ def load_checkpoint(path: str | Path) -> tuple[TMKNet, RunConfig, DatasetManifes
     if hashlib.sha256(body).digest() != raw[-DIGEST_LEN:]:
         raise DataError(f"{path}: SHA-256 digest mismatch; the checkpoint is "
                         "truncated or corrupt")
-    try:
-        header = json.loads(body[16:16 + header_len].decode("utf-8"))
-    except ValueError as exc:  # both UnicodeDecodeError and JSONDecodeError
-        raise DataError(f"{path}: checkpoint header is not UTF-8 JSON ({exc})") from exc
-    if not isinstance(header, dict):
-        raise DataError(f"{path}: checkpoint header is not a JSON object")
+    header = _json_object(body[16:16 + header_len], f"{path}: checkpoint header")
     for key in ("config", "manifest", "domain_kinds"):
         if not isinstance(header.get(key), dict):
             raise DataError(f"{path}: checkpoint header field {key!r} is missing or "
@@ -463,7 +449,7 @@ def load_checkpoint(path: str | Path) -> tuple[TMKNet, RunConfig, DatasetManifes
     payload = body[16 + header_len:]
 
     try:
-        cfg = RunConfig.from_doc(header["config"])
+        cfg = RunConfig(**header["config"])
         manifest = DatasetManifest(**header["manifest"])
         model_cfg = build_model_config(manifest, cfg)
         # size the model from the header before allocating it

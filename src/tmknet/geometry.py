@@ -50,12 +50,19 @@ def _sqrt_pair(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sym_fn(b, "sqrt", eig=e), sym_fn(b, "inv_sqrt", eig=e)
 
 
+def _whiten(base: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(base^{1/2}, base^{-1/2}, base^{-1/2} x base^{-1/2}) once `x` passes
+    `_check_z2`, the last symmetrized and broadcast over `x`'s leading axes."""
+    x = _check_z2(base, x)
+    s, inv_s = _sqrt_pair(base)
+    return s, inv_s, symmetrize(inv_s @ x @ inv_s)
+
+
 def _at_base(base: np.ndarray, x: np.ndarray, tag: str, param=None) -> np.ndarray:
     """base^{1/2} f(base^{-1/2} x base^{-1/2}) base^{1/2} for the spectral
     function `tag`, broadcasting `x` over leading axes."""
-    x = _check_z2(base, x)
-    s, inv_s = _sqrt_pair(base)
-    return symmetrize(s @ sym_fn(symmetrize(inv_s @ x @ inv_s), tag, param) @ s)
+    s, _, w = _whiten(base, x)
+    return symmetrize(s @ sym_fn(w, tag, param) @ s)
 
 
 def airm_dist(z1: np.ndarray, z2: np.ndarray) -> float | np.ndarray:
@@ -63,9 +70,7 @@ def airm_dist(z1: np.ndarray, z2: np.ndarray) -> float | np.ndarray:
 
     Broadcasts over leading axes; scalar for single matrices.
     """
-    z2 = _check_z2(z1, z2)
-    inv_sqrt = sym_fn(z1, "inv_sqrt")
-    lam = sym_eig(symmetrize(inv_sqrt @ z2 @ inv_sqrt))[0]
+    lam = sym_eig(_whiten(z1, z2)[2])[0]
     if lam.min(initial=np.inf) <= 0.0:
         raise NumericalError("whitened matrix has non-positive spectrum")
     d = np.sqrt((np.log(lam) ** 2).sum(axis=-1))
@@ -101,8 +106,6 @@ def parallel_transport(s_tan: np.ndarray, z1: np.ndarray, z2: np.ndarray) -> np.
     against round-off.
     """
     s_tan = np.asarray(s_tan, dtype=np.float64)
-    z2 = _check_z2(z1, z2)
-    sqrt1, inv_sqrt1 = _sqrt_pair(z1)
-    mid = sym_fn(symmetrize(inv_sqrt1 @ z2 @ inv_sqrt1), "sqrt")
-    e = sqrt1 @ mid @ inv_sqrt1
+    sqrt1, inv_sqrt1, w = _whiten(z1, z2)
+    e = sqrt1 @ sym_fn(w, "sqrt") @ inv_sqrt1
     return symmetrize(e @ s_tan @ np.swapaxes(e, -1, -2))

@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .data import _check_field_types
 from .errors import DataError
 
 __all__ = [
@@ -35,12 +36,12 @@ class MetricsReport:
     seed: int | None = None
     config_hash: str | None = None
 
+    def __post_init__(self):
+        # values arrive from JSON (`compare` reads reports back)
+        _check_field_types(self)
+
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsReport":
-        return cls(**json.loads(text))
 
 
 def confusion_matrix(y_true, y_pred, n_classes: int) -> np.ndarray:

@@ -239,7 +239,8 @@ class TMKNet:
         pvars = self.param_vars(tape, trainable=False)
         h = np.concatenate([self.features(tape, tape.leaf(x[s]), "eval", pvars).value
                             for s in eval_blocks(len(x))])
-        bk.dsbn_forward(tape.leaf(h), self._bn_ids(domain_ids), self.dsbn, "adapt")
+        bk.dsbn_forward(tape.leaf(h), self._bn_ids(domain_ids), self.dsbn, "adapt",
+                        None, None, self.cfg.eps_var)
 
     # --- array snapshot ---------------------------------------------------------
 

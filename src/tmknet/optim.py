@@ -66,8 +66,6 @@ def adam_step(
     Aborts (raising, mutating nothing) if any gradient is non-finite.
     """
     for name, g in grads.items():
-        if g is None:
-            continue
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient for parameter {name!r}; step aborted")
         if name not in params:
@@ -77,8 +75,6 @@ def adam_step(
                              f"parameter {name!r} shape {params[name].value.shape}")
 
     for name, g in grads.items():
-        if g is None:
-            continue
         p = params[name]
         g = np.asarray(g, dtype=np.float64)
         p.step += 1

@@ -229,7 +229,7 @@ class TestDsbnForward:
         z = np.stack([np.eye(2), np.diag([np.e ** 4, np.e ** 4])])
         tape = Tape()
         g_phi, v_phi = self._phi(tape, 2)
-        out = dsbn_forward(const(tape, z), ["a", "a"], st, "train", g_phi, v_phi)
+        out = dsbn_forward(const(tape, z), ["a", "a"], st, "train", g_phi, v_phi, 1e-5)
         remean = batch_stats_oracle(out.value)[0]
         assert np.abs(remean - np.eye(2)).max() <= 1e-10
 
@@ -241,8 +241,8 @@ class TestDsbnForward:
         tape = Tape()
         g_phi = const(tape, random_spd(rng, 3))
         v_phi = const(tape, 1.0)
-        assert dsbn_forward(const(tape, batch), ["t", "t"], st, "adapt", g_phi, v_phi) is None
-        out = dsbn_forward(const(tape, batch), ["t", "t"], st, "eval", g_phi, v_phi)
+        assert dsbn_forward(const(tape, batch), ["t", "t"], st, "adapt", g_phi, v_phi, 1e-5) is None
+        out = dsbn_forward(const(tape, batch), ["t", "t"], st, "eval", g_phi, v_phi, 1e-5)
         # G_run equals the batch itself, so the whitened matrix is I and the
         # output lands on the bias point
         assert np.allclose(out.value[0], g_phi.value, atol=1e-8)
@@ -253,7 +253,7 @@ class TestDsbnForward:
         batch = np.stack([random_spd(rng, 3) for _ in range(5)])
         tape = Tape()
         g_phi, v_phi = self._phi(tape, 3)
-        dsbn_forward(const(tape, batch), ["t"] * 5, st, "adapt", g_phi, v_phi)
+        dsbn_forward(const(tape, batch), ["t"] * 5, st, "adapt", g_phi, v_phi, 1e-5)
         g_b, v_b = batch_stats_oracle(batch)
         g_run, v_run = st.stats("t")
         assert np.allclose(g_run, g_b)  # gamma at first update is 1
@@ -269,8 +269,8 @@ class TestDsbnForward:
             st.register("t", "target")
             tape = Tape()
             g_phi, v_phi = self._phi(tape, n)
-            dsbn_forward(const(tape, batch), ["s"] * k, st, "train", g_phi, v_phi)
-            dsbn_forward(const(tape, batch), ["t"] * k, st, "adapt", g_phi, v_phi)
+            dsbn_forward(const(tape, batch), ["s"] * k, st, "train", g_phi, v_phi, 1e-5)
+            dsbn_forward(const(tape, batch), ["t"] * k, st, "adapt", g_phi, v_phi, 1e-5)
             (g_s, v_s), (g_t, v_t) = st.stats("s"), st.stats("t")
             assert g_s.tobytes() == g_t.tobytes(), (k, n)
             assert v_s == v_t, (k, n, v_s - v_t)
@@ -279,7 +279,7 @@ class TestDsbnForward:
         st = dsbn_state(3)
         st.register("t", "target")
         batch = np.stack([random_spd(rng, 3) for _ in range(4)])
-        assert dsbn_forward(const(Tape(), batch), ["t"] * 4, st, "adapt") is None
+        assert dsbn_forward(const(Tape(), batch), ["t"] * 4, st, "adapt", None, None, 1e-5) is None
         assert st.domains["t"].steps == 1
 
     def test_adapt_on_source_rejected(self, rng):
@@ -289,7 +289,7 @@ class TestDsbnForward:
         tape = Tape()
         g_phi, v_phi = self._phi(tape, 3)
         with pytest.raises(ConfigError):
-            dsbn_forward(const(tape, batch), ["s"] * 4, st, "adapt", g_phi, v_phi)
+            dsbn_forward(const(tape, batch), ["s"] * 4, st, "adapt", g_phi, v_phi, 1e-5)
 
     def test_train_on_target_rejected(self, rng):
         st = dsbn_state(3)
@@ -298,7 +298,7 @@ class TestDsbnForward:
         tape = Tape()
         g_phi, v_phi = self._phi(tape, 3)
         with pytest.raises(ConfigError):
-            dsbn_forward(const(tape, batch), ["t"] * 4, st, "train", g_phi, v_phi)
+            dsbn_forward(const(tape, batch), ["t"] * 4, st, "train", g_phi, v_phi, 1e-5)
 
     def test_unknown_domain_rejected(self, rng):
         st = dsbn_state(3)
@@ -306,7 +306,7 @@ class TestDsbnForward:
         tape = Tape()
         g_phi, v_phi = self._phi(tape, 3)
         with pytest.raises(ConfigError):
-            dsbn_forward(const(tape, batch), ["x", "x"], st, "train", g_phi, v_phi)
+            dsbn_forward(const(tape, batch), ["x", "x"], st, "train", g_phi, v_phi, 1e-5)
 
     def test_min_group_size(self, rng):
         st = dsbn_state(3)
@@ -316,7 +316,7 @@ class TestDsbnForward:
         tape = Tape()
         g_phi, v_phi = self._phi(tape, 3)
         with pytest.raises(ValueError):
-            dsbn_forward(const(tape, batch), ["a", "a", "b"], st, "train", g_phi, v_phi)
+            dsbn_forward(const(tape, batch), ["a", "a", "b"], st, "train", g_phi, v_phi, 1e-5)
 
     def test_sample_order_restored(self, rng):
         st = dsbn_state(3)
@@ -326,7 +326,7 @@ class TestDsbnForward:
         ids = ["a", "b", "a", "b", "a", "b"]
         tape = Tape()
         g_phi, v_phi = self._phi(tape, 3)
-        out = dsbn_forward(const(tape, batch), ids, st, "train", g_phi, v_phi)
+        out = dsbn_forward(const(tape, batch), ids, st, "train", g_phi, v_phi, 1e-5)
         # grouped-by-domain run must agree with per-domain manual runs, in the
         # original interleaved order
         st2 = dsbn_state(3)
@@ -334,10 +334,12 @@ class TestDsbnForward:
         st2.register("b", "source")
         tape2 = Tape()
         g_phi2, v_phi2 = self._phi(tape2, 3)
-        out_a = dsbn_forward(const(tape2, batch[[0, 2, 4]]), ["a"] * 3, st2, "train", g_phi2, v_phi2)
+        out_a = dsbn_forward(const(tape2, batch[[0, 2, 4]]), ["a"] * 3, st2, "train",
+                             g_phi2, v_phi2, 1e-5)
         tape3 = Tape()
         g_phi3, v_phi3 = self._phi(tape3, 3)
-        out_b = dsbn_forward(const(tape3, batch[[1, 3, 5]]), ["b"] * 3, st2, "train", g_phi3, v_phi3)
+        out_b = dsbn_forward(const(tape3, batch[[1, 3, 5]]), ["b"] * 3, st2, "train",
+                             g_phi3, v_phi3, 1e-5)
         assert out.value[[0, 2, 4]].tobytes() == out_a.value.tobytes()
         assert out.value[[1, 3, 5]].tobytes() == out_b.value.tobytes()
 
@@ -350,7 +352,8 @@ class TestDsbnForward:
         tape = Tape()
         g_phi, v_phi = self._phi(tape, 3)
         with pytest.raises(ValueError, match="equal-sized"):
-            dsbn_forward(const(tape, batch), ["a", "b", "a", "b", "b"], st, mode, g_phi, v_phi)
+            dsbn_forward(const(tape, batch), ["a", "b", "a", "b", "b"], st, mode,
+                         g_phi, v_phi, 1e-5)
         assert st.domains["a"].steps == st.domains["b"].steps == 0
 
     def test_variance_rescaling_shrinks_dispersion_toward_target(self, rng):
@@ -362,7 +365,7 @@ class TestDsbnForward:
         tape = Tape()
         g_phi = const(tape, np.eye(4))
         v_phi = const(tape, 0.5)
-        out = dsbn_forward(const(tape, batch), ["a"] * 16, st, "train", g_phi, v_phi)
+        out = dsbn_forward(const(tape, batch), ["a"] * 16, st, "train", g_phi, v_phi, 1e-5)
         g_b, v_b = batch_stats_oracle(out.value)
         assert abs(v_b - 0.5) < 0.05
 

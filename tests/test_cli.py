@@ -54,7 +54,7 @@ class TestSynthImport:
 class TestTrainEval:
     def test_run_dir_contents(self, trained_run):
         assert (trained_run / "checkpoint.tmk").exists()
-        report = MetricsReport.from_json((trained_run / "metrics.json").read_text())
+        report = MetricsReport(**json.loads((trained_run / "metrics.json").read_text()))
         assert 0.0 <= report.accuracy <= 1.0
         snap = json.loads((trained_run / "config.json").read_text())
         assert snap["seed"] == 5
@@ -95,7 +95,7 @@ class TestTrainEval:
         out = tmp_path / "eval"
         assert main(["eval", "--checkpoint", str(adapted / "checkpoint.tmk"),
                      "--data", str(dataset), "--domain", "0/2", "--out", str(out)]) == 0
-        report = MetricsReport.from_json((out / "metrics.json").read_text())
+        report = MetricsReport(**json.loads((out / "metrics.json").read_text()))
         assert 0.0 <= report.accuracy <= 1.0
 
     def test_eval_unadapted_target_is_usage_error(self, dataset, trained_run, tmp_path):
@@ -147,6 +147,16 @@ class TestErrorPaths:
 
     def test_unknown_subcommand_exits_one(self):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_non_integer_seed_variable_exits_one(self, dataset, tmp_path, monkeypatch,
+                                                 capsys, command):
+        monkeypatch.setenv("TMKNET_SEED", "abc")
+        args = (["--out", str(tmp_path / "o")] if command == "synth" else
+                ["--data", str(dataset), "--out", str(tmp_path / "o"), "--epochs", "0"])
+        assert main([command, *args]) == 1
+        assert "error: TMKNET_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_data_dir_exits_two(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "missing"),
@@ -424,15 +434,20 @@ class TestCompare:
         p1.write_text(rep.to_json())
         assert main(["compare", "--a", str(p1), str(p1), "--b", str(p1)]) == 1
 
-    @pytest.mark.parametrize("text", ["accuracy: 0.5", '{"accuracy": 1}', None],
-                             ids=["not-json", "missing-fields", "directory"])
+    @pytest.mark.parametrize("text", ["accuracy: 0.5", '{"accuracy": 1}', None,
+                                      {"precision": "0.5"}, {"seed": 1.5}],
+                             ids=["not-json", "missing-fields", "directory",
+                                  "precision-string", "seed-not-int"])
     def test_malformed_report_exits_two(self, tmp_path, capsys, text):
+        fields = dict(accuracy=0.5, macro_f1=0.5, precision=[], recall=[], f1=[],
+                      confusion=[])
         good = tmp_path / "good.json"
-        good.write_text(MetricsReport(accuracy=0.5, macro_f1=0.5, precision=[], recall=[],
-                                      f1=[], confusion=[]).to_json())
+        good.write_text(MetricsReport(**fields).to_json())
         bad = tmp_path / "bad.json"
         if text is None:
             bad.mkdir()
+        elif isinstance(text, dict):  # a report with one field mistyped
+            bad.write_text(json.dumps({**fields, **text}))
         else:
             bad.write_text(text)
         assert main(["compare", "--a", str(good), "--b", str(bad)]) == 2
@@ -442,9 +457,9 @@ class TestCompare:
     @pytest.mark.parametrize("value", ["x", True, float("nan"), float("inf"), None],
                              ids=["string", "bool", "nan", "inf", "null"])
     def test_metric_not_a_finite_number_exits_two(self, tmp_path, capsys, value):
-        def report(accuracy):
-            return MetricsReport(accuracy=accuracy, macro_f1=0.5, precision=[], recall=[],
-                                 f1=[], confusion=[]).to_json()
+        def report(accuracy):  # JSON text: the constructor rejects a mistyped accuracy
+            return json.dumps(dict(accuracy=accuracy, macro_f1=0.5, precision=[], recall=[],
+                                   f1=[], confusion=[]))
 
         good = [tmp_path / f"good{i}.json" for i in range(5)]
         for i, p in enumerate(good):

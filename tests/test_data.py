@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from tmknet.data import (
     zscore,
 )
 from tmknet.errors import ConfigError, DataError
+from tmknet.experiment import RunConfig
 from tmknet.geometry import airm_dist
+from tmknet.metrics import report_from_predictions
 
 from spd_oracles import karcher_mean
 
@@ -362,7 +365,7 @@ class TestStoreIO:
         ds = self._small_store(tmp_path / "ds")
         manifest, _ = load_dataset(ds)
         doc = json.loads((ds / "manifest.json").read_text())
-        assert doc == manifest.to_doc()
+        assert doc == json.loads(json.dumps(asdict(manifest)))
         assert doc["domains"] == [[0, 0]]
 
     @pytest.mark.parametrize("edit", [{"overlap_ms": 900.0}, {"flexor_ids": [0, 7]},
@@ -459,3 +462,27 @@ class TestManifestValidation:
     def test_trial_rejects_nan(self):
         with pytest.raises(DataError):
             Trial(signal=np.array([[np.nan, 0.0]]), label=0, domain=(0, 0), trial_id=0)
+
+
+def _report_with_nan_accuracy():
+    rep = report_from_predictions([0, 1], [0, 1], 2)
+    rep.accuracy, rep.seed, rep.config_hash = float("nan"), 7, "abc"
+    return rep
+
+
+class TestJsonDocuments:
+    @pytest.mark.parametrize("doc", [
+        RunConfig(),
+        RunConfig(ablation=("no_mss", "no_dilated"), r_resolution=(0.0625,), cov_lambda=0.5,
+                  shared_bn=True, adaptation="interleaved"),
+        synth_generate(SynthSpec(n_classes=2, sensors=4, n_domains=3, trials_per_cell=1,
+                                 seed=3))[0],
+        _report_with_nan_accuracy(),
+    ], ids=["run-config-default", "run-config-tuples-and-flags", "manifest",
+            "report-nan-seed-hash"])
+    def test_round_trip(self, doc):
+        text = json.dumps(asdict(doc))
+        back = type(doc)(**json.loads(text))
+        # repr, unlike ==, holds NaN equal to itself and tells a tuple from a list
+        assert repr(back) == repr(doc)
+        assert json.dumps(asdict(back)) == text

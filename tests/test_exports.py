@@ -1,6 +1,7 @@
 """Design rules: every definition in the package has a caller outside the
 tests, every default has a call that leaves it out and one that passes it,
-and so `src/` holds only what a run uses.
+no default copies a `RunConfig` default, every import is used, and so `src/`
+holds only what a run uses.
 
 Each module-level function or class in `src/tmknet/*.py`, and each public
 method of a module-level class, must be referenced somewhere in `src/` or
@@ -29,6 +30,11 @@ so it counts as passing for the first rule and as leaving out for the
 second. Matching by name is what keeps the rules simple, and it is also
 their blind spot: a parameter is missed whenever another callable shares the
 name, as numpy's `ndarray.transpose(*axes)` shares `autodiff.transpose`'s.
+
+A run setting has its default in `RunConfig` alone, so no other parameter or
+dataclass field may default to `RunConfig`'s default for the field of its
+name. And each name that an import in `src/tmknet/*.py` binds must be used
+in its module, or listed in its `__all__`.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ PARAMS_ALLOWED = {
 }
 
 # function or dataclass -> why it keeps defaults that every call in src/ or
-# perfbench/ overrides
+# perfbench/ overrides, or that equal RunConfig's
 DEFAULTS_ALLOWED = {
     "autodiff.sum_": "axis and keepdims default to a full reduction, the scalar loss "
                      "sum_(x) of the gradient tests",
@@ -172,24 +178,29 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
                for d in node.decorator_list)
 
 
-def _field_default(value: ast.expr | None) -> bool | None:
-    """Whether a dataclass field with this right-hand side has a default;
-    None when it is no parameter of `__init__` (`field(init=False)`)."""
+NOT_INIT = object()  # `_field_default` of a field that is no parameter of `__init__`
+
+
+def _field_default(value: ast.expr | None):
+    """The default of a dataclass field with this right-hand side: the
+    expression (a `default_factory` for a factory), None without one, and
+    NOT_INIT when the field is no parameter of `__init__` (`field(init=False)`)."""
     if not (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"):
-        return value is not None
+        return value
     keywords = {k.arg: k.value for k in value.keywords}
     if isinstance(keywords.get("init"), ast.Constant) and keywords["init"].value is False:
-        return None
-    return "default" in keywords or "default_factory" in keywords
+        return NOT_INIT
+    return keywords.get("default", keywords.get("default_factory"))
 
 
 def _signatures():
     """Yield (qualified name, name, parameters, `**` name or None, file,
     first line, last line) per module-level function, method and dataclass.
-    `parameters` holds (name, position in a call or None, has a default) per
-    parameter that a call can pass; a method's self or cls is not one. The
-    lines are the body a call from itself is not counted in: a function's,
-    and none for a dataclass, whose methods construct it as any caller does.
+    `parameters` holds (name, position in a call or None, default expression
+    or None) per parameter that a call can pass; a method's self or cls is
+    not one. The lines are the body a call from itself is not counted in: a
+    function's, and none for a dataclass, whose methods construct it as any
+    caller does.
     """
     for path in sorted(PACKAGE.glob("*.py")):
         mod = path.stem
@@ -204,10 +215,10 @@ def _signatures():
                 a = fn.args
                 positional = a.posonlyargs + a.args
                 first_default = len(positional) - len(a.defaults)
-                params = [(arg.arg, i - bound, i >= first_default)
+                params = [(arg.arg, i - bound,
+                           a.defaults[i - first_default] if i >= first_default else None)
                           for i, arg in enumerate(positional) if i >= bound]
-                params += [(arg.arg, None, d is not None)
-                           for arg, d in zip(a.kwonlyargs, a.kw_defaults)]
+                params += [(arg.arg, None, d) for arg, d in zip(a.kwonlyargs, a.kw_defaults)]
                 yield (qual, fn.name, params, a.kwarg and a.kwarg.arg, path,
                        fn.lineno, fn.end_lineno)
             if isinstance(node, ast.ClassDef) and _is_dataclass(node):
@@ -215,7 +226,7 @@ def _signatures():
                           if isinstance(item, ast.AnnAssign)
                           and "ClassVar" not in ast.unparse(item.annotation)]
                 params = [(name, i, default) for i, (name, default)
-                          in enumerate((f for f in fields if f[1] is not None))]
+                          in enumerate((f for f in fields if f[1] is not NOT_INIT))]
                 yield f"{mod}.{node.name}", node.name, params, None, path, 0, -1
 
 
@@ -270,7 +281,7 @@ def _unpassed_parameters():
     call of that name in src/ or perfbench/ passes."""
     for qual, params, kwarg, named in _named_calls():
         for param, position, default in params:
-            if default and not any(_passes(c, param, position) for c in named):
+            if default is not None and not any(_passes(c, param, position) for c in named):
                 yield qual, param
         known = {param for param, *_ in params}
         if kwarg is not None and not any(k.arg not in known
@@ -283,7 +294,8 @@ def _overridden_defaults():
     name in src/ or perfbench/ passes, when there is such a call."""
     for qual, params, _, named in _named_calls():
         for param, position, default in params:
-            if default and named and all(_surely_passes(c, param, position) for c in named):
+            if (default is not None and named
+                    and all(_surely_passes(c, param, position) for c in named)):
                 yield qual, param
 
 
@@ -303,3 +315,53 @@ def test_no_default_is_overridden_by_every_call():
 
 def test_default_allowlist_names_overridden_defaults():
     assert set(DEFAULTS_ALLOWED) <= {q for q, _ in _overridden_defaults()}
+
+
+def _value(node: ast.expr):
+    """The value a default expression spells, or its source text when it is
+    no literal."""
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return ast.unparse(node)
+
+
+def _run_config_copies():
+    """Yield (qualified name, parameter) per default equal to `RunConfig`'s
+    default for the field of the same name."""
+    signatures = [(qual, params) for qual, _, params, *_ in _signatures()]
+    run = {param: _value(default) for qual, params in signatures
+           if qual == "experiment.RunConfig" for param, _, default in params}
+    for qual, params in signatures:
+        for param, _, default in params:
+            if (qual != "experiment.RunConfig" and default is not None and param in run
+                    and _value(default) == run[param]):
+                yield qual, param
+
+
+def test_no_default_copies_a_run_config_default():
+    """A run setting has its default in `RunConfig` only: a second copy
+    silently takes over for a caller that forgets to pass the setting."""
+    copies = [f"{q}({p})" for q, p in _run_config_copies() if q not in DEFAULTS_ALLOWED]
+    assert not copies, f"defaults that copy RunConfig's: {copies}"
+
+
+def _unused_imports():
+    """Yield module.name per name that an import in `src/tmknet/*.py` binds
+    and its module never uses; a name its `__all__` lists is used (re-exported)."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = [a.asname or a.name.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__" for a in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and "__all__" in [getattr(t, "id", None)
+                                                              for t in node.targets]:
+                used |= {elt.value for elt in node.value.elts}
+        yield from (f"{path.stem}.{name}" for name in bound if name not in used)
+
+
+def test_every_import_is_used():
+    unused = list(_unused_imports())
+    assert not unused, f"imported but never used: {unused}"

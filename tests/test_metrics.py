@@ -6,7 +6,6 @@ import pytest
 from tmknet import metrics
 from tmknet.errors import DataError
 from tmknet.metrics import (
-    MetricsReport,
     confusion_matrix,
     report_from_predictions,
     scores_from_confusion,
@@ -42,12 +41,6 @@ class TestConfusionScores:
         assert cm.sum(axis=1).tolist() == [2, 1, 3]
         acc, *_ = scores_from_confusion(cm)
         assert acc == np.trace(cm) / cm.sum()
-
-    def test_json_round_trip(self):
-        rep = report_from_predictions([0, 1], [0, 1], 2)
-        rep.seed, rep.config_hash = 7, "abc"
-        back = MetricsReport.from_json(rep.to_json())
-        assert back == rep
 
     def test_label_range_checked(self):
         with pytest.raises(ValueError):
