@@ -21,13 +21,13 @@ import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .data import (
     SynthSpec,
+    _field_types,
     _json_object,
     _read_store_file,
     load_dataset,
@@ -80,13 +80,11 @@ _CONFIG_FLAGS = ("subject", "target_session", "n_t", "n_s", "n_b", "r_data", "po
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with RunConfig fields, or a run's "
                    "config.json snapshot; flags override it")
-    defaults, types = RunConfig(), get_type_hints(RunConfig)
+    defaults, types = RunConfig(), _field_types(RunConfig)
     for name in _CONFIG_FLAGS:
         flag = "--" + name.replace("_", "-")
         p.add_argument(flag, type=types[name], default=None,
                        help=f"default {getattr(defaults, name)}")
-    p.add_argument("--shared-bn", action="store_true", default=None,
-                   help="single shared SPD batch norm instead of domain-specific")
     p.add_argument("--ablation", default=None,
                    help=f"comma-separated variants from {', '.join(ABLATION_VARIANTS)}")
 
@@ -102,8 +100,6 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, name)
         if value is not None:
             doc[name] = value
-    if args.shared_bn is not None:
-        doc["shared_bn"] = args.shared_bn
     if args.ablation is not None:
         doc["ablation"] = [v for v in args.ablation.split(",") if v]
     if "seed" not in doc:
@@ -190,8 +186,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_adapt(args) -> int:
     model, cfg, manifest, trials = _load_checkpoint_and_data(args)
-    target = (cfg.subject, args.target_session if args.target_session is not None
-              else cfg.target_session)
+    target = (cfg.subject, cfg.target_session)
     signals = [t.signal for t in trials if t.domain == target]
     if not signals:
         raise DataError(f"no trials for target domain {target} in {args.data}")
@@ -342,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("adapt", help="accumulate target statistics (no labels)")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--target-session", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_adapt)
 

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 from dataclasses import asdict, dataclass
+from functools import cache
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -46,12 +47,16 @@ def _fitted(value, hint):
     return value
 
 
+# a dataclass's field annotations, evaluated from their strings once per class
+_field_types = cache(get_type_hints)
+
+
 def _check_field_types(obj) -> None:
     """Put each field of dataclass `obj` into its annotated type (see
     `_fitted`); ConfigError names the first field whose value does not fit.
     So a class whose `__post_init__` calls this reads its stored document
     back as `Cls(**doc)`, doc being the decoded `json.dumps(asdict(x))`."""
-    for name, hint in get_type_hints(type(obj)).items():
+    for name, hint in _field_types(type(obj)).items():
         value = getattr(obj, name)
         try:
             setattr(obj, name, _fitted(value, hint))

@@ -29,17 +29,21 @@ from .optim import adam_step
 from .stem import MSS_KERNELS, StemConfig
 
 CHECKPOINT_MAGIC = b"TMKN"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 DIGEST_LEN = 32  # trailing SHA-256 of every checkpoint byte before it
 
-ABLATION_VARIANTS = (
-    "no_mrt",
-    "no_mss",
-    "no_global",
-    "no_flexor_extensor",
-    "no_proximal_distal",
-    "no_dilated",
-)
+# ablation variant -> the parts of the full model it removes: spatial kernels
+# by name, "mrt_branches" (every temporal branch but the first) and
+# "domain_bn" (one SPD batch-norm bucket for all domains, not one per domain)
+ABLATION_VARIANTS = {
+    "no_mrt": ("mrt_branches",),
+    "no_mss": ("flexor", "extensor", "proximal_distal", "dilated"),
+    "no_global": ("global",),
+    "no_flexor_extensor": ("flexor", "extensor"),
+    "no_proximal_distal": ("proximal_distal",),
+    "no_dilated": ("dilated",),
+    "shared_bn": ("domain_bn",),
+}
 
 
 @dataclass
@@ -74,7 +78,6 @@ class RunConfig:
     val_fraction: float = 0.1
     adaptation: str = "posthoc"  # 'posthoc' | 'interleaved'
     ablation: tuple[str, ...] = ()
-    shared_bn: bool = False
     gamma_source: float = 0.1
     gamma_target: float = 0.05
 
@@ -106,27 +109,13 @@ def domain_key(domain: tuple[int, int]) -> str:
 
 
 def build_model_config(manifest: DatasetManifest, cfg: RunConfig) -> ModelConfig:
-    """The network `cfg` describes for `manifest`'s trials; ConfigError if none fits."""
-    r_resolution = cfg.r_resolution
-    mss_kernels = list(MSS_KERNELS)
-    if "no_mrt" in cfg.ablation:
-        r_resolution = (cfg.r_resolution[0],)
-    if "no_mss" in cfg.ablation:
-        mss_kernels = ["global"]
-    else:
-        removals = {
-            "no_global": ("global",),
-            "no_flexor_extensor": ("flexor", "extensor"),
-            "no_proximal_distal": ("proximal_distal",),
-            "no_dilated": ("dilated",),
-        }
-        for flag, kernels in removals.items():
-            if flag in cfg.ablation:
-                mss_kernels = [k for k in mss_kernels if k not in kernels]
+    """The network `cfg` describes for `manifest`'s trials, less what its
+    ablation variants remove; ConfigError if none fits."""
+    removed = {part for v in cfg.ablation for part in ABLATION_VARIANTS[v]}
     stem = StemConfig(
         fs=manifest.fs,
         r_data=cfg.r_data,
-        r_resolution=tuple(r_resolution),
+        r_resolution=cfg.r_resolution[:1] if "mrt_branches" in removed else cfg.r_resolution,
         n_t=cfg.n_t,
         n_s=cfg.n_s,
         flexor_ids=tuple(manifest.flexor_ids),
@@ -135,13 +124,13 @@ def build_model_config(manifest: DatasetManifest, cfg: RunConfig) -> ModelConfig
         distal_ids=tuple(manifest.distal_ids),
         pool_size=cfg.pool_size,
         leaky_slope=cfg.leaky_slope,
-        mss_kernels=tuple(mss_kernels),
+        mss_kernels=tuple(k for k in MSS_KERNELS if k not in removed),
     )
     stem.check_window(manifest.window_samples)
     return ModelConfig(stem=stem, n_b=cfg.n_b, n_c=manifest.n_classes,
                        cov_lambda=cfg.cov_lambda, eps_reeig=cfg.eps_reeig,
                        eps_var=cfg.eps_var, gamma_source=cfg.gamma_source,
-                       gamma_target=cfg.gamma_target, shared_bn=cfg.shared_bn)
+                       gamma_target=cfg.gamma_target, shared_bn="domain_bn" in removed)
 
 
 # --- training ---------------------------------------------------------------------
@@ -183,8 +172,9 @@ def train(cfg: RunConfig, manifest: DatasetManifest,
     d_per_batch = min(cfg.domains_per_batch, len(plan.sources))
     batch = cfg.batch_size - cfg.batch_size % d_per_batch
     sampler = DomainBatchSampler(train_trials, batch, d_per_batch, rng_batches)
+    # a model with shared batch normalization has no target statistics to adapt
     target_signals = np.stack([t.signal for t in target_trials]).astype(np.float64) \
-        if target_trials else None
+        if target_trials and not model.cfg.shared_bn else None
 
     if cfg.epochs == 0:
         # zero-epoch runs still deliver an evaluable checkpoint: prime the
@@ -253,8 +243,12 @@ def adapt(model: TMKNet, signals: np.ndarray, domain: tuple[int, int],
     `signals` is a bare (n, c, t) stack; labels are structurally absent from
     this path. Weights are untouched. Each `batch_size` batch updates the
     statistics once; within it the stem runs in `model.eval_blocks` slices
-    (see `TMKNet.adapt_batch`).
+    (see `TMKNet.adapt_batch`). ConfigError for a model with shared batch
+    normalization, which keeps no statistics per target domain.
     """
+    if model.cfg.shared_bn:
+        raise ConfigError("the model uses shared batch normalization (ablation "
+                          "shared_bn), so it has no target-domain statistics to adapt")
     signals = np.asarray(signals, dtype=np.float64)
     if signals.ndim != 3:
         raise DataError(f"expected an (n, c, t) signal stack, got {signals.shape}")
@@ -310,7 +304,7 @@ def run_uda(cfg: RunConfig, manifest: DatasetManifest,
     target_trials = [t for t in trials if t.domain == plan.target]
     if not target_trials:
         raise DataError(f"no trials for target domain {plan.target}")
-    if not cfg.shared_bn and cfg.adaptation == "posthoc":
+    if cfg.adaptation == "posthoc" and not model.cfg.shared_bn:
         signals = np.stack([t.signal for t in target_trials]).astype(np.float64)
         adapt(model, signals, plan.target, batch_size=cfg.batch_size)
     target_report = evaluate(model, target_trials, manifest)
@@ -384,7 +378,11 @@ def domain_dispersion(rows: list[list], block: str, n_features: int) -> float:
 def ablate(cfg: RunConfig, manifest: DatasetManifest, trials: list[Trial],
            variants: list[str]) -> list[tuple[str, MetricsReport]]:
     """Train and evaluate the full model plus each requested variant with the
-    shared seed; returns (variant, target report) pairs, full model first."""
+    shared seed; returns (variant, target report) pairs, full model first.
+    ConfigError before any training if `cfg` sets `ablation`: each row sets its own."""
+    if cfg.ablation:
+        raise ConfigError(f"ablate trains the full model and each variant on its own, "
+                          f"so the config must not set ablation (got {list(cfg.ablation)})")
     for v in variants:
         if v not in ABLATION_VARIANTS:
             raise ConfigError(f"unknown ablation variant {v!r}")

@@ -40,6 +40,9 @@ class StemConfig:
     mss_kernels: tuple[str, ...]
 
     def __post_init__(self):
+        if not self.r_resolution or not self.mss_kernels:
+            raise ConfigError("the stem needs at least one temporal branch (r_resolution) "
+                              "and one spatial kernel (mss_kernels)")
         ratios = (self.r_data, *self.r_resolution)
         if not all(0.0 < r <= 1.0 for r in ratios):
             raise ConfigError(f"ratios must lie in (0, 1], got r_data={self.r_data}, "

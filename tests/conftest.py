@@ -45,7 +45,7 @@ def model_config(stem, n_b, n_c, **fields):
     return ModelConfig(stem=stem, n_b=n_b, n_c=n_c, **{
         "cov_lambda": run.cov_lambda, "eps_reeig": run.eps_reeig, "eps_var": run.eps_var,
         "gamma_source": run.gamma_source, "gamma_target": run.gamma_target,
-        "shared_bn": run.shared_bn, **fields})
+        "shared_bn": False, **fields})
 
 
 def dsbn_state(n):

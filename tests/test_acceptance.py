@@ -56,7 +56,7 @@ def desk_runs():
         dsbn_acc.append(tgt.accuracy)
         if seed == DESK_SEEDS[0]:
             seed1_model = model
-        _, _, tgt_s = run_uda(RunConfig(seed=seed, shared_bn=True, **DESK_BASE),
+        _, _, tgt_s = run_uda(RunConfig(seed=seed, ablation=("shared_bn",), **DESK_BASE),
                               manifest, trials)
         shared_acc.append(tgt_s.accuracy)
     uda_elapsed = time.monotonic() - t0

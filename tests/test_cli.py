@@ -1,6 +1,7 @@
 import csv
 import json
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -243,12 +244,64 @@ class TestErrorPaths:
         assert "error: pool size 1000 exceeds" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()  # rejected before the run directory
 
-    def test_adapt_without_target_trials_exits_two(self, dataset, trained_run, tmp_path,
-                                                   capsys):
+    def test_adapt_without_target_trials_exits_two(self, trained_run, tmp_path, capsys):
+        # the dataset of the checkpoint less its target session 2
+        data = tmp_path / "data"
+        assert main(["synth", "--classes", "3", "--sensors", "8", "--domains", "2",
+                     "--trials-per-cell", "10", "--seed", "7", "--out", str(data)]) == 0
         assert main(["adapt", "--checkpoint", str(trained_run / "checkpoint.tmk"),
-                     "--data", str(dataset), "--target-session", "9",
-                     "--out", str(tmp_path / "a")]) == 2
+                     "--data", str(data), "--out", str(tmp_path / "a")]) == 2
         assert "no trials for target domain" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc,flags", [
+        ({"r_resolution": []}, []),
+        ({}, ["--ablation", "no_global,no_flexor_extensor,no_proximal_distal,no_dilated"]),
+        ({}, ["--ablation", "no_mss,no_global"]),
+    ], ids=["no-resolution", "every-kernel", "no-mss-no-global"])
+    def test_empty_stem_exits_one(self, dataset, tmp_path, capsys, doc, flags):
+        cfg_file = tmp_path / "stem.json"
+        cfg_file.write_text(json.dumps(doc))
+        assert main(["train", "--data", str(dataset), "--out", str(tmp_path / "r"),
+                     *TRAIN_FLAGS, "--config", str(cfg_file), *flags]) == 1
+        assert "at least one temporal branch" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()  # rejected before the run directory
+
+    @pytest.mark.parametrize("edit", [
+        {"r_resolution": []},
+        {"ablation": ["no_mss", "no_global"]},
+    ], ids=["no-resolution", "no-mss-no-global"])
+    def test_checkpoint_header_empty_stem_exits_two(self, dataset, trained_run, tmp_path,
+                                                    capsys, edit):
+        bad = tmp_path / "bad.tmk"
+        shutil.copy(trained_run / "checkpoint.tmk", bad)
+        reseal_checkpoint(bad, header=lambda h: h["config"].update(edit))
+        assert main(["eval", "--checkpoint", str(bad), "--data", str(dataset),
+                     "--domain", "0/0", "--out", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "at least one temporal branch" in err
+
+    def test_checkpoint_version_two_exits_two(self, dataset, trained_run, tmp_path, capsys):
+        old = tmp_path / "old.tmk"
+        blob = bytearray((trained_run / "checkpoint.tmk").read_bytes())
+        blob[4:8] = struct.pack("<I", 2)
+        old.write_bytes(bytes(blob))
+        assert main(["eval", "--checkpoint", str(old), "--data", str(dataset),
+                     "--out", str(tmp_path / "e")]) == 2
+        assert "unsupported checkpoint version 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_ablate_with_ablation_set_exits_one(self, dataset, tmp_path, capsys, how):
+        # each row sets its own ablation, so a set one would be recorded
+        # in config.json yet never trained
+        if how == "flag":
+            flags = ["--ablation", "no_mrt"]
+        else:
+            (tmp_path / "c.json").write_text(json.dumps({"ablation": ["no_mrt"]}))
+            flags = ["--config", str(tmp_path / "c.json")]
+        assert main(["ablate", "--data", str(dataset), "--out", str(tmp_path / "a"),
+                     "--variants", "no_dilated", *TRAIN_FLAGS, *flags]) == 1
+        assert "must not set ablation" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
 
     def test_n_b_above_n_s_exits_one(self, dataset, tmp_path, capsys):
         flags = [*TRAIN_FLAGS, "--n-s", "4", "--n-b", "6"]
@@ -370,6 +423,29 @@ class TestErrorPaths:
         assert err.startswith("data error:") and "recorded differently" in err
         differ = err.split("trained on: ", 1)[1]
         assert [part.split()[0] for part in differ.split("; ")] == fields
+        assert not out.exists()
+
+
+class TestSharedBn:
+    @pytest.fixture(scope="class")
+    def shared_run(self, dataset, tmp_path_factory):
+        run = tmp_path_factory.mktemp("cli-shared") / "run"
+        assert main(["train", "--data", str(dataset), "--out", str(run), *TRAIN_FLAGS,
+                     "--ablation", "shared_bn", "--adaptation", "interleaved"]) == 0
+        return run
+
+    def test_train_interleaved_writes_checkpoint(self, shared_run):
+        assert (shared_run / "checkpoint.tmk").exists()
+        assert (shared_run / "metrics.json").exists()
+        snap = json.loads((shared_run / "config.json").read_text())
+        assert snap["config"]["ablation"] == ["shared_bn"]
+
+    def test_adapt_exits_one(self, dataset, shared_run, tmp_path, capsys):
+        out = tmp_path / "a"
+        assert main(["adapt", "--checkpoint", str(shared_run / "checkpoint.tmk"),
+                     "--data", str(dataset), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the model uses shared batch normalization")
         assert not out.exists()
 
 

@@ -473,8 +473,8 @@ def _report_with_nan_accuracy():
 class TestJsonDocuments:
     @pytest.mark.parametrize("doc", [
         RunConfig(),
-        RunConfig(ablation=("no_mss", "no_dilated"), r_resolution=(0.0625,), cov_lambda=0.5,
-                  shared_bn=True, adaptation="interleaved"),
+        RunConfig(ablation=("no_mss", "no_dilated", "shared_bn"), r_resolution=(0.0625,),
+                  cov_lambda=0.5, adaptation="interleaved"),
         synth_generate(SynthSpec(n_classes=2, sensors=4, n_domains=3, trials_per_cell=1,
                                  seed=3))[0],
         _report_with_nan_accuracy(),

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import math
 import struct
@@ -10,6 +11,7 @@ import pytest
 from conftest import reseal_checkpoint, seal_checkpoint, set_array_value
 
 from tmknet import autodiff as ad
+from tmknet import experiment
 from tmknet.autodiff import Tape
 from tmknet.backbone import dsbn_forward
 from tmknet.data import DomainBatchSampler, SynthSpec, leave_one_session_out, synth_generate
@@ -125,6 +127,14 @@ class TestAdapt:
         with pytest.raises(ConfigError):
             adapt(model, signals, (0, 0), batch_size=50)
 
+    def test_shared_bn_model_rejected(self):
+        cfg = quick_cfg(epochs=0, ablation=("shared_bn",))
+        model, _ = train(cfg, MANIFEST, TRIALS)
+        signals = np.stack([t.signal for t in TRIALS if t.domain == (0, 2)]
+                           ).astype(np.float64)
+        with pytest.raises(ConfigError, match="shared batch normalization"):
+            adapt(model, signals, (0, 2), batch_size=12)
+
     def test_too_few_trials(self, trained):
         _, model, _ = trained
         with pytest.raises(DataError):
@@ -186,6 +196,11 @@ class TestInterleavedAdaptation:
         target = [t for t in TRIALS if t.domain == plan.target]
         report = evaluate(model, target, MANIFEST)
         assert 0.0 <= report.accuracy <= 1.0
+
+    def test_shared_bn_skips_target_statistics(self):
+        cfg = quick_cfg(epochs=1, adaptation="interleaved", ablation=("shared_bn",))
+        model, _ = train(cfg, MANIFEST, TRIALS)
+        assert model.dsbn_domain_kinds() == {"shared": "source"}
 
 
 class TestSaliency:
@@ -403,6 +418,14 @@ class TestAblate:
         with pytest.raises(ConfigError):
             ablate(quick_cfg(), MANIFEST, TRIALS, ["no_such_layer"])
 
+    def test_ablation_in_config_rejected_before_training(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("ablate trained a row")
+
+        monkeypatch.setattr(experiment, "run_uda", fail)
+        with pytest.raises(ConfigError, match="must not set ablation"):
+            ablate(quick_cfg(ablation=("no_mrt",)), MANIFEST, TRIALS, ["no_dilated"])
+
     def test_variant_rows_present(self):
         cfg = quick_cfg(epochs=1, seed=3)
         results = ablate(cfg, MANIFEST, TRIALS, ["no_dilated"])
@@ -418,18 +441,51 @@ class TestBuildModelConfig:
         mc = build_model_config(MANIFEST, quick_cfg(ablation=("no_mss",)))
         assert mc.stem.mss_kernels == ("global",)
 
+    def test_shared_bn_keeps_the_full_stem(self):
+        full = build_model_config(MANIFEST, quick_cfg())
+        shared = build_model_config(MANIFEST, quick_cfg(ablation=("shared_bn",)))
+        assert shared.shared_bn and not full.shared_bn
+        assert shared.stem == full.stem
+
+    @pytest.mark.parametrize("ablation", [(), ("no_mrt",)])
+    def test_no_resolution_rejected(self, ablation):
+        with pytest.raises(ConfigError, match="at least one temporal branch"):
+            build_model_config(MANIFEST, quick_cfg(r_resolution=(), ablation=ablation))
+
+    @pytest.mark.parametrize("adaptation", ["posthoc", "interleaved"])
+    def test_every_variant_subset_runs_or_is_rejected(self, adaptation):
+        # 2^7 subsets: each builds a model that completes a 1-epoch run_uda,
+        # or is a ConfigError from build_model_config
+        rejected = []
+        for k in range(len(ABLATION_VARIANTS) + 1):
+            for flags in itertools.combinations(ABLATION_VARIANTS, k):
+                cfg = quick_cfg(epochs=1, ablation=flags, adaptation=adaptation)
+                try:
+                    build_model_config(MANIFEST, cfg)
+                except ConfigError as exc:
+                    assert "at least one temporal branch" in str(exc), flags
+                    rejected.append(flags)
+                    continue
+                _, _, report = run_uda(cfg, MANIFEST, TRIALS)
+                assert 0.0 <= report.accuracy <= 1.0, flags
+        # only a set that removes global and the four anatomical kernels
+        # leaves the stem empty: with no_mss, or with all three of
+        # no_flexor_extensor, no_proximal_distal and no_dilated; times the 4
+        # choices of no_mrt and shared_bn
+        assert all("no_global" in flags for flags in rejected)
+        assert len(rejected) == (8 + 1) * 4
+
     def test_kernel_removals(self):
         mc = build_model_config(MANIFEST, quick_cfg(ablation=("no_flexor_extensor",)))
         assert "flexor" not in mc.stem.mss_kernels
         assert "extensor" not in mc.stem.mss_kernels
         assert "global" in mc.stem.mss_kernels
 
-    @pytest.mark.parametrize("variant", ["full", *ABLATION_VARIANTS, "shared_bn"])
+    @pytest.mark.parametrize("variant", ["full", *ABLATION_VARIANTS])
     def test_value_count_matches_model_arrays(self, variant):
         # the loader's value count is the sum of the layout's sizes; the
         # layout must name, shape, tag and order every array as the model does
-        cfg = quick_cfg(shared_bn=variant == "shared_bn",
-                        ablation=(variant,) if variant in ABLATION_VARIANTS else ())
+        cfg = quick_cfg(ablation=(variant,) if variant in ABLATION_VARIANTS else ())
         mc = build_model_config(MANIFEST, cfg)
         model = TMKNet(mc, seed=0)
         model.register_domains(["0/0", "0/1"], ["0/2"])
@@ -663,9 +719,9 @@ class TestCheckpoint:
 
 class TestRunConfigDoc:
     def test_hash_values_pinned(self):
-        assert RunConfig().hash() == "66c94f21dbfe3a01"
+        assert RunConfig().hash() == "d29ebe3f05019fc8"
         assert RunConfig(ablation=("no_mss",), r_resolution=(0.0625,),
-                         cov_lambda=0.5).hash() == "4a28b1cb0671abe8"
+                         cov_lambda=0.5).hash() == "8764674d5ff00f08"
 
     def test_absent_fields_take_defaults(self):
         assert RunConfig(**json.loads('{"epochs": 3}')) == RunConfig(epochs=3)

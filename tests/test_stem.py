@@ -94,6 +94,12 @@ class TestStemConfig:
         with pytest.raises(ConfigError, match="leaky_slope"):
             dataclasses.replace(make_cfg(), leaky_slope=slope)
 
+    @pytest.mark.parametrize("fields", [{"r_res": ()}, {"kernels": ()}],
+                             ids=["no-temporal-branch", "no-spatial-kernel"])
+    def test_empty_stem_rejected(self, fields):
+        with pytest.raises(ConfigError, match="at least one temporal branch"):
+            make_cfg(**fields)
+
     def test_odd_sensor_count(self):
         with pytest.raises(ConfigError):
             stem_config(fs=100, r_data=0.5, r_resolution=(0.5,), n_t=2, n_s=2,
