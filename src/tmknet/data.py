@@ -1,6 +1,10 @@
-"""Dataset handling: manifest and trial store, preprocessing (windowing,
-Hampel filter, z-score), domain-balanced batch sampling, leave-one-session-out
-splits, and a synthetic domain-shifted sEMG generator for desk-scale work.
+"""Dataset handling: manifest and trial store, domain-balanced batch
+sampling, leave-one-session-out splits, and a synthetic domain-shifted sEMG
+generator for desk-scale work.
+
+The dataset directory is tmknet's one input format. Its trials are already
+windowed and preprocessed: windowing, filtering and z-scoring a raw recording
+belong to the converter that writes the directory.
 
 Dataset directory format (format_version 1):
     manifest.json   UTF-8 JSON with the DatasetManifest fields
@@ -156,98 +160,6 @@ def leave_one_session_out(manifest: DatasetManifest, subject: int,
     return SplitPlan(subject=subject, target=target, sources=sources)
 
 
-# --- preprocessing ----------------------------------------------------------------
-
-def window(signal: np.ndarray, fs: float, window_ms: float,
-           overlap_ms: float) -> list[np.ndarray]:
-    """Slice a (c, T) stream into overlapping windows.
-
-    hop = window - overlap in samples; yields floor((T - w)/hop) + 1 segments,
-    each an independent copy.
-    """
-    signal = np.asarray(signal)
-    if signal.ndim != 2:
-        raise DataError(f"expected a (c, T) stream, got shape {signal.shape}")
-    w = round(window_ms * fs / 1000.0)
-    overlap = round(overlap_ms * fs / 1000.0)
-    if not w > overlap > 0:
-        raise ConfigError(f"need window > overlap > 0 samples, got {w}, {overlap}")
-    t_total = signal.shape[1]
-    if t_total < w:
-        raise DataError(f"stream of {t_total} samples is shorter than one window ({w})")
-    hop = w - overlap
-    count = (t_total - w) // hop + 1
-    return [signal[:, i * hop: i * hop + w].copy() for i in range(count)]
-
-
-def hampel(x: np.ndarray, half_window: int, n_sigma: float) -> np.ndarray:
-    """Sliding median/MAD outlier replacement along the last axis of a 1-D
-    series or a (c, t) stack; non-finite input raises DataError.
-
-    For each index the window [i-hw, i+hw] (clipped at the edges) provides a
-    median m and robust scale 1.4826 * median|x - m|; samples further than
-    n_sigma * scale from m are replaced by m.
-    """
-    if half_window < 1:
-        raise ConfigError("half_window must be >= 1")
-    x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        return x.copy()
-    if not np.isfinite(x).all():
-        raise DataError("Hampel filter input contains non-finite values")
-    # +inf padding clips each edge window: the pad sorts after every sample
-    t = x.shape[-1]
-    i = np.arange(t)
-    count = np.minimum(i + half_window, t - 1) - np.maximum(i - half_window, 0) + 1
-    pad = [(0, 0)] * (x.ndim - 1) + [(half_window, half_window)]
-    win = np.lib.stride_tricks.sliding_window_view(
-        np.pad(x, pad, constant_values=np.inf), 2 * half_window + 1, axis=-1)
-    med = _window_median(win, count)
-    mad = _window_median(np.abs(win - med[..., None]), count)
-    scale = 1.4826 * mad
-    return np.where(np.abs(x - med) > n_sigma * scale, med, x)
-
-
-def _window_median(win: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """Median of the first `count` values of each window of `win` (last
-    axis) in sorted order, the rest being +inf padding.
-
-    The arithmetic of np.nanmedian over NaN-padded windows, which for windows
-    under 600 samples goes through np.ma.median, at a fraction of its cost: the
-    same argsort, so equal values (+0.0 and -0.0) rank alike, then the sum of
-    the two middle values (the middle one twice for an odd count) over 2.
-    """
-    order = np.argsort(win, axis=-1)
-    mid = np.stack([(count - 1) // 2, count // 2], axis=-1)
-    mid = np.broadcast_to(mid, (*win.shape[:-1], 2))
-    low_high = np.take_along_axis(win, np.take_along_axis(order, mid, axis=-1), axis=-1)
-    return low_high.sum(axis=-1) / 2.0
-
-
-def default_hampel_half_window(fs: float) -> int:
-    # ~10 ms neighbourhood: half a 50 Hz period at common sampling rates
-    return max(1, round(fs / 100.0))
-
-
-def zscore(signal: np.ndarray) -> np.ndarray:
-    """Per-channel standardization over the trial (population divisor).
-
-    Channels with variance below 1e-8 use the floor, mapping constants to 0.
-    """
-    signal = np.asarray(signal, dtype=np.float64)
-    mean = signal.mean(axis=-1, keepdims=True)
-    var = signal.var(axis=-1, keepdims=True)
-    return (signal - mean) / np.sqrt(np.maximum(var, 1e-8))
-
-
-def preprocess_stream(signal: np.ndarray, manifest: DatasetManifest,
-                      n_sigma: float = 3.0) -> list[np.ndarray]:
-    """window -> hampel (all channels of a segment at once) -> z-score."""
-    hw = default_hampel_half_window(manifest.fs)
-    segments = window(signal, manifest.fs, manifest.window_ms, manifest.overlap_ms)
-    return [zscore(hampel(seg, hw, n_sigma)).astype(np.float32) for seg in segments]
-
-
 # --- batch sampling ----------------------------------------------------------------
 
 class DomainBatchSampler:
@@ -337,6 +249,8 @@ class SynthSpec:
             raise ConfigError("synthetic generator needs an even sensor count")
         if min(self.n_classes, self.n_domains, self.trials_per_cell) < 1:
             raise ConfigError("classes, domains and trials_per_cell must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def _class_mixing(spec: SynthSpec, rng: np.random.Generator) -> list[np.ndarray]:
@@ -408,6 +322,17 @@ def _band_limited_noise(rng: np.random.Generator, c: int, t: int) -> np.ndarray:
     return smooth[:, :t]
 
 
+def zscore(signal: np.ndarray) -> np.ndarray:
+    """Per-channel standardization over the trial (population divisor).
+
+    Channels with variance below 1e-8 use the floor, mapping constants to 0.
+    """
+    signal = np.asarray(signal, dtype=np.float64)
+    mean = signal.mean(axis=-1, keepdims=True)
+    var = signal.var(axis=-1, keepdims=True)
+    return (signal - mean) / np.sqrt(np.maximum(var, 1e-8))
+
+
 def synth_generate(spec: SynthSpec) -> tuple[DatasetManifest, list[Trial]]:
     """Generate a domain-shifted synthetic sEMG-like dataset.
 
@@ -415,8 +340,8 @@ def synth_generate(spec: SynthSpec) -> tuple[DatasetManifest, list[Trial]]:
     coactivation pattern built over flexor/extensor blocks; each domain
     (session) applies a fixed random congruence with condition number <= 3
     plus per-channel gain/offset, simulating electrode shift and session
-    drift. Trials are stored z-scored, matching the tail of the production
-    preprocessing pipeline, so class and domain information live in the
+    drift. Each trial is stored z-scored per channel, as a converter would
+    store a recorded window, so class and domain information live in the
     cross-channel correlation structure. Bit-reproducible from (spec, seed);
     labels are balanced.
     """

@@ -89,10 +89,18 @@ class RunConfig:
         unknown = set(self.ablation) - set(ABLATION_VARIANTS)
         if unknown:
             raise ConfigError(f"unknown ablation variants: {sorted(unknown)}")
+        if len(set(self.ablation)) < len(self.ablation):
+            raise ConfigError(f"ablation lists a variant twice: {list(self.ablation)}")
+        # table order, so that one set of variants has one config hash
+        self.ablation = tuple(v for v in ABLATION_VARIANTS if v in self.ablation)
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError("val_fraction must lie in [0, 1)")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
+        for name in ("epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if not (0 < self.lr < math.inf and 0 <= self.weight_decay < math.inf):
+            raise ConfigError(f"need finite lr > 0 and weight_decay >= 0, got "
+                              f"lr={self.lr}, weight_decay={self.weight_decay}")
         # every domain group of a batch needs 2 trials for its batch statistics
         if self.domains_per_batch < 1 or self.batch_size < 2 * self.domains_per_batch:
             raise ConfigError(f"need domains_per_batch >= 1 and batch_size >= 2 * "
@@ -379,20 +387,16 @@ def ablate(cfg: RunConfig, manifest: DatasetManifest, trials: list[Trial],
            variants: list[str]) -> list[tuple[str, MetricsReport]]:
     """Train and evaluate the full model plus each requested variant with the
     shared seed; returns (variant, target report) pairs, full model first.
-    ConfigError before any training if `cfg` sets `ablation`: each row sets its own."""
+    ConfigError before any training if `cfg` sets `ablation` (each row sets its
+    own) or if `variants` names an unknown variant or one variant twice."""
     if cfg.ablation:
         raise ConfigError(f"ablate trains the full model and each variant on its own, "
                           f"so the config must not set ablation (got {list(cfg.ablation)})")
-    for v in variants:
-        if v not in ABLATION_VARIANTS:
-            raise ConfigError(f"unknown ablation variant {v!r}")
-    results = []
-    for name in ["full", *variants]:
-        flags = () if name == "full" else (name,)
-        variant_cfg = replace(cfg, ablation=flags)
-        _, _, target_report = run_uda(variant_cfg, manifest, trials)
-        results.append((name, target_report))
-    return results
+    if len(set(variants)) < len(variants):
+        raise ConfigError(f"ablate lists a variant twice: {variants}")
+    # every row's config first: RunConfig rejects an unknown variant before any training
+    rows = [("full", cfg)] + [(v, replace(cfg, ablation=(v,))) for v in variants]
+    return [(name, run_uda(row_cfg, manifest, trials)[2]) for name, row_cfg in rows]
 
 
 def ablation_table(results: list[tuple[str, MetricsReport]]) -> str:

@@ -54,10 +54,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.n_b < 1 or self.n_c < 1:
             raise ConfigError("n_b and n_c must be positive")
-        if self.cov_lambda is not None and self.cov_lambda <= 0:
-            raise ConfigError("cov_lambda must be positive")
-        if self.eps_reeig <= 0 or self.eps_var <= 0:
-            raise ConfigError("eps_reeig and eps_var must be positive")
+        for name in ("cov_lambda", "eps_reeig", "eps_var"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         if self.n_b > self.stem.n_s:
             raise ConfigError(f"n_b={self.n_b} exceeds n_s={self.stem.n_s}")
         # the DSBN momentum floors weight a geodesic step between SPD matrices

@@ -47,8 +47,12 @@ class Param:
 
 
 def stiefel_retract_rows(w_raw: np.ndarray) -> np.ndarray:
-    """Orthonormalize the rows of w_raw by QR, sign-fixed so diag(R) > 0."""
+    """Orthonormalize the rows of w_raw by QR, sign-fixed so diag(R) > 0;
+    NumericalError if R is non-finite (from non-finite or overflowing rows)
+    or rank-deficient."""
     q, r = np.linalg.qr(w_raw.T)
+    if not np.isfinite(r).all():
+        raise NumericalError("Stiefel retraction failed: non-finite QR factor")
     if np.linalg.matrix_rank(r) < r.shape[0]:
         raise NumericalError("Stiefel retraction failed: rank loss in QR")
     sign = np.where(np.diag(r) >= 0, 1.0, -1.0)

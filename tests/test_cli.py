@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import reseal_checkpoint, set_array_value
 
+from tmknet import experiment
 from tmknet.cli import main
 from tmknet.experiment import load_checkpoint
 from tmknet.metrics import MetricsReport, wilcoxon_signed_rank
@@ -230,9 +231,12 @@ class TestErrorPaths:
         (["--epochs", "-1"], "epochs must be non-negative"),
         (["--gamma-source", "2"], "gamma_source must lie in [0, 1]"),
         (["--gamma-target", "-0.5"], "gamma_target must lie in [0, 1]"),
+        (["--lr", "nan"], "error: need finite lr > 0"),
+        (["--lr", "inf"], "error: need finite lr > 0"),
+        (["--weight-decay", "nan"], "error: need finite lr > 0 and weight_decay >= 0"),
     ], ids=["one-trial-per-domain", "fewer-trials-than-domains", "batch-zero",
             "domains-zero", "epochs-negative", "gamma-source-above-one",
-            "gamma-target-negative"])
+            "gamma-target-negative", "lr-nan", "lr-inf", "weight-decay-nan"])
     def test_bad_batch_flags_exit_one(self, dataset, tmp_path, capsys, flags, message):
         assert main(["train", "--data", str(dataset), "--out", str(tmp_path / "r"),
                      *TRAIN_FLAGS, *flags]) == 1
@@ -303,6 +307,51 @@ class TestErrorPaths:
         assert "must not set ablation" in capsys.readouterr().err
         assert not (tmp_path / "a").exists()
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_repeated_variant_exits_one_before_training(self, dataset, tmp_path, capsys,
+                                                        monkeypatch, command):
+        def fail(*args):
+            raise AssertionError("a model was trained")
+
+        monkeypatch.setattr(experiment, "run_uda", fail)  # what ablate trains each row with
+        flag = "--ablation" if command == "train" else "--variants"
+        assert main([command, "--data", str(dataset), "--out", str(tmp_path / "r"),
+                     *TRAIN_FLAGS, flag, "no_dilated,no_dilated"]) == 1
+        assert "lists a variant twice" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command,flags,env", [
+        ("train", ["--seed", "-1"], None),
+        ("ablate", ["--seed", "-1", "--variants", "no_dilated"], None),
+        ("synth", [], "-5"),
+        ("synth", ["--seed", "-3"], None),
+    ], ids=["train-flag", "ablate-flag", "synth-variable", "synth-flag"])
+    def test_negative_seed_exits_one(self, dataset, tmp_path, capsys, monkeypatch,
+                                     command, flags, env):
+        if env is not None:
+            monkeypatch.setenv("TMKNET_SEED", env)
+        data = [] if command == "synth" else ["--data", str(dataset), *TRAIN_FLAGS]
+        assert main([command, *data, *flags, "--out", str(tmp_path / "o")]) == 1
+        assert "error: seed must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("eps_var", float("inf")), ("eps_reeig", float("nan")), ("cov_lambda", float("nan")),
+    ], ids=["eps-var-inf", "eps-reeig-nan", "cov-lambda-nan"])
+    def test_non_finite_model_constant_exits_one(self, dataset, tmp_path, capsys, field,
+                                                 value):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({field: value}))  # Python's json spells NaN, Infinity
+        assert main(["train", "--data", str(dataset), "--out", str(tmp_path / "r"),
+                     *TRAIN_FLAGS, "--config", str(cfg_file)]) == 1
+        assert f"error: {field} must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()  # rejected before the run directory
+
+    def test_overflowing_lr_exits_three(self, dataset, tmp_path, capsys):
+        assert main(["train", "--data", str(dataset), "--out", str(tmp_path / "r"),
+                     *TRAIN_FLAGS, "--lr", "1e308"]) == 3
+        assert "numerical failure: Stiefel retraction failed" in capsys.readouterr().err
+
     def test_n_b_above_n_s_exits_one(self, dataset, tmp_path, capsys):
         flags = [*TRAIN_FLAGS, "--n-s", "4", "--n-b", "6"]
         assert main(["train", "--data", str(dataset), "--out", str(tmp_path / "r"),
@@ -326,8 +375,9 @@ class TestErrorPaths:
         ("config", {"lr": "0.1"}),
         ("config", {"gamma_target": 2}),
         ("config", {"leaky_slope": -3.0}),
+        ("config", {"seed": -1}),
     ], ids=["adaptation-bogus", "n_t-zero", "manifest-overlap-exceeds-window",
-            "lr-string", "gamma-target-above-one", "leaky-slope-negative"])
+            "lr-string", "gamma-target-above-one", "leaky-slope-negative", "seed-negative"])
     def test_checkpoint_header_invalid_config_exits_two(self, dataset, trained_run, tmp_path,
                                                         capsys, section, edit):
         bad = tmp_path / "bad.tmk"

@@ -12,12 +12,10 @@ from tmknet.data import (
     SplitPlan,
     SynthSpec,
     Trial,
-    hampel,
     leave_one_session_out,
     load_dataset,
     save_dataset,
     synth_generate,
-    window,
     zscore,
 )
 from tmknet.errors import ConfigError, DataError
@@ -38,116 +36,6 @@ def make_manifest(**overrides):
     return DatasetManifest(**base)
 
 
-class TestWindow:
-    def test_hop_arithmetic(self, rng):
-        signal = rng.normal(size=(3, 1000))
-        segs = window(signal, fs=2000.0, window_ms=200.0, overlap_ms=100.0)
-        assert len(segs) == 4
-        for i, seg in enumerate(segs):
-            assert seg.shape == (3, 400)
-            assert np.array_equal(seg, signal[:, i * 200: i * 200 + 400])
-
-    def test_exactly_one_window(self, rng):
-        segs = window(rng.normal(size=(2, 400)), 2000.0, 200.0, 100.0)
-        assert len(segs) == 1
-
-    def test_too_short(self, rng):
-        with pytest.raises(DataError):
-            window(rng.normal(size=(2, 399)), 2000.0, 200.0, 100.0)
-
-    def test_segments_share_no_storage(self, rng):
-        signal = rng.normal(size=(2, 600))
-        segs = window(signal, 2000.0, 200.0, 100.0)
-        segs[0][0, 0] = 1e9
-        assert signal[0, 0] != 1e9
-
-
-def brute_hampel(x, hw, ns):
-    """Hampel filter of a 1-D series, one clipped window per sample."""
-    out = x.copy()
-    for i in range(x.size):
-        lo, hi = max(0, i - hw), min(x.size, i + hw + 1)
-        seg = x[lo:hi]
-        m = np.median(seg)
-        s = 1.4826 * np.median(np.abs(seg - m))
-        if abs(x[i] - m) > ns * s:
-            out[i] = m
-    return out
-
-
-def nanmedian_hampel(x, hw, ns):
-    """Oracle: the Hampel filter as np.nanmedian over NaN-padded sliding
-    windows, which it was before it took its medians from one argsort."""
-    pad = [(0, 0)] * (x.ndim - 1) + [(hw, hw)]
-    win = np.lib.stride_tricks.sliding_window_view(
-        np.pad(x, pad, constant_values=np.nan), 2 * hw + 1, axis=-1)
-    med = np.nanmedian(win, axis=-1)
-    mad = np.nanmedian(np.abs(win - med[..., None]), axis=-1)
-    return np.where(np.abs(x - med) > ns * (1.4826 * mad), med, x)
-
-
-class TestHampel:
-    def test_constant_unchanged(self):
-        x = np.full(50, 3.3)
-        assert np.array_equal(hampel(x, 3, 3.0), x)
-
-    def test_spike_replaced(self):
-        x = np.zeros(30)
-        x[15] = 100.0
-        out = hampel(x, 3, 3.0)
-        assert out[15] == 0.0
-        assert np.array_equal(out[:15], np.zeros(15))
-
-    def test_ramp_unchanged_matches_bruteforce(self):
-        x = np.arange(10.0)
-        assert hampel(x, 3, 3.0).tobytes() == brute_hampel(x, 3, 3.0).tobytes()
-        assert np.array_equal(hampel(x, 3, 3.0), x)
-
-    def test_matches_bruteforce_random(self, rng):
-        x = rng.normal(size=64)
-        x[10] = 40.0
-        x[40] = -35.0
-        assert hampel(x, 5, 3.0).tobytes() == brute_hampel(x, 5, 3.0).tobytes()
-
-    @pytest.mark.parametrize("t,hw", [(5, 3), (1, 2), (60, 20)],
-                             ids=["shorter-than-window", "one-sample", "half-window-20"])
-    def test_matches_bruteforce_short_and_wide(self, t, hw, rng):
-        x = np.round(rng.normal(size=t) * 2) / 2  # ties
-        x[t // 2] = 30.0
-        assert hampel(x, hw, 3.0).tobytes() == brute_hampel(x, hw, 3.0).tobytes()
-
-    def test_stack_filters_each_row_bit_for_bit(self, rng):
-        x = np.round(rng.normal(size=(5, 90)) * 3) / 3
-        x[rng.random(x.shape) < 0.05] *= 40.0
-        out = hampel(x, 4, 3.0)
-        rows = np.stack([hampel(r, 4, 3.0) for r in x])
-        assert out.tobytes() == rows.tobytes()
-        assert rows.tobytes() == np.stack([brute_hampel(r, 4, 3.0) for r in x]).tobytes()
-
-    def test_matches_nanmedian_windows_bit_for_bit(self, rng):
-        # half the samples are +0.0 or -0.0, so many medians are a zero whose
-        # sign depends on how equal values rank
-        for _ in range(300):
-            t, hw = int(rng.integers(1, 120)), int(rng.integers(1, 12))
-            shape = (t,) if rng.random() < 0.5 else (3, t)
-            x = np.round(rng.normal(size=shape) * 2) / 2
-            x[rng.random(shape) < 0.25] = 0.0
-            x[rng.random(shape) < 0.25] = -0.0
-            x[rng.random(shape) < 0.05] *= 40.0
-            assert hampel(x, hw, 3.0).tobytes() == nanmedian_hampel(x, hw, 3.0).tobytes()
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_input_rejected(self, bad):
-        x = np.zeros(20)
-        x[7] = bad
-        with pytest.raises(DataError, match="non-finite"):
-            hampel(x, 3, 3.0)
-
-    def test_half_window_validation(self):
-        with pytest.raises(ConfigError):
-            hampel(np.zeros(10), 0, 3.0)
-
-
 class TestZscore:
     def test_already_standardized(self, rng):
         x = rng.normal(size=(3, 500))
@@ -160,26 +48,6 @@ class TestZscore:
 
     def test_constant_channel_maps_to_zero(self):
         assert np.array_equal(zscore(np.full((2, 10), 5.0)), np.zeros((2, 10)))
-
-
-class TestPreprocessStream:
-    def test_count_matches_hop_formula_and_deterministic(self, rng):
-        from tmknet.data import preprocess_stream
-
-        m = make_manifest()
-        stream = rng.normal(size=(4, 1500)).astype(np.float64)
-        segs1 = preprocess_stream(stream, m)
-        segs2 = preprocess_stream(stream, m)
-        w = m.window_samples  # 400
-        hop = w - round(m.overlap_ms * m.fs / 1000.0)  # 200
-        assert len(segs1) == (1500 - w) // hop + 1
-        for a, b in zip(segs1, segs2):
-            assert np.array_equal(a, b)
-            assert a.shape == (4, w)
-            assert a.dtype == np.float32
-            # z-scored output: per-channel mean 0, variance 1
-            assert np.abs(a.mean(axis=1)).max() < 1e-6
-            assert np.abs(a.astype(np.float64).var(axis=1) - 1.0).max() < 1e-5
 
 
 class TestSplits:
@@ -306,6 +174,10 @@ class TestSynthGenerate:
     def test_odd_sensor_count_rejected(self):
         with pytest.raises(ConfigError):
             SynthSpec(sensors=7)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -3"):
+            SynthSpec(seed=-3)
 
 
 class TestStoreIO:

@@ -426,6 +426,18 @@ class TestAblate:
         with pytest.raises(ConfigError, match="must not set ablation"):
             ablate(quick_cfg(ablation=("no_mrt",)), MANIFEST, TRIALS, ["no_dilated"])
 
+    @pytest.mark.parametrize("variants,match", [
+        (["no_dilated", "no_dilated"], "lists a variant twice"),
+        (["no_dilated", "no_such_layer"], "unknown ablation variants"),
+    ], ids=["repeated", "unknown-after-known"])
+    def test_bad_variant_list_rejected_before_training(self, monkeypatch, variants, match):
+        def fail(*args):
+            raise AssertionError("ablate trained a row")
+
+        monkeypatch.setattr(experiment, "run_uda", fail)
+        with pytest.raises(ConfigError, match=match):
+            ablate(quick_cfg(), MANIFEST, TRIALS, variants)
+
     def test_variant_rows_present(self):
         cfg = quick_cfg(epochs=1, seed=3)
         results = ablate(cfg, MANIFEST, TRIALS, ["no_dilated"])
@@ -722,6 +734,32 @@ class TestRunConfigDoc:
         assert RunConfig().hash() == "d29ebe3f05019fc8"
         assert RunConfig(ablation=("no_mss",), r_resolution=(0.0625,),
                          cov_lambda=0.5).hash() == "8764674d5ff00f08"
+
+    def test_every_order_of_a_variant_set_gives_one_hash(self):
+        variants = ("no_mrt", "no_dilated", "shared_bn")
+        configs = [RunConfig(ablation=order) for order in itertools.permutations(variants)]
+        assert {c.hash() for c in configs} == {configs[0].hash()}
+        assert all(c.ablation == ("no_mrt", "no_dilated", "shared_bn") for c in configs)
+
+    @pytest.mark.parametrize("ablation", [("no_dilated", "no_dilated"),
+                                          ("no_mrt", "no_mrt", "no_dilated")],
+                             ids=["twice", "twice-with-another"])
+    def test_repeated_variant_rejected(self, ablation):
+        with pytest.raises(ConfigError, match="lists a variant twice"):
+            RunConfig(ablation=ablation)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            RunConfig(seed=-1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("lr", math.nan), ("lr", math.inf), ("lr", 0.0), ("lr", -1e-3),
+        ("weight_decay", math.nan), ("weight_decay", math.inf), ("weight_decay", -1e-4),
+    ], ids=["lr-nan", "lr-inf", "lr-zero", "lr-negative", "decay-nan", "decay-inf",
+            "decay-negative"])
+    def test_optimizer_setting_out_of_range_rejected(self, field, value):
+        with pytest.raises(ConfigError, match="need finite lr > 0 and weight_decay >= 0"):
+            RunConfig(**{field: value})
 
     def test_absent_fields_take_defaults(self):
         assert RunConfig(**json.loads('{"epochs": 3}')) == RunConfig(epochs=3)

@@ -50,8 +50,6 @@ PERFBENCH = ROOT / "perfbench"
 ALLOWED = {
     "geometry.airm_dist": "library entry point: the affine-invariant distance, checked "
                           "by acceptance criterion 1",
-    "data.preprocess_stream": "library entry point: windowing, Hampel filter and z-score "
-                              "for a raw recording",
     "experiment.domain_dispersion": "library entry point: spread of per-domain feature "
                                     "means, checked by acceptance criterion 10's export test",
     "cli._Parser.error": "argparse calls it on a usage error; the override exits 1 "
@@ -63,8 +61,6 @@ ALLOWED = {
 PARAMS_ALLOWED = {
     "cli.main": "console-script entry point: argv is None there, a list when the CLI "
                 "runs in-process",
-    "data.preprocess_stream": "library entry point: n_sigma is the Hampel threshold a "
-                              "caller tunes to its recording",
 }
 
 # function or dataclass -> why it keeps defaults that every call in src/ or
@@ -169,8 +165,10 @@ def test_every_definition_has_a_caller_outside_the_tests():
 
 
 def test_allowlist_names_existing_definitions():
-    defined = {qual for qual, *_ in _definitions()}
-    assert set(ALLOWED) <= defined, sorted(set(ALLOWED) - defined)
+    """Each entry names a definition that still has no caller: an entry whose
+    definition is gone, or has since gained a caller, is stale."""
+    stale = set(ALLOWED) - set(_unreferenced())
+    assert not stale, sorted(stale)
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -135,6 +135,12 @@ class TestForward:
         with pytest.raises(ConfigError, match="exceeds n_s"):
             toy_config(n_s=4, n_b=6)
 
+    @pytest.mark.parametrize("field", ["eps_reeig", "eps_var", "cov_lambda"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+    def test_non_finite_or_non_positive_constant_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be positive and finite"):
+            model_config(toy_config().stem, n_b=4, n_c=4, **{field: value})
+
     def test_same_seed_same_init(self):
         a = TMKNet(toy_config(), seed=3)
         b = TMKNet(toy_config(), seed=3)

@@ -67,6 +67,21 @@ class TestAdamStep:
         assert np.array_equal(store["w"].value, before["w"])
         assert store["w"].step == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_stiefel_retraction_of_non_finite_rows_fails(self, rng, bad):
+        w = rng.normal(size=(3, 5))
+        w[1, 2] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            optim.stiefel_retract_rows(w)
+
+    def test_overflowing_stiefel_step_fails(self, rng):
+        # a first Adam step moves each entry by lr: the rows stay finite, but
+        # their norms in QR overflow
+        store = make_store(rng)
+        with pytest.raises(NumericalError, match="Stiefel retraction failed"):
+            adam_step(store, {"stiefel": rng.uniform(0.5, 1.0, size=(3, 5))}, lr=1e308,
+                      weight_decay=0.0)
+
     def test_shape_mismatch_rejected(self, rng):
         store = make_store(rng)
         with pytest.raises(ValueError):
