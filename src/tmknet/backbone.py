@@ -9,8 +9,9 @@ batch statistics on a tape that records no gradients.
 
 DSBN is one stacked computation for all domains of a batch: train and adapt
 sort the samples into equal domain groups (D, k, n, n) and compute every
-group's statistics at once; eval stacks each sample's running statistics as
-its own base. Its tape length does not depend on the number of domains.
+group's statistics at once; eval factors each domain's running mean once and
+stacks the factor per sample. Its tape length does not depend on the number
+of domains.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from . import geometry
+from . import geometry, linalg
 from .autodiff import Variable
 from .errors import ConfigError
 
@@ -72,10 +73,9 @@ def logeig(h: Variable) -> Variable:
     return ad.sym_fn(h, "log")
 
 
-def _log_whitened(z: Variable, g: Variable) -> Variable:
-    """log(g^{-1/2} Z g^{-1/2}): the batch at the tangent space of g."""
-    inv_sqrt = ad.sym_fn(g, "inv_sqrt")
-    return ad.sym_fn(ad.matmul(ad.matmul(inv_sqrt, z), inv_sqrt), "log")
+def _log_whitened(z: Variable, w: Variable) -> Variable:
+    """log(w Z w) for w = g^{-1/2}: the batch at the tangent space of g."""
+    return ad.sym_fn(ad.matmul(ad.matmul(w, z), w), "log")
 
 
 def batch_stats(z: Variable) -> tuple[Variable, Variable, Variable]:
@@ -89,7 +89,7 @@ def batch_stats(z: Variable) -> tuple[Variable, Variable, Variable]:
     (..., 1, n, n) and v_b is (..., 1, 1, 1).
     """
     g_b = ad.sym_fn(ad.mean(ad.sym_fn(z, "log"), axis=-3, keepdims=True), "exp")
-    logm = _log_whitened(z, g_b)
+    logm = _log_whitened(z, ad.sym_fn(g_b, "inv_sqrt"))
     sq = ad.sum_(ad.mul(logm, logm), axis=(-2, -1), keepdims=True)
     v_b = ad.power(ad.mean(sq, axis=-3, keepdims=True), 0.5)
     return g_b, v_b, logm
@@ -106,7 +106,7 @@ def _rescale(logm: Variable, v_ref: Variable, g_phi: Variable, v_phi: Variable,
 
 def spdbn_normalize(
     z: Variable,
-    g_ref: Variable,
+    w_ref: Variable,
     v_ref: Variable,
     g_phi: Variable,
     v_phi: Variable,
@@ -114,13 +114,14 @@ def spdbn_normalize(
 ) -> Variable:
     """Transport the batch to identity, rescale dispersion, re-bias at g_phi.
 
-    Computes g_phi^{1/2} (g_ref^{-1/2} Z g_ref^{-1/2})^p g_phi^{1/2} with
-    p = v_phi / (v_ref + eps_var); the matrix power runs as exp(p * log M) so
-    the exponent stays differentiable. The reference statistics broadcast
-    against the batch: one base (n, n) and a scalar for the whole batch, or
-    per-sample bases (b, n, n) and dispersions (b, 1, 1) as eval passes them.
+    Computes g_phi^{1/2} (w_ref Z w_ref)^p g_phi^{1/2} with w_ref =
+    g_ref^{-1/2}, the reference base's inverse square root, and p = v_phi /
+    (v_ref + eps_var); the matrix power runs as exp(p * log M) so the exponent
+    stays differentiable. The reference statistics broadcast against the
+    batch: one (n, n) factor and a scalar for the whole batch, or per-sample
+    factors (b, n, n) and dispersions (b, 1, 1) as eval passes them.
     """
-    return _rescale(_log_whitened(z, g_ref), v_ref, g_phi, v_phi, eps_var)
+    return _rescale(_log_whitened(z, w_ref), v_ref, g_phi, v_phi, eps_var)
 
 
 # --- domain-specific running statistics -----------------------------------------
@@ -206,8 +207,11 @@ def dsbn_forward(
     adapt: the same grouping for target domains; folds the batch statistics
       into the running ones and returns None (no output, so g_phi, v_phi and
       eps_var are not read, and g_phi and v_phi may be None).
-    eval: normalize each sample with its domain's stored running statistics,
-      stacked per sample as bases (b, n, n) and dispersions (b, 1, 1).
+    eval: normalize each sample with its domain's stored running statistics:
+      the inverse square root of each distinct domain's running mean is
+      computed once and gathered per sample into (b, n, n), the dispersions
+      into (b, 1, 1). A stacked eigendecomposition gives each matrix the bits
+      of its own, so this equals factoring every sample's copy.
     """
     if len(domain_ids) != h.value.shape[0]:
         raise ValueError("one domain id per sample is required")
@@ -219,9 +223,9 @@ def dsbn_forward(
 
     if mode == "eval":
         stats = [state.stats(d) for d in keys]
-        g_run = np.stack([g for g, _ in stats])[grp]
+        w_run = linalg.sym_fn(np.stack([g for g, _ in stats]), "inv_sqrt")[grp]
         v_run = np.array([v for _, v in stats])[grp, None, None]
-        return spdbn_normalize(h, h.tape.leaf(g_run), h.tape.leaf(v_run),
+        return spdbn_normalize(h, h.tape.leaf(w_run), h.tape.leaf(v_run),
                                g_phi, v_phi, eps_var)
 
     kind = "source" if mode == "train" else "target"

@@ -3,9 +3,10 @@
 Subcommands: synth, import, train, adapt, eval, ablate, saliency,
 export-features, compare. Every run writes its outputs under --out together
 with a config snapshot; re-running from that snapshot reproduces the metrics
-bit for bit with the same numpy version, BLAS build and BLAS thread count
-(paper-shape gradients round differently with another OpenBLAS thread count;
-the CLI neither pins nor records it).
+bit for bit with the same numpy version and BLAS build. Paper-shape gradients
+round differently with another OpenBLAS thread count, so `main` first pins
+OpenBLAS to one thread (a no-op where numpy bundles no OpenBLAS that exports
+`scipy_openblas_set_num_threads`).
 
 Exit codes: 0 success, 1 usage/configuration error, 2 data error,
 3 numerical failure.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
 import math
 import os
@@ -52,6 +54,7 @@ from .experiment import (
     train,
 )
 from .metrics import MetricsReport, wilcoxon_signed_rank
+from .model import _openblas
 
 
 class _Parser(argparse.ArgumentParser):
@@ -379,6 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    set_blas_threads = _openblas("set_num_threads", None, ctypes.c_int)
+    if set_blas_threads is not None:
+        set_blas_threads(1)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import asdict, dataclass
 from functools import cache
 from pathlib import Path
@@ -251,6 +252,17 @@ class SynthSpec:
             raise ConfigError("classes, domains and trials_per_cell must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        for name in ("fs", "window_ms", "overlap_ms"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got "
+                                  f"{getattr(self, name)}")
+        if not 0 <= self.domain_shift < math.inf:
+            raise ConfigError(f"domain_shift must be non-negative and finite, got "
+                              f"{self.domain_shift}")
+        samples = self.window_ms * self.fs / 1000.0  # DatasetManifest.window_samples
+        if not (samples < math.inf and round(samples) >= 2):
+            raise ConfigError(f"a window of {self.window_ms} ms at {self.fs} Hz holds "
+                              f"{samples:g} samples; it needs a finite count of at least 2")
 
 
 def _class_mixing(spec: SynthSpec, rng: np.random.Generator) -> list[np.ndarray]:

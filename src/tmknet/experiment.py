@@ -24,7 +24,7 @@ from .data import _check_field_types, _json_object, leave_one_session_out
 from .errors import ConfigError, DataError, NumericalError
 from .linalg import sym_fn
 from .metrics import MetricsReport, report_from_predictions
-from .model import ModelConfig, TMKNet, eval_blocks, layout
+from .model import ModelConfig, TMKNet, layout
 from .optim import adam_step
 from .stem import MSS_KERNELS, StemConfig
 
@@ -234,14 +234,18 @@ def train(cfg: RunConfig, manifest: DatasetManifest,
     return model, val_report
 
 
+def _logits(model: TMKNet, trials: list[Trial], capture: dict | None = None) -> np.ndarray:
+    """Eval-mode logits of `trials` in order, from one `model.predict_logits`
+    call on their signals. Passing the trials' own arrays, not a stacked copy,
+    keeps memory from growing with the number of trials."""
+    return model.predict_logits([t.signal for t in trials],
+                                [domain_key(t.domain) for t in trials], capture)
+
+
 def _validation_loss(model: TMKNet, trials: list[Trial]) -> float:
-    """Mean eval-mode cross-entropy over a labeled trial list, summed once
-    over all trials, so the blocks of the forward do not round the sum."""
-    picked = []
-    for chunk, logits, _ in _predict_chunks(model, trials):
-        logp = ad.log_softmax(Tape().leaf(logits)).value
-        picked.append(logp[np.arange(len(chunk)), [t.label for t in chunk]])
-    return -np.concatenate(picked).sum() / len(trials)
+    """Mean eval-mode cross-entropy over a labeled trial list."""
+    logp = ad.log_softmax(Tape().leaf(_logits(model, trials))).value
+    return -logp[np.arange(len(trials)), [t.label for t in trials]].sum() / len(trials)
 
 
 def adapt(model: TMKNet, signals: np.ndarray, domain: tuple[int, int],
@@ -270,31 +274,12 @@ def adapt(model: TMKNet, signals: np.ndarray, domain: tuple[int, int],
         model.adapt_batch(chunk, [key] * chunk.shape[0])
 
 
-def _predict_chunks(model: TMKNet, trials: list[Trial], capture: bool = False):
-    """Eval-mode logits over `trials`, one `model.predict_logits` call per
-    `model.eval_blocks` slice, in trial order: at most EVAL_BLOCK rows per
-    forward, so memory does not grow with the number of trials.
-
-    Yields (chunk, logits, captured): `captured` holds the chunk's pre- and
-    post-DSBN matrices when `capture` is set, and is None otherwise.
-    """
-    for s in eval_blocks(len(trials)):
-        chunk = trials[s]
-        x = np.stack([t.signal for t in chunk]).astype(np.float64)
-        captured = {} if capture else None
-        logits = model.predict_logits(x, [domain_key(t.domain) for t in chunk], captured)
-        yield chunk, logits, captured
-
-
 def evaluate(model: TMKNet, trials: list[Trial], manifest: DatasetManifest) -> MetricsReport:
     """Eval-mode predictions against labels; pure given (model, trials)."""
     if not trials:
         raise DataError("no trials to evaluate")
-    preds = []
-    for _, logits, _ in _predict_chunks(model, trials):
-        preds.extend(np.argmax(logits, axis=1).tolist())
-    y_true = [t.label for t in trials]
-    return report_from_predictions(y_true, preds, manifest.n_classes)
+    preds = np.argmax(_logits(model, trials), axis=1).tolist()
+    return report_from_predictions([t.label for t in trials], preds, manifest.n_classes)
 
 
 # --- UDA protocol -----------------------------------------------------------------
@@ -356,14 +341,14 @@ def export_features(model: TMKNet, trials: list[Trial]) -> tuple[list[str], list
     dim = n_b * (n_b + 1) // 2
     header = (["trial_id", "label", "subject", "session"]
               + [f"pre_{i}" for i in range(dim)] + [f"post_{i}" for i in range(dim)])
-    rows: list[list] = []
-    for chunk, _, captured in _predict_chunks(model, trials, capture=True):
-        pre = _tangent_vector(sym_fn(captured["pre_dsbn"], "log"))
-        post = _tangent_vector(sym_fn(captured["post_dsbn"], "log"))
-        for i, t in enumerate(chunk):
-            rows.append([t.trial_id, t.label, t.domain[0], t.domain[1],
-                         *pre[i].tolist(), *post[i].tolist()])
-    return header, rows
+    if not trials:
+        return header, []
+    captured: dict = {}
+    _logits(model, trials, captured)
+    pre = _tangent_vector(sym_fn(captured["pre_dsbn"], "log"))
+    post = _tangent_vector(sym_fn(captured["post_dsbn"], "log"))
+    return header, [[t.trial_id, t.label, t.domain[0], t.domain[1],
+                     *pre[i].tolist(), *post[i].tolist()] for i, t in enumerate(trials)]
 
 
 def domain_dispersion(rows: list[list], block: str, n_features: int) -> float:

@@ -9,7 +9,12 @@ gradient.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +34,20 @@ SHARED_DOMAIN = "shared"
 EVAL_BLOCK = 8
 
 
+# least size of a block's temporal conv output (rows x n_t x sensors x samples
+# x 8 bytes) for the blocks to go to the worker pool. Measured on 2 cores with
+# OpenBLAS on one thread, 64 trials in 8-row blocks, pooled against inline:
+# the paper shape (4 MiB blocks) 1.7-1.85x faster, the same with n_t 8
+# (512 KiB) 1.2-1.65x, while desk-shape blocks (192 KiB) hold the GIL for
+# most of their time and gained nothing (0.96-1.15x)
+_POOL_BLOCK_BYTES = 512 << 10
+# most worker threads of the pool; each holds one block's transients at a time
+_POOL_WORKERS = 4
+
+_pool = None  # the ThreadPoolExecutor, made on first use
+_pool_lock = threading.Lock()
+
+
 def eval_blocks(n: int) -> list[slice]:
     """ceil(n / EVAL_BLOCK) ordered slices covering range(n), with the sizes
     `np.array_split` gives: for n >= EVAL_BLOCK every block holds between
@@ -37,6 +56,72 @@ def eval_blocks(n: int) -> list[slice]:
     q, r = divmod(n, max(k, 1))
     edges = [i * q + min(i, r) for i in range(k + 1)]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+@functools.cache
+def _openblas(name: str, restype, *argtypes):
+    """The function `scipy_openblas_<name>` (64-bit interface first) of the
+    OpenBLAS that numpy bundles, through ctypes with the given signature; None
+    where numpy bundles none or it lacks the symbol."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "libscipy_openblas*.so"))
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for suffix in ("64_", ""):
+            fn = getattr(lib, f"scipy_openblas_{name}{suffix}", None)
+            if fn is not None:
+                fn.restype, fn.argtypes = restype, argtypes
+                return fn
+    return None
+
+
+def _blas_threads() -> int | None:
+    """The thread count OpenBLAS runs with now; None if it cannot be read."""
+    get = _openblas("get_num_threads", ctypes.c_int)
+    return None if get is None else get()
+
+
+def _cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _pooled(block_bytes: int) -> bool:
+    """Whether `TMKNet._run_blocks` runs its blocks on the worker pool: each
+    block big enough to release the GIL for most of its time, at least 2 CPUs
+    for this process, and OpenBLAS on one thread (on more, the pool's threads
+    and BLAS's oversubscribe the cores: 1.65x slower measured with 2 of each
+    on 2 cores)."""
+    return block_bytes >= _POOL_BLOCK_BYTES and _cpus() >= 2 and _blas_threads() == 1
+
+
+def _run_on_pool(fn, items: list) -> list:
+    """[fn(i) for i in items] on the worker pool; once every call has
+    finished, the exception of the first failing call in item order.
+
+    concurrent.futures is imported here rather than with the module: it
+    imports logging, which alone raised the `uda_desk` benchmark's peak
+    resident set by 0.7 MB, though desk-shape blocks never reach the pool."""
+    from concurrent.futures import ThreadPoolExecutor, wait
+
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(min(_POOL_WORKERS, _cpus()),
+                                       thread_name_prefix="tmknet-eval")
+        pool = _pool
+    futures = [pool.submit(fn, i) for i in items]
+    wait(futures)
+    return [f.result() for f in futures]
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's worker threads."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 @dataclass
@@ -209,16 +294,50 @@ class TMKNet:
         grads = {name: v.grad for name, v in pvars.items()}
         return float(loss.value), grads
 
-    def predict_logits(self, x: np.ndarray, domain_ids: list[str],
-                       capture: dict | None = None) -> np.ndarray:
-        """Eval-mode logits of (b, c, t) signals in one forward of all b rows.
+    def _run_blocks(self, block, x) -> list[np.ndarray]:
+        """`block(s)` for every `eval_blocks(len(x))` slice s of the b signals
+        `x`, each block returning a list of arrays; returns each position's
+        arrays concatenated in block order.
 
-        The forward's memory grows with b; a caller with many trials should
-        pass them in `eval_blocks` slices, as `experiment.evaluate` does.
+        A block computes the same bytes on any thread, so when there is more
+        than one block and `_pooled` allows, the blocks run on a module-level
+        thread pool of at most `_POOL_WORKERS` threads, and the result does
+        not depend on the worker count. Peak memory then grows by at most one
+        block's transients per worker. An exception from a block reaches the
+        caller once every block has finished, the first failing block's in
+        block order. Zero rows run as one empty block.
         """
-        tape = Tape()
-        logits = self.forward(tape, tape.leaf(x), domain_ids, "eval", capture=capture)
-        return logits.value
+        blocks = eval_blocks(len(x)) or [slice(0, 0)]
+        rows = blocks[0].stop  # the first block is a largest one
+        if len(blocks) > 1 and _pooled(rows * np.size(x[0]) * self.cfg.stem.n_t * 8):
+            parts = _run_on_pool(block, blocks)
+        else:
+            parts = [block(s) for s in blocks]
+        return [np.concatenate(arrays) for arrays in zip(*parts)]
+
+    def predict_logits(self, x: np.ndarray | list[np.ndarray], domain_ids: list[str],
+                       capture: dict | None = None) -> np.ndarray:
+        """Eval-mode logits of b signals: a (b, c, t) array, or a sequence of
+        b (c, t) arrays such as the trials' own signals.
+
+        The network runs over `eval_blocks` slices of the rows, each made
+        float64 and run on its own tape (see `_run_blocks`), so memory does
+        not grow with b beyond the input and outputs. `capture`, if given,
+        receives the pre- and post-DSBN matrices of all rows in order.
+        """
+        if len(domain_ids) != len(x):
+            raise ValueError("one domain id per sample is required")
+
+        def block(s):
+            tape, captured = Tape(), {}
+            logits = self.forward(tape, tape.leaf(x[s]), domain_ids[s], "eval",
+                                  capture=None if capture is None else captured)
+            return [logits.value, *captured.values()]
+
+        logits, *captured = self._run_blocks(block, x)
+        if capture is not None:
+            capture["pre_dsbn"], capture["post_dsbn"] = captured
+        return logits
 
     def prime_stats(self, x: np.ndarray, domain_ids: list[str]) -> None:
         """One train-mode forward without gradients: initializes the stem and
@@ -231,15 +350,17 @@ class TMKNet:
         """Update target-domain SPD statistics from an unlabeled batch.
 
         The stem runs in eval mode (its running statistics stay source-only)
-        over `eval_blocks` slices of the batch, one forward each, on one tape
-        that records nothing for differentiation. DSBN then folds the
+        over `eval_blocks` slices of the batch (see `_run_blocks`), each on a
+        tape that records nothing for differentiation. DSBN then folds the
         statistics of the whole batch, as one forward of all rows would.
         """
-        tape = Tape()
-        pvars = self.param_vars(tape, trainable=False)
-        h = np.concatenate([self.features(tape, tape.leaf(x[s]), "eval", pvars).value
-                            for s in eval_blocks(len(x))])
-        bk.dsbn_forward(tape.leaf(h), self._bn_ids(domain_ids), self.dsbn, "adapt",
+        def block(s):
+            tape = Tape()
+            pvars = self.param_vars(tape, trainable=False)
+            return [self.features(tape, tape.leaf(x[s]), "eval", pvars).value]
+
+        (h,) = self._run_blocks(block, x)
+        bk.dsbn_forward(Tape().leaf(h), self._bn_ids(domain_ids), self.dsbn, "adapt",
                         None, None, self.cfg.eps_var)
 
     # --- array snapshot ---------------------------------------------------------

@@ -133,7 +133,8 @@ class TestLogEig:
 class TestSpdbnNormalize:
     def _run(self, z, g_ref, v_ref, g_phi, v_phi, eps=1e-5):
         tape = Tape()
-        out = spdbn_normalize(const(tape, z), const(tape, g_ref), const(tape, v_ref),
+        out = spdbn_normalize(const(tape, z), const(tape, linalg.sym_fn(g_ref, "inv_sqrt")),
+                              const(tape, v_ref),
                               const(tape, g_phi), const(tape, v_phi), eps)
         return out.value
 

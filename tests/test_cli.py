@@ -1,7 +1,11 @@
 import csv
+import ctypes
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +14,10 @@ from conftest import reseal_checkpoint, set_array_value
 
 from tmknet import experiment
 from tmknet.cli import main
+from tmknet.data import SynthSpec, save_dataset, synth_generate
 from tmknet.experiment import load_checkpoint
 from tmknet.metrics import MetricsReport, wilcoxon_signed_rank
+from tmknet.model import _openblas
 
 
 TRAIN_FLAGS = ["--n-t", "4", "--n-s", "6", "--n-b", "4", "--batch-size", "16",
@@ -335,6 +341,23 @@ class TestErrorPaths:
         assert "error: seed must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--fs", "nan", "fs must be positive and finite"),
+        ("--fs", "inf", "fs must be positive and finite"),
+        ("--fs", "-256", "fs must be positive and finite"),
+        ("--fs", "0", "fs must be positive and finite"),
+        ("--window-ms", "inf", "window_ms must be positive and finite"),
+        ("--domain-shift", "nan", "domain_shift must be non-negative and finite"),
+        ("--window-ms", "5", "1.28 samples; it needs a finite count of at least 2"),
+    ])
+    def test_synth_bad_number_exits_one(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "data"
+        assert main(["synth", "--classes", "2", "--domains", "2", "--trials-per-cell", "2",
+                     flag, value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("field,value", [
         ("eps_var", float("inf")), ("eps_reeig", float("nan")), ("cov_lambda", float("nan")),
     ], ids=["eps-var-inf", "eps-reeig-nan", "cov-lambda-nan"])
@@ -596,3 +619,30 @@ class TestCompare:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(bad) in err
+
+
+@pytest.mark.skipif(_openblas("set_num_threads", None, ctypes.c_int) is None,
+                    reason="numpy bundles no OpenBLAS with scipy_openblas_set_num_threads")
+def test_train_bits_do_not_depend_on_blas_threads(tmp_path):
+    """`tmknet train` at the paper's n_t, n_s and n_b, with OpenBLAS asked for
+    1 and for 2 threads: the CLI pins one, so both checkpoints are equal byte
+    for byte. Without the pin their backward GEMMs round differently. About
+    3 s on 2 cores."""
+    data = tmp_path / "data"
+    save_dataset(data, *synth_generate(SynthSpec(n_classes=2, sensors=8, n_domains=3,
+                                                 trials_per_cell=10, seed=3)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = tmp_path / f"run{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "tmknet.cli", "train", "--data", str(data),
+             "--out", str(out), "--n-t", "64", "--n-s", "40", "--n-b", "30",
+             "--batch-size", "16", "--domains-per-batch", "2", "--epochs", "1",
+             "--target-session", "2", "--seed", "3"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs.append((out / "checkpoint.tmk").read_bytes())
+    assert runs[0] == runs[1]

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import struct
+import threading
 import tracemalloc
 from dataclasses import asdict
 
@@ -12,6 +13,7 @@ from conftest import reseal_checkpoint, seal_checkpoint, set_array_value
 
 from tmknet import autodiff as ad
 from tmknet import experiment
+from tmknet import model as model_module
 from tmknet.autodiff import Tape
 from tmknet.backbone import dsbn_forward
 from tmknet.data import DomainBatchSampler, SynthSpec, leave_one_session_out, synth_generate
@@ -285,30 +287,33 @@ def desk_primed():
 
 
 def _whole(model, trials, capture=None):
-    """Logits of one forward over every trial: the unblocked oracle."""
+    """Logits of one forward over every trial on a fresh tape: the unblocked
+    oracle."""
     x = np.stack([t.signal for t in trials]).astype(np.float64)
-    return model.predict_logits(x, [domain_key(t.domain) for t in trials], capture)
+    tape = Tape()
+    return model.forward(tape, tape.leaf(x), [domain_key(t.domain) for t in trials],
+                         "eval", capture=capture).value
 
 
 def _spied(model):
-    """A copy of `model` whose predict_logits records (rows, logits, capture)
-    per call, as a caller that replaces the attribute sees them."""
+    """A copy of `model` whose forward records (rows, logits, capture) per
+    call, as a caller that replaces the attribute sees them."""
     model = copy.deepcopy(model)
     calls = []
-    predict = model.predict_logits
+    forward = model.forward
 
-    def spy(x, ids, capture=None):
-        logits = predict(x, ids, capture)
-        calls.append((x, logits, capture))
+    def spy(tape, x, domain_ids, mode, pvars=None, capture=None):
+        logits = forward(tape, x, domain_ids, mode, pvars, capture)
+        calls.append((x.value, logits.value, capture))
         return logits
 
-    model.predict_logits = spy
+    model.forward = spy
     return model, calls
 
 
 def _blocked(calls, trials):
-    """The spied calls' logits stacked in order, after checking that they
-    cover `trials` in order, EVAL_BLOCK rows at most per call."""
+    """The spied forwards' logits stacked in order, after checking that they
+    cover `trials` in order, EVAL_BLOCK rows at most per forward."""
     assert all(len(x) <= EVAL_BLOCK for x, _, _ in calls)
     x = np.stack([t.signal for t in trials]).astype(np.float64)
     assert np.concatenate([x for x, _, _ in calls]).tobytes() == x.tobytes()
@@ -388,6 +393,32 @@ class TestBlockedForwards:
         assert got.g_run.tobytes() == want.g_run.tobytes()
         assert np.float64(got.v_run).tobytes() == np.float64(want.v_run).tobytes()
         assert got.steps == want.steps == len(sizes)
+
+    def test_pooled_blocks_give_inline_results(self, desk_primed, monkeypatch):
+        manifest, trials, model = desk_primed
+        chosen = trials[::8]
+        target = np.stack([t.signal for t in trials if t.domain == (0, 3)])
+        pooled = copy.deepcopy(model)
+
+        def run(m):
+            adapt(m, target, (0, 3), batch_size=50)
+            return (evaluate(m, chosen, manifest), _validation_loss(m, chosen),
+                    export_features(m, chosen), m.state_arrays())
+
+        inline = run(model)
+        monkeypatch.setattr(model_module, "_pooled", lambda block_bytes: True)
+        forward = pooled.forward
+        names = []
+
+        def spy(*args, **kwargs):
+            names.append(threading.current_thread().name)
+            return forward(*args, **kwargs)
+
+        pooled.forward = spy
+        got = run(pooled)
+        assert names and all(n.startswith("tmknet-eval") for n in names)
+        assert got[:3] == inline[:3]
+        assert all(got[3][k].tobytes() == v.tobytes() for k, v in inline[3].items())
 
     def test_evaluate_peak_memory_does_not_grow_with_trials(self, desk_primed):
         manifest, trials, model = desk_primed

@@ -1,4 +1,8 @@
+import copy
 import gc
+import sys
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -161,6 +165,144 @@ class TestForward:
         a = toy_model.predict_logits(x, ["0/2"] * 4)
         b = clone.predict_logits(x, ["0/2"] * 4)
         assert np.array_equal(a, b)
+
+
+@pytest.fixture
+def primed(toy_model, rng):
+    """The toy model with source and target statistics, and 20 trials (3
+    blocks) whose domains mix a source and the target."""
+    x = rng.normal(size=(20, 8, 64))
+    toy_model.loss_and_grads(x[:4], np.arange(4), ["0/0", "0/0", "0/1", "0/1"])
+    toy_model.adapt_batch(x[4:10], ["0/2"] * 6)
+    return toy_model, x, ["0/0", "0/2"] * 10
+
+
+def _threads(model, attr="forward"):
+    """Names of the threads that run each call of `model`'s method `attr`
+    from now on."""
+    names = []
+    method = getattr(model, attr)
+
+    def spy(*args, **kwargs):
+        names.append(threading.current_thread().name)
+        return method(*args, **kwargs)
+
+    setattr(model, attr, spy)
+    return names
+
+
+class TestBlockRunner:
+    """`TMKNet._run_blocks` gives the same bytes on the worker pool as inline."""
+
+    def test_predict_logits_pooled_equals_inline(self, primed, monkeypatch):
+        model, x, ids = primed
+        inline_cap, pooled_cap = {}, {}
+        inline = model.predict_logits(x, ids, inline_cap)
+        names = _threads(model)
+        assert names == [] and inline.shape == (20, 4)
+        monkeypatch.setattr(model_module, "_pooled", lambda block_bytes: True)
+        pooled = model.predict_logits(x, ids, pooled_cap)
+        assert len(names) == 3 and all(n.startswith("tmknet-eval") for n in names)
+        assert pooled.tobytes() == inline.tobytes()
+        assert list(pooled_cap) == list(inline_cap) == ["pre_dsbn", "post_dsbn"]
+        for key in inline_cap:
+            assert pooled_cap[key].tobytes() == inline_cap[key].tobytes()
+
+    def test_adapt_batch_pooled_equals_inline(self, primed, monkeypatch):
+        model, x, _ = primed
+        pooled = copy.deepcopy(model)
+        model.adapt_batch(x, ["0/2"] * 20)
+        names = _threads(pooled, "features")
+        monkeypatch.setattr(model_module, "_pooled", lambda block_bytes: True)
+        pooled.adapt_batch(x, ["0/2"] * 20)
+        assert len(names) == 3 and all(n.startswith("tmknet-eval") for n in names)
+        want = model.state_arrays()
+        got = pooled.state_arrays()
+        assert list(got) == list(want)
+        assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+
+    def test_concurrent_callers_on_more_workers_than_cores(self, primed, monkeypatch):
+        model, x, ids = primed
+        want = [model.predict_logits(x[i:], ids[i:]).tobytes() for i in range(6)]
+        monkeypatch.setattr(model_module, "_pooled", lambda block_bytes: True)
+        monkeypatch.setattr(model_module, "_cpus", lambda: 64)
+        monkeypatch.setattr(model_module, "_pool", None)  # a pool of _POOL_WORKERS
+        got = {}
+
+        def caller(i):
+            for _ in range(3):
+                got.setdefault(i, set()).add(model.predict_logits(x[i:], ids[i:]).tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller, args=(i,)) for i in range(6)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        pool = model_module._pool
+        pool.shutdown()
+        assert pool._max_workers == model_module._POOL_WORKERS
+        assert got == {i: {want[i]} for i in range(6)}
+
+    @pytest.mark.parametrize("case", ["unknown-domain", "stem-bn-uninitialized"])
+    def test_worker_error_reaches_caller(self, primed, monkeypatch, case):
+        model, x, ids = primed
+        if case == "unknown-domain":
+            ids = ids[:10] + ["9/9"] * 10
+        else:
+            model = TMKNet(toy_config(), seed=0)
+            model.register_domains(["0/0"], [])
+            ids = ["0/0"] * 20
+        with pytest.raises(ConfigError) as inline:
+            model.predict_logits(x, ids)
+        monkeypatch.setattr(model_module, "_pooled", lambda block_bytes: True)
+        with pytest.raises(ConfigError) as pooled:
+            model.predict_logits(x, ids)
+        assert str(pooled.value) == str(inline.value)
+
+    def test_first_failing_block_wins(self, primed, monkeypatch):
+        model, x, ids = primed
+        monkeypatch.setattr(model_module, "_pooled", lambda block_bytes: True)
+        forward = model.forward
+
+        def failing(tape, xv, domain_ids, *args, **kwargs):
+            first = int(np.flatnonzero((x == xv.value[0]).all(axis=(1, 2)))[0])
+            if first > 0:
+                time.sleep(0.05 if first < 14 else 0.0)  # the last block fails first
+                raise ConfigError(f"block from row {first}")
+            return forward(tape, xv, domain_ids, *args, **kwargs)
+
+        model.forward = failing
+        with pytest.raises(ConfigError, match="block from row 7$"):
+            model.predict_logits(x, ids)
+
+    @pytest.mark.parametrize("threads,cpus,pooled", [
+        (1, 2, True), (2, 2, False), (None, 2, False), (1, 1, False)])
+    def test_pool_gate(self, primed, monkeypatch, threads, cpus, pooled):
+        model, x, ids = primed
+        monkeypatch.setattr(model_module, "_POOL_BLOCK_BYTES", 0)
+        monkeypatch.setattr(model_module, "_blas_threads", lambda: threads)
+        monkeypatch.setattr(model_module, "_cpus", lambda: cpus)
+        names = _threads(model)
+        model.predict_logits(x, ids)
+        model.predict_logits(x[:8], ids[:8])  # one block always runs inline
+        assert len(names) == 4
+        assert [n.startswith("tmknet-eval") for n in names] == [pooled] * 3 + [False]
+
+    def test_block_threshold_keeps_toy_blocks_inline(self, primed, monkeypatch):
+        model, x, ids = primed
+        monkeypatch.setattr(model_module, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(model_module, "_cpus", lambda: 2)
+        names = _threads(model)
+        model.predict_logits(x, ids)
+        # 8 rows x 8 sensors x 64 samples x n_t 8 x 8 bytes
+        assert 8 * 8 * 64 * 8 * 8 < model_module._POOL_BLOCK_BYTES
+        assert names == ["MainThread"] * 3
 
 
 class TestEndToEndGradients:
