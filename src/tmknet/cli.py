@@ -2,8 +2,9 @@
 
 Subcommands: synth, import, train, adapt, eval, ablate, saliency,
 export-features, compare. Every run writes its outputs under --out together
-with a config snapshot; re-running from that snapshot reproduces the metrics
-bit for bit with the same numpy version and BLAS build. Paper-shape gradients
+with a config snapshot, which also records the numpy version and BLAS build;
+re-running from that snapshot reproduces the metrics bit for bit with the
+same numpy version and BLAS build. Paper-shape gradients
 round differently with another OpenBLAS thread count, so `main` first pins
 OpenBLAS to one thread (a no-op where numpy bundles no OpenBLAS that exports
 `scipy_openblas_set_num_threads`).
@@ -54,7 +55,7 @@ from .experiment import (
     train,
 )
 from .metrics import MetricsReport, wilcoxon_signed_rank
-from .model import _openblas
+from .model import _blas_threads, _openblas
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,16 +79,32 @@ def _default_seed() -> int:
 _CONFIG_FLAGS = ("subject", "target_session", "n_t", "n_s", "n_b", "r_data", "pool_size",
                  "lr", "weight_decay", "batch_size", "domains_per_batch", "epochs", "seed",
                  "val_fraction", "adaptation", "gamma_source", "gamma_target")
+# SynthSpec fields with a flag of their own (`synth --seed` defaults differently)
+_SYNTH_FLAGS = ("n_classes", "sensors", "n_domains", "trials_per_cell", "fs", "window_ms",
+                "overlap_ms", "domain_shift")
+# flags not spelled as their field
+_FLAG_NAMES = {"n_classes": "classes", "n_domains": "domains"}
+
+
+def _add_field_flags(p: argparse.ArgumentParser, cls, fields: tuple[str, ...]) -> None:
+    """One flag per field of dataclass `cls`, typed by its annotation and
+    defaulting to None; its help names `cls`'s default."""
+    defaults, types = cls(), _field_types(cls)
+    for name in fields:
+        flag = "--" + _FLAG_NAMES.get(name, name).replace("_", "-")
+        p.add_argument(flag, dest=name, type=types[name], default=None,
+                       help=f"default {getattr(defaults, name)}")
+
+
+def _flag_values(args: argparse.Namespace, fields: tuple[str, ...]) -> dict:
+    """The fields among `fields` that a flag set."""
+    return {name: getattr(args, name) for name in fields if getattr(args, name) is not None}
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with RunConfig fields, or a run's "
                    "config.json snapshot; flags override it")
-    defaults, types = RunConfig(), _field_types(RunConfig)
-    for name in _CONFIG_FLAGS:
-        flag = "--" + name.replace("_", "-")
-        p.add_argument(flag, type=types[name], default=None,
-                       help=f"default {getattr(defaults, name)}")
+    _add_field_flags(p, RunConfig, _CONFIG_FLAGS)
     p.add_argument("--ablation", default=None,
                    help=f"comma-separated variants from {', '.join(ABLATION_VARIANTS)}")
 
@@ -99,10 +116,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         doc = _json_object(_read_store_file(path), f"--config {path}")
         if isinstance(doc.get("config"), dict):  # a run directory's config.json
             doc = doc["config"]
-    for name in _CONFIG_FLAGS:
-        value = getattr(args, name)
-        if value is not None:
-            doc[name] = value
+    doc.update(_flag_values(args, _CONFIG_FLAGS))
     if args.ablation is not None:
         doc["ablation"] = [v for v in args.ablation.split(",") if v]
     if "seed" not in doc:
@@ -113,10 +127,19 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"--config {args.config}: {exc}") from exc
 
 
+def _environment() -> dict:
+    """What a run's bits depend on besides its config and code: the numpy
+    version, OpenBLAS's build string and the thread count in force, each
+    None where it cannot be read."""
+    config = _openblas("get_config", ctypes.c_char_p)
+    return {"numpy": np.__version__, "blas": None if config is None else config().decode(),
+            "blas_threads": _blas_threads()}
+
+
 def _write_run_dir(out: Path, cfg: RunConfig) -> None:
     out.mkdir(parents=True, exist_ok=True)
     snapshot = {"config": asdict(cfg), "seed": cfg.seed, "config_hash": cfg.hash(),
-                "build_id": build_id(cfg.hash())}
+                "build_id": build_id(cfg.hash()), "environment": _environment()}
     (out / "config.json").write_text(json.dumps(snapshot, indent=2))
 
 
@@ -149,12 +172,8 @@ def _parse_domain(text: str) -> tuple[int, int]:
 # --- subcommand bodies ----------------------------------------------------------
 
 def _cmd_synth(args) -> int:
-    spec = SynthSpec(
-        n_classes=args.classes, sensors=args.sensors, n_domains=args.domains,
-        trials_per_cell=args.trials_per_cell, fs=args.fs, window_ms=args.window_ms,
-        overlap_ms=args.overlap_ms, domain_shift=args.domain_shift,
-        seed=args.seed if args.seed is not None else _default_seed(),
-    )
+    spec = SynthSpec(**_flag_values(args, _SYNTH_FLAGS),
+                     seed=args.seed if args.seed is not None else _default_seed())
     manifest, trials = synth_generate(spec)
     save_dataset(args.out, manifest, trials)
     print(f"wrote {len(trials)} trials ({manifest.sensors} sensors, "
@@ -311,15 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("synth", help="generate a synthetic domain-shifted dataset")
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--sensors", type=int, default=8)
-    p.add_argument("--domains", type=int, default=4)
-    p.add_argument("--trials-per-cell", type=int, default=50,
-                   help="trials per (class, domain) cell")
-    p.add_argument("--fs", type=float, default=256.0)
-    p.add_argument("--window-ms", type=float, default=250.0)
-    p.add_argument("--overlap-ms", type=float, default=125.0)
-    p.add_argument("--domain-shift", type=float, default=1.4)
+    _add_field_flags(p, SynthSpec, _SYNTH_FLAGS)
     p.add_argument("--seed", type=int, default=None, help="default TMKNET_SEED or 0")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_synth)

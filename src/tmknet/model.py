@@ -14,7 +14,6 @@ import functools
 import glob
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +42,6 @@ EVAL_BLOCK = 8
 _POOL_BLOCK_BYTES = 512 << 10
 # most worker threads of the pool; each holds one block's transients at a time
 _POOL_WORKERS = 4
-
-_pool = None  # the ThreadPoolExecutor, made on first use
-_pool_lock = threading.Lock()
 
 
 def eval_blocks(n: int) -> list[slice]:
@@ -92,36 +88,6 @@ def _pooled(block_bytes: int) -> bool:
     and BLAS's oversubscribe the cores: 1.65x slower measured with 2 of each
     on 2 cores)."""
     return block_bytes >= _POOL_BLOCK_BYTES and _cpus() >= 2 and _blas_threads() == 1
-
-
-def _run_on_pool(fn, items: list) -> list:
-    """[fn(i) for i in items] on the worker pool; once every call has
-    finished, the exception of the first failing call in item order.
-
-    concurrent.futures is imported here rather than with the module: it
-    imports logging, which alone raised the `uda_desk` benchmark's peak
-    resident set by 0.7 MB, though desk-shape blocks never reach the pool."""
-    from concurrent.futures import ThreadPoolExecutor, wait
-
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(min(_POOL_WORKERS, _cpus()),
-                                       thread_name_prefix="tmknet-eval")
-        pool = _pool
-    futures = [pool.submit(fn, i) for i in items]
-    wait(futures)
-    return [f.result() for f in futures]
-
-
-def _forget_pool() -> None:
-    """A forked child has none of its parent's worker threads."""
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 @dataclass
@@ -300,17 +266,26 @@ class TMKNet:
         arrays concatenated in block order.
 
         A block computes the same bytes on any thread, so when there is more
-        than one block and `_pooled` allows, the blocks run on a module-level
-        thread pool of at most `_POOL_WORKERS` threads, and the result does
-        not depend on the worker count. Peak memory then grows by at most one
-        block's transients per worker. An exception from a block reaches the
-        caller once every block has finished, the first failing block's in
-        block order. Zero rows run as one empty block.
+        than one block and `_pooled` allows, the blocks run on one executor
+        per call, of at most `_POOL_WORKERS` threads that end before it
+        returns, and the result does not depend on the worker count. Peak
+        memory then grows by at most one block's transients per worker. An
+        exception from a block reaches the caller once every block has
+        finished, the first failing block's in block order. Zero rows run as
+        one empty block.
         """
         blocks = eval_blocks(len(x)) or [slice(0, 0)]
         rows = blocks[0].stop  # the first block is a largest one
         if len(blocks) > 1 and _pooled(rows * np.size(x[0]) * self.cfg.stem.n_t * 8):
-            parts = _run_on_pool(block, blocks)
+            # imported here, not with the module: concurrent.futures imports
+            # logging, which alone raised the `uda_desk` benchmark's peak
+            # resident set by 0.7 MB, though desk blocks never reach the pool
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(min(_POOL_WORKERS, _cpus()),
+                                    thread_name_prefix="tmknet-eval") as pool:
+                futures = [pool.submit(block, s) for s in blocks]
+            parts = [f.result() for f in futures]
         else:
             parts = [block(s) for s in blocks]
         return [np.concatenate(arrays) for arrays in zip(*parts)]

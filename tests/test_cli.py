@@ -30,7 +30,8 @@ def dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     data = root / "data"
     code = main(["synth", "--classes", "3", "--sensors", "8", "--domains", "3",
-                 "--trials-per-cell", "10", "--seed", "7", "--out", str(data)])
+                 "--trials-per-cell", "10", "--fs", "256", "--domain-shift", "1.4",
+                 "--seed", "7", "--out", str(data)])
     assert code == 0
     return data
 
@@ -48,6 +49,17 @@ class TestSynthImport:
         assert (dataset / "manifest.json").exists()
         assert (dataset / "trials.f32").exists()
         assert (dataset / "index.csv").exists()
+
+    def test_synth_defaults_are_synthspec_defaults(self, tmp_path):
+        cli, lib = tmp_path / "cli", tmp_path / "lib"
+        assert main(["synth", "--classes", "2", "--domains", "2", "--trials-per-cell", "3",
+                     "--seed", "4", "--out", str(cli)]) == 0
+        save_dataset(lib, *synth_generate(SynthSpec(n_classes=2, n_domains=2,
+                                                    trials_per_cell=3, seed=4)))
+        names = sorted(p.name for p in lib.iterdir())
+        assert sorted(p.name for p in cli.iterdir()) == names
+        for name in names:
+            assert (cli / name).read_bytes() == (lib / name).read_bytes(), name
 
     def test_import_round_trip(self, dataset, tmp_path):
         out = tmp_path / "copy"
@@ -68,6 +80,21 @@ class TestTrainEval:
         assert snap["seed"] == 5
         assert snap["build_id"].startswith("tmknet-v")
         assert snap["config_hash"]
+
+    @pytest.mark.skipif(_openblas("get_num_threads", ctypes.c_int) is None,
+                        reason="numpy bundles no OpenBLAS with scipy_openblas_get_num_threads")
+    def test_config_json_records_environment(self, dataset, trained_run, tmp_path):
+        snap = json.loads((trained_run / "config.json").read_text())
+        env = snap["environment"]
+        assert list(env) == ["numpy", "blas", "blas_threads"]
+        assert env["numpy"] == np.__version__ and isinstance(env["blas"], str)
+        assert env["blas_threads"] == 1  # `main` pins OpenBLAS to one thread
+        cfg = experiment.RunConfig(**snap["config"])
+        assert snap["config_hash"] == cfg.hash() and snap["build_id"].endswith(cfg.hash()[:8])
+        rerun = tmp_path / "rerun"
+        assert main(["train", "--data", str(dataset), "--out", str(rerun),
+                     "--config", str(trained_run / "config.json")]) == 0
+        assert (rerun / "metrics.json").read_bytes() == (trained_run / "metrics.json").read_bytes()
 
     def test_rerun_from_snapshot_reproduces_bitwise(self, dataset, trained_run, tmp_path):
         snap = json.loads((trained_run / "config.json").read_text())
@@ -258,7 +285,8 @@ class TestErrorPaths:
         # the dataset of the checkpoint less its target session 2
         data = tmp_path / "data"
         assert main(["synth", "--classes", "3", "--sensors", "8", "--domains", "2",
-                     "--trials-per-cell", "10", "--seed", "7", "--out", str(data)]) == 0
+                     "--trials-per-cell", "10", "--fs", "256", "--domain-shift", "1.4",
+                     "--seed", "7", "--out", str(data)]) == 0
         assert main(["adapt", "--checkpoint", str(trained_run / "checkpoint.tmk"),
                      "--data", str(data), "--out", str(tmp_path / "a")]) == 2
         assert "no trials for target domain" in capsys.readouterr().err
@@ -353,7 +381,8 @@ class TestErrorPaths:
     def test_synth_bad_number_exits_one(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "data"
         assert main(["synth", "--classes", "2", "--domains", "2", "--trials-per-cell", "2",
-                     flag, value, "--out", str(out)]) == 1
+                     "--fs", "256", "--domain-shift", "1.4", flag, value,
+                     "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and "Traceback" not in err
         assert not out.exists()
@@ -486,8 +515,8 @@ class TestErrorPaths:
                                                     synth_flags, fields, command, flags):
         data = tmp_path / "data"
         assert main(["synth", "--classes", "3", "--sensors", "8", "--domains", "3",
-                     "--trials-per-cell", "10", "--seed", "7", *synth_flags,
-                     "--out", str(data)]) == 0
+                     "--trials-per-cell", "10", "--fs", "256", "--domain-shift", "1.4",
+                     "--seed", "7", *synth_flags, "--out", str(data)]) == 0
         capsys.readouterr()
         out = tmp_path / "o"
         assert main([command, "--checkpoint", str(trained_run / "checkpoint.tmk"),

@@ -34,7 +34,9 @@ name, as numpy's `ndarray.transpose(*axes)` shares `autodiff.transpose`'s.
 A run setting has its default in `RunConfig` alone, so no other parameter or
 dataclass field may default to `RunConfig`'s default for the field of its
 name. And each name that an import in `src/tmknet/*.py` binds must be used
-in its module, or listed in its `__all__`.
+in its module, or listed in its `__all__`. No function there rebinds a
+module-level name through a `global` statement: state that outlives a call
+belongs to an object its caller holds.
 """
 
 from __future__ import annotations
@@ -363,3 +365,11 @@ def _unused_imports():
 def test_every_import_is_used():
     unused = list(_unused_imports())
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_no_global_statement():
+    rebinds = [f"{path.stem}:{node.lineno} global {', '.join(node.names)}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Global)]
+    assert not rebinds, f"module state rebound by functions: {rebinds}"

@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import gc
 import sys
@@ -226,7 +227,14 @@ class TestBlockRunner:
         want = [model.predict_logits(x[i:], ids[i:]).tobytes() for i in range(6)]
         monkeypatch.setattr(model_module, "_pooled", lambda block_bytes: True)
         monkeypatch.setattr(model_module, "_cpus", lambda: 64)
-        monkeypatch.setattr(model_module, "_pool", None)  # a pool of _POOL_WORKERS
+        workers = []  # max_workers of each executor a call makes
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                workers.append(self._max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
         got = {}
 
         def caller(i):
@@ -244,10 +252,24 @@ class TestBlockRunner:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in callers)
-        pool = model_module._pool
-        pool.shutdown()
-        assert pool._max_workers == model_module._POOL_WORKERS
+        assert workers == [model_module._POOL_WORKERS] * 18
         assert got == {i: {want[i]} for i in range(6)}
+
+    @pytest.mark.parametrize("call", ["predict_logits", "adapt_batch", "raised"])
+    def test_no_worker_outlives_the_call(self, primed, monkeypatch, call):
+        model, x, ids = primed
+        monkeypatch.setattr(model_module, "_pooled", lambda block_bytes: True)
+        names = _threads(model, "features")
+        if call == "predict_logits":
+            model.predict_logits(x, ids)
+        elif call == "adapt_batch":
+            model.adapt_batch(x, ["0/2"] * 20)
+        else:
+            with pytest.raises(ConfigError):
+                model.predict_logits(x, ids[:10] + ["9/9"] * 10)
+        assert len(names) == 3 and all(n.startswith("tmknet-eval") for n in names)
+        alive = [t.name for t in threading.enumerate() if t.name.startswith("tmknet-eval")]
+        assert alive == []
 
     @pytest.mark.parametrize("case", ["unknown-domain", "stem-bn-uninitialized"])
     def test_worker_error_reaches_caller(self, primed, monkeypatch, case):
