@@ -30,16 +30,22 @@ so its values and gradients are the chain's bit for bit:
   along the sensors). For backward it keeps only its output; backward
   rebuilds each kernel's patch matrix from the input, one kernel at a time.
 
+The two stem nodes split their work into independent units, each computing
+its products exactly as inline, and when they record for backward they run
+the units on two worker threads (`run_units`), which gradient-free
+evaluation blocks (`model.TMKNet._run_blocks`) also use.
+
 Allocator policy: importing this module sets glibc's malloc, once, to keep
 freed memory in the process (`_keep_freed_memory`). A training step frees
 feature maps of tens of megabytes in backward and allocates them again in the
 next forward; by default glibc serves such blocks with mmap, or trims them off
 the top of the heap, and the kernel then zero-faults every page back in on
 each step. It also caps glibc at one malloc arena, so the worker threads of
-gradient-free forwards (`model.TMKNet._run_blocks`) allocate from the heap the
-main thread keeps rather than each from an arena of its own: without the cap,
-the `session_paper` benchmark's peak resident set rose from 117.5 to 143.5 MB
-with two workers, and with it, it stayed at 117.9 MB. The setting is
+`run_units` (evaluation blocks and the stem nodes of a training step)
+allocate from the heap the main thread keeps rather than each from an arena
+of its own: without the cap, the `session_paper` benchmark's peak resident
+set rose from 117.5 to 143.5 MB with two workers, and with it, it stayed at
+117.9 MB. The setting is
 process-wide: heap memory the program frees is reused by later allocations
 but not handed back to the operating system before exit. On any other C
 library the import changes nothing.
@@ -47,8 +53,12 @@ library the import changes nothing.
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
+import functools
+import glob
 import os
+import threading
 
 import numpy as np
 
@@ -82,6 +92,96 @@ def _keep_freed_memory() -> None:
 
 
 _keep_freed_memory()
+
+
+# --- worker threads -------------------------------------------------------------
+
+# least bytes of conv output one unit computes for `run_units` to send the
+# units to worker threads. Measured on 2 cores with OpenBLAS on one thread,
+# pooled against inline: 64 trials in 8-row eval blocks (a block's temporal
+# conv outputs, every branch) 1.7-1.85x faster at the paper shape (12 MiB a
+# block) and 1.47x with n_t 8 (1.5 MiB), while desk-shape blocks (0.56 MiB)
+# hold the GIL for most of their time and gained nothing (0.96-1.15x); in a
+# desk-shape training step (32 trials, n_t 6), splitting the temporal node
+# into its 0.75 MiB branches took its forward from 3.4 to 4.3 ms
+_POOL_UNIT_BYTES = 1 << 20
+# most worker threads of one call; each holds one unit's transients at a time
+_POOL_WORKERS = 4
+
+
+@functools.cache
+def _openblas(name: str, restype, *argtypes):
+    """The function `scipy_openblas_<name>` (64-bit interface first) of the
+    OpenBLAS that numpy bundles, through ctypes with the given signature; None
+    where numpy bundles none or it lacks the symbol."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "libscipy_openblas*.so"))
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for suffix in ("64_", ""):
+            fn = getattr(lib, f"scipy_openblas_{name}{suffix}", None)
+            if fn is not None:
+                fn.restype, fn.argtypes = restype, argtypes
+                return fn
+    return None
+
+
+def _blas_threads() -> int | None:
+    """The thread count OpenBLAS runs with now; None if it cannot be read."""
+    get = _openblas("get_num_threads", ctypes.c_int)
+    return None if get is None else get()
+
+
+def _cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _pooled(unit_bytes: int) -> bool:
+    """Whether `run_units` sends its units to worker threads: each unit big
+    enough to release the GIL for most of its time, at least 2 CPUs for this
+    process, and OpenBLAS on one thread (on more, the workers and BLAS's
+    threads oversubscribe the cores: 1.65x slower measured with 2 of each on
+    2 cores)."""
+    return unit_bytes >= _POOL_UNIT_BYTES and _cpus() >= 2 and _blas_threads() == 1
+
+
+# `active` is set on the worker threads of `run_units`
+_worker = threading.local()
+
+
+def _mark_worker() -> None:
+    _worker.active = True
+
+
+def run_units(units, unit_bytes: int, name: str, workers: int = _POOL_WORKERS) -> list:
+    """Call each zero-argument function of `units` and return their results
+    in order.
+
+    Callers hand in units that compute the same bytes on any thread and in
+    any interleaving: each writes only memory no other unit of the call
+    reads or writes. When there is more than one unit, `_pooled(unit_bytes)`
+    allows, and the caller is not itself a unit on a worker, the units run
+    on one executor of at most `workers` threads named after `name`, which
+    end before it returns; a unit on a worker runs its own units inline, so
+    threads never nest. Peak memory then grows by at most one unit's
+    transients per worker. A unit sees the caller's `np.errstate`. An
+    exception reaches the caller once every unit has finished, the first
+    failing unit's in `units` order; inline, the first failure stops the
+    rest, with the same exception.
+    """
+    if len(units) < 2 or getattr(_worker, "active", False) or not _pooled(unit_bytes):
+        return [unit() for unit in units]
+    # imported here, not with the module: concurrent.futures imports logging,
+    # which alone raised the `uda_desk` benchmark's peak resident set by 0.7
+    # MB, though desk shapes never reach the workers
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(min(workers, _cpus()), thread_name_prefix=name,
+                            initializer=_mark_worker) as pool:
+        # each unit in a copy of the caller's context, where numpy keeps its
+        # floating-point error state (`np.errstate`)
+        futures = [pool.submit(contextvars.copy_context().run, unit) for unit in units]
+    return [f.result() for f in futures]
 
 
 class Variable:
@@ -385,15 +485,20 @@ def mrt_block(x: Variable, convs: list[tuple[Variable, Variable]], slope: float,
     max_pool_time per branch, then concat, bit for bit. Forward runs each
     branch over blocks of trials, as many as keep the widest conv output of a
     block within `_MRT_BLOCK_BYTES`; every output row is the one a
-    whole-batch pass computes, and each block writes its slice of the output
-    and of the winner indices. LeakyReLU runs in place as max(z, z * slope),
-    which equals the chain's z * factor because (1 - slope) + slope == 1.0. A
-    branch that needs a gradient keeps only its winner indices: in backward
-    the factor at each winner is read off the pooled output, whose sign is
-    the conv output's, and per pool offset one branch-free select
-    (`_winners`) writes the pooled gradient at the winners, +0.0 elsewhere,
-    into a conv-shaped gradient in the conv output's channel-fastest memory
-    order. The caller checks that each kernel and pooling window fits.
+    whole-batch pass computes, and each (branch, block) unit writes its own
+    slice of the output and of the winner indices. Backward computes each
+    branch's gradients as a unit and then sums the input gradients, last
+    branch first, as the tape did. When the node records for backward, both
+    run their units through `run_units`, on two worker threads where it
+    allows; the bytes are the same on any thread. LeakyReLU runs in place as
+    max(z, z * slope), which equals the chain's z * factor because
+    (1 - slope) + slope == 1.0. A branch that needs a gradient keeps only its
+    winner indices: in backward the factor at each winner is read off the
+    pooled output, whose sign is the conv output's, and per pool offset one
+    branch-free select (`_winners`) writes the pooled gradient at the
+    winners, +0.0 elsewhere, into a conv-shaped gradient in the conv output's
+    channel-fastest memory order. The caller checks that each kernel and
+    pooling window fits.
     """
     vx = x.value
     bsz, _, h, t = vx.shape
@@ -403,59 +508,76 @@ def mrt_block(x: Variable, convs: list[tuple[Variable, Variable]], slope: float,
     out = np.empty((bsz, cout, h, bounds[-1]))
     step = max(1, _MRT_BLOCK_BYTES // (8 * cout * h * max(widths)))
     blocks = [slice(lo, lo + step) for lo in range(0, bsz, step)]
-    args = []
-    for (w, b), lo, hi in zip(convs, bounds[:-1], bounds[1:]):
-        arg = None
-        if x.requires_grad or w.requires_grad or b.requires_grad:
-            # in the conv output's memory order, as `_running_max` returns it
-            arg = np.empty((bsz, h, hi - lo, cout),
-                           np.min_scalar_type(size - 1)).transpose(0, 3, 1, 2)
-        for blk in blocks:
-            z = np.tensordot(_windows(vx[blk], 1, w.value.shape[3]), w.value,
-                             axes=([1, 4, 5], [1, 2, 3])).transpose(0, 3, 1, 2)
-            z += b.value[None, :, None, None]
-            np.maximum(z, z * slope, out=z)
-            peak, arg_blk = _running_max(z, size, arg is not None)
-            out[blk, ..., lo:hi] = peak
-            if arg is not None:
-                arg[blk] = arg_blk
-            del z, peak  # before the next block allocates its own
-        args.append(arg)
+    # the bytes of a block's widest conv output, and of one branch's
+    unit_bytes, branch_bytes = (8 * n * cout * h * max(widths) for n in (min(step, bsz), bsz))
+    # the branches that record for backward keep their winner indices, in the
+    # conv output's memory order, as `_running_max` returns them
+    args = [np.empty((bsz, h, hi - lo, cout), np.min_scalar_type(size - 1)).transpose(0, 3, 1, 2)
+            if x.requires_grad or w.requires_grad or b.requires_grad else None
+            for (w, b), lo, hi in zip(convs, bounds[:-1], bounds[1:])]
+    recording = any(arg is not None for arg in args)
+
+    def conv_block(i, blk):
+        """Branch i on the trials `blk`, into its slices of `out` and `arg`."""
+        (w, b), lo, hi, arg = convs[i], bounds[i], bounds[i + 1], args[i]
+        z = np.tensordot(_windows(vx[blk], 1, w.value.shape[3]), w.value,
+                         axes=([1, 4, 5], [1, 2, 3])).transpose(0, 3, 1, 2)
+        z += b.value[None, :, None, None]
+        np.maximum(z, z * slope, out=z)
+        peak, arg_blk = _running_max(z, size, arg is not None)
+        out[blk, ..., lo:hi] = peak
+        if arg is not None:
+            arg[blk] = arg_blk
+
+    units = [functools.partial(conv_block, i, blk) for i in range(len(convs)) for blk in blocks]
+    if recording:
+        run_units(units, unit_bytes, "tmknet-stem", 2)
+    else:
+        for unit in units:
+            unit()
+
+    def branch_grads(g, i):
+        """Branch i's weight, bias and input gradients (None where not needed)."""
+        (w, b), lo, hi, arg = convs[i], bounds[i], bounds[i + 1], args[i]
+        vw = w.value
+        kw = vw.shape[3]
+        # the winner gets g * factor bit for bit, the others +0.0
+        factor = (out[..., lo:hi] > 0) * (1.0 - slope)
+        factor += slope
+        gp = np.multiply(g[..., lo:hi], factor, out=np.empty_like(arg, dtype=np.float64))
+        del factor
+        gz = np.empty((bsz, h, t - kw + 1, vw.shape[0])).transpose(0, 3, 1, 2)
+        n = (hi - lo) * size
+        gz[..., n:] = 0.0
+        for k in range(size):
+            _winners(gp, arg, k, gz[..., k:n:size])
+        del gp
+        gw = gb = gxb = None
+        if w.requires_grad:
+            gw = np.tensordot(gz, _windows(vx, 1, kw), axes=([0, 2, 3], [0, 2, 3]))
+        if b.requires_grad:
+            gb = gz.sum(axis=(0, 2, 3))
+        if x.requires_grad:
+            gxb = np.zeros_like(vx)
+            for j in range(kw):
+                contrib = np.tensordot(gz, vw[:, :, 0, j], axes=([1], [0]))
+                gxb[..., j:j + gz.shape[3]] += contrib.transpose(0, 3, 1, 2)
+        return gw, gb, gxb
 
     def backward(g):
-        grads = [None] * (2 * len(convs))
-        gx = None
         # last branch first: the order in which the tape added the chain's
         # input gradients
-        for i in reversed(range(len(convs))):
-            (w, b), lo, hi, arg = convs[i], bounds[i], bounds[i + 1], args[i]
-            if arg is None:
-                continue
-            vw = w.value
-            kw = vw.shape[3]
-            # the winner gets g * factor bit for bit, the others +0.0
-            factor = (out[..., lo:hi] > 0) * (1.0 - slope)
-            factor += slope
-            gp = np.multiply(g[..., lo:hi], factor, out=np.empty_like(arg, dtype=np.float64))
-            gz = np.empty((bsz, h, t - kw + 1, vw.shape[0])).transpose(0, 3, 1, 2)
-            n = (hi - lo) * size
-            gz[..., n:] = 0.0
-            for k in range(size):
-                _winners(gp, arg, k, gz[..., k:n:size])
-            del gp
-            if w.requires_grad:
-                grads[2 * i] = np.tensordot(gz, _windows(vx, 1, kw), axes=([0, 2, 3], [0, 2, 3]))
-            if b.requires_grad:
-                grads[2 * i + 1] = gz.sum(axis=(0, 2, 3))
-            if x.requires_grad:
-                gxb = np.zeros_like(vx)
-                for j in range(kw):
-                    contrib = np.tensordot(gz, vw[:, :, 0, j], axes=([1], [0]))
-                    gxb[..., j:j + gz.shape[3]] += contrib.transpose(0, 3, 1, 2)
-                if gx is None:
-                    gx = gxb
-                else:
-                    gx += gxb
+        live = [i for i in reversed(range(len(convs))) if args[i] is not None]
+        done = run_units([functools.partial(branch_grads, g, i) for i in live], branch_bytes,
+                         "tmknet-stem", 2)
+        grads = [None] * (2 * len(convs))
+        gx = None
+        for i, (gw, gb, gxb) in zip(live, done):
+            grads[2 * i], grads[2 * i + 1] = gw, gb
+            if gx is None:
+                gx = gxb
+            else:
+                gx += gxb
         return (gx, *grads)
 
     return x.tape.record((x, *(p for conv in convs for p in conv)), out, backward)
@@ -496,6 +618,15 @@ def mss_block(z: Variable, convs: list[tuple[tuple[int, ...] | None, Variable, V
     the tape did. The chain added 0.0 + c for a read row and 0.0 for an
     unread one, from its zero-filled scatters; the sum starts from +0.0 and
     so never holds -0.0, and adding c or nothing gives the same bits.
+
+    When the node records for backward, its units go through `run_units`,
+    on two worker threads where it allows: in forward each kernel, which
+    writes its own rows of the output; in backward each kernel's even and
+    odd taps, which add into disjoint rows of the input gradient (a kernel
+    reads each row at most once), after the kernel's weight product. That
+    product stays on the calling thread: running it beside the taps would
+    keep the patch matrix and a tap's product alive at once, which raised
+    the `train_paper` benchmark's peak resident set from 200 to 211 MB.
     """
     vz = z.value
     bsz, cin, h, t = vz.shape
@@ -545,14 +676,36 @@ def mss_block(z: Variable, convs: list[tuple[tuple[int, ...] | None, Variable, V
         return zt.reshape(bsz, cin, kh, oh, t).transpose(0, 3, 4, 1, 2).reshape(shape)
 
     mem = np.empty((bsz, top, t, cout))
-    for i, ((_, w, b, _, _), (lo, oh, _, _)) in enumerate(zip(convs, plans)):
+    # the bytes of a largest kernel's output
+    unit_bytes = 8 * bsz * max(oh for _, oh, _, _ in plans) * t * cout
+    recording = z.requires_grad or any(w.requires_grad or b.requires_grad
+                                       for _, w, b, _, _ in convs)
+
+    def kernel_out(i):
+        """Kernel i's output, into its rows of `mem`."""
+        (_, w, b, _, _), (lo, oh, _, _) = convs[i], plans[i]
         kh = w.value.shape[2]
         zo = np.dot(patch_matrix(i), w.value.transpose(1, 2, 3, 0).reshape(cin * kh, cout))
         zo = zo.reshape(bsz, oh, t, cout)
         zo += b.value
         np.maximum(zo, zo * slope, out=mem[:, lo:lo + oh])
-        del zo  # before the next kernel allocates its own
+
+    units = [functools.partial(kernel_out, i) for i in range(len(convs))]
+    if recording:
+        run_units(units, unit_bytes, "tmknet-stem", 2)
+    else:
+        for unit in units:
+            unit()
     out = mem.transpose(0, 3, 1, 2)
+
+    def add_taps(i, gz_rows, gz_total, part):
+        """Add the product np.tensordot(gz, w_tap, ([1], [0])) of each tap of
+        kernel i in `part` into `gz_total` in place, from gz in the
+        (b·oh·t, c_out) order `gz_rows`."""
+        vw, (_, oh, taps, _) = convs[i][1].value, plans[i]
+        for j in part:
+            contrib = np.dot(gz_rows, vw[:, :, j, 0]).reshape(bsz, oh, t, cin)
+            gz_total[:, :, taps[j]] += contrib.transpose(0, 3, 1, 2)
 
     def backward(g):
         grads = [None] * (2 * len(convs))
@@ -576,14 +729,15 @@ def mss_block(z: Variable, convs: list[tuple[tuple[int, ...] | None, Variable, V
                 grads[2 * i + 1] = gz.sum(axis=(0, 2, 3))
             if gz_total is None:
                 continue
-            # the operands of each tap's np.tensordot(gz, w_tap, ([1], [0])):
-            # gz in (b·oh·t, c_out) order, made once for all taps
+            # the operands of each tap's product: gz in (b·oh·t, c_out) order,
+            # made once for all taps
             gz_rows = gz.transpose(0, 2, 3, 1).reshape(-1, vw.shape[0])
             del gz
-            for j, rows in enumerate(taps):
-                contrib = np.dot(gz_rows, vw[:, :, j, 0]).reshape(bsz, oh, t, cin)
-                gz_total[:, :, rows] += contrib.transpose(0, 3, 1, 2)
-            del gz_rows, contrib  # before the next kernel's patch matrix
+            # a kernel's taps read disjoint rows of z, so the even and the odd
+            # taps write disjoint rows of gz_total
+            run_units([functools.partial(add_taps, i, gz_rows, gz_total, range(k, len(taps), 2))
+                       for k in range(min(2, len(taps)))], unit_bytes, "tmknet-stem", 2)
+            del gz_rows  # before the next kernel's patch matrix
         return (gz_total, *grads)
 
     return z.tape.record((z, *(p for _, w, b, _, _ in convs for p in (w, b))), out, backward)

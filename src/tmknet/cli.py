@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .autodiff import _blas_threads, _openblas
 from .data import (
     SynthSpec,
     _field_types,
@@ -55,7 +56,6 @@ from .experiment import (
     train,
 )
 from .metrics import MetricsReport, wilcoxon_signed_rank
-from .model import _blas_threads, _openblas
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,16 +84,19 @@ _SYNTH_FLAGS = ("n_classes", "sensors", "n_domains", "trials_per_cell", "fs", "w
                 "overlap_ms", "domain_shift")
 # flags not spelled as their field
 _FLAG_NAMES = {"n_classes": "classes", "n_domains": "domains"}
+# every --seed falls back to `_default_seed()`
+_SEED_HELP = "default TMKNET_SEED or 0"
 
 
 def _add_field_flags(p: argparse.ArgumentParser, cls, fields: tuple[str, ...]) -> None:
     """One flag per field of dataclass `cls`, typed by its annotation and
-    defaulting to None; its help names `cls`'s default."""
+    defaulting to None; its help names `cls`'s default, or for `seed` the
+    fallback of `_default_seed`."""
     defaults, types = cls(), _field_types(cls)
     for name in fields:
         flag = "--" + _FLAG_NAMES.get(name, name).replace("_", "-")
         p.add_argument(flag, dest=name, type=types[name], default=None,
-                       help=f"default {getattr(defaults, name)}")
+                       help=_SEED_HELP if name == "seed" else f"default {getattr(defaults, name)}")
 
 
 def _flag_values(args: argparse.Namespace, fields: tuple[str, ...]) -> dict:
@@ -331,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic domain-shifted dataset")
     _add_field_flags(p, SynthSpec, _SYNTH_FLAGS)
-    p.add_argument("--seed", type=int, default=None, help="default TMKNET_SEED or 0")
+    p.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_synth)
 

@@ -9,11 +9,8 @@ gradient.
 
 from __future__ import annotations
 
-import ctypes
 import functools
-import glob
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,17 +30,6 @@ SHARED_DOMAIN = "shared"
 EVAL_BLOCK = 8
 
 
-# least size of a block's temporal conv output (rows x n_t x sensors x samples
-# x 8 bytes) for the blocks to go to the worker pool. Measured on 2 cores with
-# OpenBLAS on one thread, 64 trials in 8-row blocks, pooled against inline:
-# the paper shape (4 MiB blocks) 1.7-1.85x faster, the same with n_t 8
-# (512 KiB) 1.2-1.65x, while desk-shape blocks (192 KiB) hold the GIL for
-# most of their time and gained nothing (0.96-1.15x)
-_POOL_BLOCK_BYTES = 512 << 10
-# most worker threads of the pool; each holds one block's transients at a time
-_POOL_WORKERS = 4
-
-
 def eval_blocks(n: int) -> list[slice]:
     """ceil(n / EVAL_BLOCK) ordered slices covering range(n), with the sizes
     `np.array_split` gives: for n >= EVAL_BLOCK every block holds between
@@ -52,42 +38,6 @@ def eval_blocks(n: int) -> list[slice]:
     q, r = divmod(n, max(k, 1))
     edges = [i * q + min(i, r) for i in range(k + 1)]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
-
-
-@functools.cache
-def _openblas(name: str, restype, *argtypes):
-    """The function `scipy_openblas_<name>` (64-bit interface first) of the
-    OpenBLAS that numpy bundles, through ctypes with the given signature; None
-    where numpy bundles none or it lacks the symbol."""
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
-                                  "numpy.libs", "libscipy_openblas*.so"))
-    for path in libs:
-        lib = ctypes.CDLL(path)
-        for suffix in ("64_", ""):
-            fn = getattr(lib, f"scipy_openblas_{name}{suffix}", None)
-            if fn is not None:
-                fn.restype, fn.argtypes = restype, argtypes
-                return fn
-    return None
-
-
-def _blas_threads() -> int | None:
-    """The thread count OpenBLAS runs with now; None if it cannot be read."""
-    get = _openblas("get_num_threads", ctypes.c_int)
-    return None if get is None else get()
-
-
-def _cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _pooled(block_bytes: int) -> bool:
-    """Whether `TMKNet._run_blocks` runs its blocks on the worker pool: each
-    block big enough to release the GIL for most of its time, at least 2 CPUs
-    for this process, and OpenBLAS on one thread (on more, the pool's threads
-    and BLAS's oversubscribe the cores: 1.65x slower measured with 2 of each
-    on 2 cores)."""
-    return block_bytes >= _POOL_BLOCK_BYTES and _cpus() >= 2 and _blas_threads() == 1
 
 
 @dataclass
@@ -265,29 +215,18 @@ class TMKNet:
         `x`, each block returning a list of arrays; returns each position's
         arrays concatenated in block order.
 
-        A block computes the same bytes on any thread, so when there is more
-        than one block and `_pooled` allows, the blocks run on one executor
-        per call, of at most `_POOL_WORKERS` threads that end before it
-        returns, and the result does not depend on the worker count. Peak
-        memory then grows by at most one block's transients per worker. An
-        exception from a block reaches the caller once every block has
-        finished, the first failing block's in block order. Zero rows run as
-        one empty block.
+        A block computes the same bytes on any thread, so the blocks are the
+        units of one `autodiff.run_units` call, gated on a largest block's
+        temporal conv outputs (at most rows x signal size x n_t x branches x
+        8 bytes); the result does not depend on the worker count. Zero rows
+        run as one empty block.
         """
         blocks = eval_blocks(len(x)) or [slice(0, 0)]
         rows = blocks[0].stop  # the first block is a largest one
-        if len(blocks) > 1 and _pooled(rows * np.size(x[0]) * self.cfg.stem.n_t * 8):
-            # imported here, not with the module: concurrent.futures imports
-            # logging, which alone raised the `uda_desk` benchmark's peak
-            # resident set by 0.7 MB, though desk blocks never reach the pool
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(min(_POOL_WORKERS, _cpus()),
-                                    thread_name_prefix="tmknet-eval") as pool:
-                futures = [pool.submit(block, s) for s in blocks]
-            parts = [f.result() for f in futures]
-        else:
-            parts = [block(s) for s in blocks]
+        stem_cfg = self.cfg.stem
+        conv_bytes = rows * np.size(x[0]) * stem_cfg.n_t * len(stem_cfg.r_resolution) * 8
+        parts = ad.run_units([functools.partial(block, s) for s in blocks], conv_bytes,
+                             "tmknet-eval")
         return [np.concatenate(arrays) for arrays in zip(*parts)]
 
     def predict_logits(self, x: np.ndarray | list[np.ndarray], domain_ids: list[str],

@@ -13,11 +13,11 @@ import pytest
 from conftest import reseal_checkpoint, set_array_value
 
 from tmknet import experiment
+from tmknet.autodiff import _openblas
 from tmknet.cli import main
 from tmknet.data import SynthSpec, save_dataset, synth_generate
 from tmknet.experiment import load_checkpoint
 from tmknet.metrics import MetricsReport, wilcoxon_signed_rank
-from tmknet.model import _openblas
 
 
 TRAIN_FLAGS = ["--n-t", "4", "--n-s", "6", "--n-b", "4", "--batch-size", "16",
@@ -192,6 +192,13 @@ class TestErrorPaths:
         assert main([command, *args]) == 1
         assert "error: TMKNET_SEED must be an integer, got 'abc'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "train", "ablate"])
+    def test_seed_help_names_the_variable(self, capsys, command):
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--help"])
+        assert exited.value.code == 0
+        assert "--seed SEED default TMKNET_SEED or 0" in " ".join(capsys.readouterr().out.split())
 
     def test_missing_data_dir_exits_two(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "missing"),

@@ -13,7 +13,6 @@ from conftest import reseal_checkpoint, seal_checkpoint, set_array_value
 
 from tmknet import autodiff as ad
 from tmknet import experiment
-from tmknet import model as model_module
 from tmknet.autodiff import Tape
 from tmknet.backbone import dsbn_forward
 from tmknet.data import DomainBatchSampler, SynthSpec, leave_one_session_out, synth_generate
@@ -406,7 +405,7 @@ class TestBlockedForwards:
                     export_features(m, chosen), m.state_arrays())
 
         inline = run(model)
-        monkeypatch.setattr(model_module, "_pooled", lambda block_bytes: True)
+        monkeypatch.setattr(ad, "_pooled", lambda unit_bytes: True)
         forward = pooled.forward
         names = []
 

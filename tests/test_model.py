@@ -192,6 +192,36 @@ def _threads(model, attr="forward"):
     return names
 
 
+def _unit_threads(monkeypatch):
+    """(function name, thread name) of each unit that `ad.run_units` runs
+    from now on, in the order they start."""
+    seen = []
+    run_units = ad.run_units
+
+    def traced(unit):
+        def run():
+            seen.append((getattr(unit, "func", unit).__name__, threading.current_thread().name))
+            return unit()
+        return run
+
+    monkeypatch.setattr(ad, "run_units",
+                        lambda units, *args: run_units([traced(u) for u in units], *args))
+    return seen
+
+
+def _executors(monkeypatch):
+    """max_workers of each thread pool executor made from now on."""
+    workers = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            workers.append(self._max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    return workers
+
+
 class TestBlockRunner:
     """`TMKNet._run_blocks` gives the same bytes on the worker pool as inline."""
 
@@ -201,7 +231,7 @@ class TestBlockRunner:
         inline = model.predict_logits(x, ids, inline_cap)
         names = _threads(model)
         assert names == [] and inline.shape == (20, 4)
-        monkeypatch.setattr(model_module, "_pooled", lambda block_bytes: True)
+        monkeypatch.setattr(ad, "_pooled", lambda unit_bytes: True)
         pooled = model.predict_logits(x, ids, pooled_cap)
         assert len(names) == 3 and all(n.startswith("tmknet-eval") for n in names)
         assert pooled.tobytes() == inline.tobytes()
@@ -214,7 +244,7 @@ class TestBlockRunner:
         pooled = copy.deepcopy(model)
         model.adapt_batch(x, ["0/2"] * 20)
         names = _threads(pooled, "features")
-        monkeypatch.setattr(model_module, "_pooled", lambda block_bytes: True)
+        monkeypatch.setattr(ad, "_pooled", lambda unit_bytes: True)
         pooled.adapt_batch(x, ["0/2"] * 20)
         assert len(names) == 3 and all(n.startswith("tmknet-eval") for n in names)
         want = model.state_arrays()
@@ -225,16 +255,9 @@ class TestBlockRunner:
     def test_concurrent_callers_on_more_workers_than_cores(self, primed, monkeypatch):
         model, x, ids = primed
         want = [model.predict_logits(x[i:], ids[i:]).tobytes() for i in range(6)]
-        monkeypatch.setattr(model_module, "_pooled", lambda block_bytes: True)
-        monkeypatch.setattr(model_module, "_cpus", lambda: 64)
-        workers = []  # max_workers of each executor a call makes
-
-        class Recording(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                workers.append(self._max_workers)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(ad, "_pooled", lambda unit_bytes: True)
+        monkeypatch.setattr(ad, "_cpus", lambda: 64)
+        workers = _executors(monkeypatch)
         got = {}
 
         def caller(i):
@@ -252,24 +275,50 @@ class TestBlockRunner:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in callers)
-        assert workers == [model_module._POOL_WORKERS] * 18
+        assert workers == [ad._POOL_WORKERS] * 18
         assert got == {i: {want[i]} for i in range(6)}
 
-    @pytest.mark.parametrize("call", ["predict_logits", "adapt_batch", "raised"])
+    @pytest.mark.parametrize("call", ["predict_logits", "adapt_batch", "raised",
+                                      "loss_and_grads"])
     def test_no_worker_outlives_the_call(self, primed, monkeypatch, call):
         model, x, ids = primed
-        monkeypatch.setattr(model_module, "_pooled", lambda block_bytes: True)
+        monkeypatch.setattr(ad, "_pooled", lambda unit_bytes: True)
         names = _threads(model, "features")
+        units = _unit_threads(monkeypatch)
         if call == "predict_logits":
             model.predict_logits(x, ids)
         elif call == "adapt_batch":
             model.adapt_batch(x, ["0/2"] * 20)
+        elif call == "loss_and_grads":
+            model.loss_and_grads(x[:4], np.arange(4), ["0/0", "0/0", "0/1", "0/1"])
         else:
             with pytest.raises(ConfigError):
                 model.predict_logits(x, ids[:10] + ["9/9"] * 10)
-        assert len(names) == 3 and all(n.startswith("tmknet-eval") for n in names)
-        alive = [t.name for t in threading.enumerate() if t.name.startswith("tmknet-eval")]
+        if call == "loss_and_grads":
+            assert names == ["MainThread"]
+            assert units and all(n.startswith("tmknet-stem") for _, n in units)
+        else:
+            assert len(names) == 3 and all(n.startswith("tmknet-eval") for n in names)
+        alive = [t.name for t in threading.enumerate() if t.name.startswith("tmknet")]
         assert alive == []
+
+    def test_worker_starts_no_nested_executor(self, primed, monkeypatch):
+        model, x, _ = primed
+        monkeypatch.setattr(ad, "_pooled", lambda unit_bytes: True)
+        workers = _executors(monkeypatch)
+        units = _unit_threads(monkeypatch)
+
+        def block(s):
+            # a training step, whose stem nodes would split on the main thread
+            rows = len(x[s])
+            copy.deepcopy(model).loss_and_grads(x[s], np.arange(rows) % 4, ["0/0"] * rows)
+            return [np.zeros(1)]
+
+        model._run_blocks(block, x)
+        assert workers == [min(ad._POOL_WORKERS, ad._cpus())]
+        assert [f for f, _ in units].count("block") == 3
+        assert {"conv_block", "branch_grads", "kernel_out", "add_taps"} <= {f for f, _ in units}
+        assert all(n.startswith("tmknet-eval") for _, n in units)
 
     @pytest.mark.parametrize("case", ["unknown-domain", "stem-bn-uninitialized"])
     def test_worker_error_reaches_caller(self, primed, monkeypatch, case):
@@ -282,14 +331,14 @@ class TestBlockRunner:
             ids = ["0/0"] * 20
         with pytest.raises(ConfigError) as inline:
             model.predict_logits(x, ids)
-        monkeypatch.setattr(model_module, "_pooled", lambda block_bytes: True)
+        monkeypatch.setattr(ad, "_pooled", lambda unit_bytes: True)
         with pytest.raises(ConfigError) as pooled:
             model.predict_logits(x, ids)
         assert str(pooled.value) == str(inline.value)
 
     def test_first_failing_block_wins(self, primed, monkeypatch):
         model, x, ids = primed
-        monkeypatch.setattr(model_module, "_pooled", lambda block_bytes: True)
+        monkeypatch.setattr(ad, "_pooled", lambda unit_bytes: True)
         forward = model.forward
 
         def failing(tape, xv, domain_ids, *args, **kwargs):
@@ -307,9 +356,9 @@ class TestBlockRunner:
         (1, 2, True), (2, 2, False), (None, 2, False), (1, 1, False)])
     def test_pool_gate(self, primed, monkeypatch, threads, cpus, pooled):
         model, x, ids = primed
-        monkeypatch.setattr(model_module, "_POOL_BLOCK_BYTES", 0)
-        monkeypatch.setattr(model_module, "_blas_threads", lambda: threads)
-        monkeypatch.setattr(model_module, "_cpus", lambda: cpus)
+        monkeypatch.setattr(ad, "_POOL_UNIT_BYTES", 0)
+        monkeypatch.setattr(ad, "_blas_threads", lambda: threads)
+        monkeypatch.setattr(ad, "_cpus", lambda: cpus)
         names = _threads(model)
         model.predict_logits(x, ids)
         model.predict_logits(x[:8], ids[:8])  # one block always runs inline
@@ -318,13 +367,138 @@ class TestBlockRunner:
 
     def test_block_threshold_keeps_toy_blocks_inline(self, primed, monkeypatch):
         model, x, ids = primed
-        monkeypatch.setattr(model_module, "_blas_threads", lambda: 1)
-        monkeypatch.setattr(model_module, "_cpus", lambda: 2)
+        monkeypatch.setattr(ad, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(ad, "_cpus", lambda: 2)
         names = _threads(model)
         model.predict_logits(x, ids)
-        # 8 rows x 8 sensors x 64 samples x n_t 8 x 8 bytes
-        assert 8 * 8 * 64 * 8 * 8 < model_module._POOL_BLOCK_BYTES
+        # 8 rows x 8 sensors x 64 samples x n_t 8 x 3 branches x 8 bytes
+        assert 8 * 8 * 64 * 8 * 3 * 8 < ad._POOL_UNIT_BYTES
         assert names == ["MainThread"] * 3
+
+
+class TestStemSplit:
+    """A training step's stem nodes run their units on worker threads
+    (`ad.run_units`) with the bytes they compute inline."""
+
+    def test_step_equals_inline(self, primed, monkeypatch):
+        model, x, _ = primed
+        split = copy.deepcopy(model)
+        step = (x[:12], np.arange(12) % 4, ["0/0"] * 6 + ["0/1"] * 6)
+        units = _unit_threads(monkeypatch)
+        want_loss, want = model.loss_and_grads(*step)
+        assert units and all(n == "MainThread" for _, n in units)  # the toy shape is inline
+        del units[:]
+        monkeypatch.setattr(ad, "_pooled", lambda unit_bytes: True)
+        got_loss, got = split.loss_and_grads(*step)
+        # both nodes split, forward and backward
+        assert {f for f, n in units if n.startswith("tmknet-stem")} == {
+            "conv_block", "branch_grads", "kernel_out", "add_taps"}
+        assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
+        assert list(got) == list(want)
+        for name in want:
+            assert (got[name].strides, got[name].tobytes()) == \
+                (want[name].strides, want[name].tobytes()), name
+        got_state, want_state = split.state_arrays(), model.state_arrays()
+        assert list(got_state) == list(want_state)
+        assert all(got_state[k].tobytes() == want_state[k].tobytes() for k in want_state)
+
+    def test_concurrent_steps_on_more_threads_than_cores(self, primed, monkeypatch):
+        model, x, _ = primed
+        step = (x[:12], np.arange(12) % 4, ["0/0"] * 6 + ["0/1"] * 6)
+
+        def grads_bytes(m):
+            loss, grads = m.loss_and_grads(*step)
+            return np.float64(loss).tobytes() + b"".join(g.tobytes() for g in grads.values())
+
+        want = grads_bytes(copy.deepcopy(model))
+        monkeypatch.setattr(ad, "_pooled", lambda unit_bytes: True)
+        got = {}
+
+        def caller(i):
+            # each caller steps its own copy twice, from the same state
+            got[i] = {grads_bytes(copy.deepcopy(model)) for _ in range(2)}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # 4 callers, each with 2 workers per split node, on 2 cores
+            callers = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert got == {i: {want} for i in range(4)}
+
+    @pytest.mark.parametrize("node", ["mrt", "mss"])
+    @pytest.mark.parametrize("phase", ["forward", "backward"])
+    def test_worker_error_reaches_caller(self, rng, monkeypatch, node, phase):
+        # an overflow under np.errstate(over="raise"): in a forward unit's
+        # bias add; in backward, in the temporal node's bias gradient of a
+        # huge gradient, or where the spatial node's second kernel adds its
+        # taps onto the first one's
+        x = np.abs(rng.normal(size=(6, 1, 8, 64) if node == "mrt" else (6, 4, 8, 16)))
+        forward = phase == "forward"
+        x *= 1e306 if forward else 1.0
+        bias = 1.79e308 if forward else 0.0
+
+        def run():
+            tape = Tape()
+            xv = tape.leaf(x, requires_grad=True)
+            with np.errstate(over="raise"):
+                if node == "mrt":
+                    out = ad.mrt_block(xv, [(tape.leaf(np.ones((4, 1, 1, k)), True),
+                                             tape.leaf(np.full(4, bias), True))
+                                            for k in (4, 2, 1)], 0.01, 4)
+                else:
+                    # a global kernel, and one of height 2 dilated by 4,
+                    # whose output gradients pass 1.5e308 on to each input row
+                    out = ad.mss_block(xv, [(None, tape.leaf(np.full((4, 4, kh, 1), 0.25), forward),
+                                             tape.leaf(np.full(4, bias), forward), 1, dilation)
+                                            for kh, dilation in ((8, 1), (2, 4))], 0.01)
+                (_, _, backward), = tape._nodes
+                backward(np.full(out.value.shape, 1e308 if node == "mrt" else 1.5e308))
+
+        with pytest.raises(FloatingPointError) as inline:
+            run()
+        monkeypatch.setattr(ad, "_pooled", lambda unit_bytes: True)
+        units = _unit_threads(monkeypatch)
+        with pytest.raises(FloatingPointError) as pooled:
+            run()
+        assert any(n.startswith("tmknet-stem") for _, n in units)
+        assert str(pooled.value) == str(inline.value)
+
+    def test_gradient_free_and_desk_calls_make_no_executor(self, rng, monkeypatch):
+        # two CPUs and one BLAS thread: only the size gate keeps these inline
+        monkeypatch.setattr(ad, "_cpus", lambda: 2)
+        monkeypatch.setattr(ad, "_blas_threads", lambda: 1)
+        workers = _executors(monkeypatch)
+        # paper stem: 64 temporal and 40 spatial channels, 8 sensors x 128
+        # samples; 8 trials make 4 MiB temporal conv outputs
+        paper = TMKNet(toy_config(n_t=64, n_s=40), seed=0)
+        paper.register_domains(["0/0"], ["0/2"])
+        x = rng.normal(size=(8, 8, 128))
+        # one eval block each, and stem nodes that record nothing
+        paper.prime_stats(x, ["0/0"] * 8)
+        paper.adapt_batch(x, ["0/2"] * 8)
+        paper.predict_logits(x[:1], ["0/2"])
+        # desk stem: 6 and 10 channels, 30 trials of 8 sensors x 64 samples
+        desk = TMKNet(toy_config(n_t=6, n_s=10), seed=0)
+        desk.register_domains(["0/0", "0/1"], [])
+        desk.loss_and_grads(rng.normal(size=(30, 8, 64)), np.arange(30) % 4,
+                            ["0/0"] * 15 + ["0/1"] * 15)
+        assert workers == []
+        # while a paper-shape training step does split
+        paper.loss_and_grads(x, np.arange(8) % 4, ["0/0"] * 8)
+        assert workers and set(workers) == {2}
+        # and a node that records nothing runs inline whatever the gate says
+        del workers[:]
+        monkeypatch.setattr(ad, "_pooled", lambda unit_bytes: True)
+        paper.prime_stats(x, ["0/0"] * 8)
+        paper.predict_logits(x[:1], ["0/2"])
+        assert workers == []
 
 
 class TestEndToEndGradients:

@@ -389,9 +389,11 @@ class TestStemMatchesChain:
         "odd": (dict(fs=256.0, r_data=0.25, n_t=3, n_s=4, pool=3), 3, 71),
         "batch_of_one": (dict(fs=256.0, r_data=0.25, n_t=6, n_s=10), 1, 64),
     }
-    # input needs a gradient, parameters need gradients
+    # input needs a gradient, parameters need gradients; a `_split` mode runs
+    # the node's units on worker threads (`ad.run_units`) whatever their size
     MODES = {"train": (False, True), "saliency": (True, False), "both": (True, True),
-             "no_grad": (False, False)}
+             "no_grad": (False, False), "train_split": (False, True),
+             "saliency_split": (True, False), "both_split": (True, True)}
 
     @staticmethod
     def _order(a):
@@ -400,19 +402,22 @@ class TestStemMatchesChain:
     def _compare(self, oracle, layer, cfg, x, params, g, mode):
         x_grad, p_grad = self.MODES[mode]
         results = []
-        for fn in (oracle, layer):
-            tape = Tape()
-            xv = tape.leaf(x, requires_grad=x_grad)
-            pv = {k: tape.leaf(v, requires_grad=p_grad) for k, v in params.items()}
-            out = fn(xv, pv, cfg)
-            nodes = len(tape._nodes)
-            arrays = [out.value]
-            if x_grad or p_grad:
-                # upstream gradient C-ordered, as batch norm hands it back
-                tape.backward(ad.sum_(ad.mul(out, g)))
-                arrays += [xv.grad] if x_grad else []
-                arrays += [pv[k].grad for k in sorted(pv)] if p_grad else []
-            results.append((nodes, arrays))
+        with pytest.MonkeyPatch.context() as patch:
+            if mode.endswith("_split"):
+                patch.setattr(ad, "_pooled", lambda unit_bytes: True)
+            for fn in (oracle, layer):
+                tape = Tape()
+                xv = tape.leaf(x, requires_grad=x_grad)
+                pv = {k: tape.leaf(v, requires_grad=p_grad) for k, v in params.items()}
+                out = fn(xv, pv, cfg)
+                nodes = len(tape._nodes)
+                arrays = [out.value]
+                if x_grad or p_grad:
+                    # upstream gradient C-ordered, as batch norm hands it back
+                    tape.backward(ad.sum_(ad.mul(out, g)))
+                    arrays += [xv.grad] if x_grad else []
+                    arrays += [pv[k].grad for k in sorted(pv)] if p_grad else []
+                results.append((nodes, arrays))
         (_, want), (nodes, got) = results
         assert len(got) == len(want)
         for a, b in zip(got, want):
@@ -665,7 +670,8 @@ class TestMrtBlocks:
         blocked = run()
         step = ad._MRT_BLOCK_BYTES // (64 * 8 * 128 * 8)
         assert 1 < step < 50
-        assert rows == [min(step, bsz - lo) for lo in range(0, bsz, step)] * 3
+        # sorted: a training step's blocks may run on worker threads
+        assert sorted(rows) == sorted([min(step, bsz - lo) for lo in range(0, bsz, step)] * 3)
         monkeypatch.setattr(ad, "_MRT_BLOCK_BYTES", 1 << 62)
         whole = run()
         assert len(rows) == 3 * len(range(0, bsz, step)) + 3
