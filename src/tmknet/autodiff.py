@@ -32,8 +32,9 @@ so its values and gradients are the chain's bit for bit:
 
 The two stem nodes split their work into independent units, each computing
 its products exactly as inline, and when they record for backward they run
-the units on two worker threads (`run_units`), which gradient-free
-evaluation blocks (`model.TMKNet._run_blocks`) also use.
+the units on worker threads, one per CPU up to `_POOL_WORKERS`
+(`run_units`), which gradient-free evaluation blocks
+(`model.TMKNet._run_blocks`) also use.
 
 Allocator policy: importing this module sets glibc's malloc, once, to keep
 freed memory in the process (`_keep_freed_memory`). A training step frees
@@ -58,7 +59,6 @@ import ctypes
 import functools
 import glob
 import os
-import threading
 
 import numpy as np
 
@@ -97,13 +97,11 @@ _keep_freed_memory()
 # --- worker threads -------------------------------------------------------------
 
 # least bytes of conv output one unit computes for `run_units` to send the
-# units to worker threads. Measured on 2 cores with OpenBLAS on one thread,
-# pooled against inline: 64 trials in 8-row eval blocks (a block's temporal
-# conv outputs, every branch) 1.7-1.85x faster at the paper shape (12 MiB a
-# block) and 1.47x with n_t 8 (1.5 MiB), while desk-shape blocks (0.56 MiB)
-# hold the GIL for most of their time and gained nothing (0.96-1.15x); in a
-# desk-shape training step (32 trials, n_t 6), splitting the temporal node
-# into its 0.75 MiB branches took its forward from 3.4 to 4.3 ms
+# units to worker threads. Measured on 2 cores with OpenBLAS on one thread: in
+# a desk-shape training step (32 trials, n_t 6), splitting the temporal node
+# into its 0.75 MiB branches took its forward from 3.4 to 4.3 ms. Eval blocks
+# count their bytes so that they pool from the size measured for them
+# (`model.TMKNet._run_blocks`)
 _POOL_UNIT_BYTES = 1 << 20
 # most worker threads of one call; each holds one unit's transients at a time
 _POOL_WORKERS = 4
@@ -145,39 +143,31 @@ def _pooled(unit_bytes: int) -> bool:
     return unit_bytes >= _POOL_UNIT_BYTES and _cpus() >= 2 and _blas_threads() == 1
 
 
-# `active` is set on the worker threads of `run_units`
-_worker = threading.local()
-
-
-def _mark_worker() -> None:
-    _worker.active = True
-
-
-def run_units(units, unit_bytes: int, name: str, workers: int = _POOL_WORKERS) -> list:
+def run_units(units, unit_bytes: int, name: str) -> list:
     """Call each zero-argument function of `units` and return their results
     in order.
 
     Callers hand in units that compute the same bytes on any thread and in
     any interleaving: each writes only memory no other unit of the call
-    reads or writes. When there is more than one unit, `_pooled(unit_bytes)`
-    allows, and the caller is not itself a unit on a worker, the units run
-    on one executor of at most `workers` threads named after `name`, which
-    end before it returns; a unit on a worker runs its own units inline, so
-    threads never nest. Peak memory then grows by at most one unit's
+    reads or writes. When there is more than one unit and
+    `_pooled(unit_bytes)` allows, the units run on one executor of at most
+    `_POOL_WORKERS` threads, and no more than the CPUs, named after `name`,
+    which end before it returns. Units of 0 bytes always run inline: code
+    that may itself run on a worker (an eval block's stem nodes) passes 0,
+    so threads never nest. Peak memory then grows by at most one unit's
     transients per worker. A unit sees the caller's `np.errstate`. An
     exception reaches the caller once every unit has finished, the first
     failing unit's in `units` order; inline, the first failure stops the
     rest, with the same exception.
     """
-    if len(units) < 2 or getattr(_worker, "active", False) or not _pooled(unit_bytes):
+    if len(units) < 2 or not unit_bytes or not _pooled(unit_bytes):
         return [unit() for unit in units]
     # imported here, not with the module: concurrent.futures imports logging,
     # which alone raised the `uda_desk` benchmark's peak resident set by 0.7
     # MB, though desk shapes never reach the workers
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(min(workers, _cpus()), thread_name_prefix=name,
-                            initializer=_mark_worker) as pool:
+    with ThreadPoolExecutor(min(_POOL_WORKERS, _cpus()), thread_name_prefix=name) as pool:
         # each unit in a copy of the caller's context, where numpy keeps its
         # floating-point error state (`np.errstate`)
         futures = [pool.submit(contextvars.copy_context().run, unit) for unit in units]
@@ -489,8 +479,8 @@ def mrt_block(x: Variable, convs: list[tuple[Variable, Variable]], slope: float,
     slice of the output and of the winner indices. Backward computes each
     branch's gradients as a unit and then sums the input gradients, last
     branch first, as the tape did. When the node records for backward, both
-    run their units through `run_units`, on two worker threads where it
-    allows; the bytes are the same on any thread. LeakyReLU runs in place as
+    run their units through `run_units`, on worker threads where it allows;
+    the bytes are the same on any thread. LeakyReLU runs in place as
     max(z, z * slope), which equals the chain's z * factor because
     (1 - slope) + slope == 1.0. A branch that needs a gradient keeps only its
     winner indices: in backward the factor at each winner is read off the
@@ -529,12 +519,10 @@ def mrt_block(x: Variable, convs: list[tuple[Variable, Variable]], slope: float,
         if arg is not None:
             arg[blk] = arg_blk
 
-    units = [functools.partial(conv_block, i, blk) for i in range(len(convs)) for blk in blocks]
-    if recording:
-        run_units(units, unit_bytes, "tmknet-stem", 2)
-    else:
-        for unit in units:
-            unit()
+    # a node that records nothing (an eval forward, maybe itself on a worker)
+    # runs its units inline
+    run_units([functools.partial(conv_block, i, blk) for i in range(len(convs)) for blk in blocks],
+              unit_bytes if recording else 0, "tmknet-stem")
 
     def branch_grads(g, i):
         """Branch i's weight, bias and input gradients (None where not needed)."""
@@ -569,7 +557,7 @@ def mrt_block(x: Variable, convs: list[tuple[Variable, Variable]], slope: float,
         # input gradients
         live = [i for i in reversed(range(len(convs))) if args[i] is not None]
         done = run_units([functools.partial(branch_grads, g, i) for i in live], branch_bytes,
-                         "tmknet-stem", 2)
+                         "tmknet-stem")
         grads = [None] * (2 * len(convs))
         gx = None
         for i, (gw, gb, gxb) in zip(live, done):
@@ -620,7 +608,7 @@ def mss_block(z: Variable, convs: list[tuple[tuple[int, ...] | None, Variable, V
     so never holds -0.0, and adding c or nothing gives the same bits.
 
     When the node records for backward, its units go through `run_units`,
-    on two worker threads where it allows: in forward each kernel, which
+    on worker threads where it allows: in forward each kernel, which
     writes its own rows of the output; in backward each kernel's even and
     odd taps, which add into disjoint rows of the input gradient (a kernel
     reads each row at most once), after the kernel's weight product. That
@@ -690,12 +678,10 @@ def mss_block(z: Variable, convs: list[tuple[tuple[int, ...] | None, Variable, V
         zo += b.value
         np.maximum(zo, zo * slope, out=mem[:, lo:lo + oh])
 
-    units = [functools.partial(kernel_out, i) for i in range(len(convs))]
-    if recording:
-        run_units(units, unit_bytes, "tmknet-stem", 2)
-    else:
-        for unit in units:
-            unit()
+    # a node that records nothing (an eval forward, maybe itself on a worker)
+    # runs its units inline
+    run_units([functools.partial(kernel_out, i) for i in range(len(convs))],
+              unit_bytes if recording else 0, "tmknet-stem")
     out = mem.transpose(0, 3, 1, 2)
 
     def add_taps(i, gz_rows, gz_total, part):
@@ -736,7 +722,7 @@ def mss_block(z: Variable, convs: list[tuple[tuple[int, ...] | None, Variable, V
             # a kernel's taps read disjoint rows of z, so the even and the odd
             # taps write disjoint rows of gz_total
             run_units([functools.partial(add_taps, i, gz_rows, gz_total, range(k, len(taps), 2))
-                       for k in range(min(2, len(taps)))], unit_bytes, "tmknet-stem", 2)
+                       for k in range(min(2, len(taps)))], unit_bytes, "tmknet-stem")
             del gz_rows  # before the next kernel's patch matrix
         return (gz_total, *grads)
 

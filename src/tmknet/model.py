@@ -216,15 +216,19 @@ class TMKNet:
         arrays concatenated in block order.
 
         A block computes the same bytes on any thread, so the blocks are the
-        units of one `autodiff.run_units` call, gated on a largest block's
-        temporal conv outputs (at most rows x signal size x n_t x branches x
-        8 bytes); the result does not depend on the worker count. Zero rows
-        run as one empty block.
+        units of one `autodiff.run_units` call; the result does not depend on
+        the worker count. Zero rows run as one empty block.
         """
         blocks = eval_blocks(len(x)) or [slice(0, 0)]
         rows = blocks[0].stop  # the first block is a largest one
-        stem_cfg = self.cfg.stem
-        conv_bytes = rows * np.size(x[0]) * stem_cfg.n_t * len(stem_cfg.r_resolution) * 8
+        # a largest block's temporal conv output of one branch (rows x n_t x
+        # sensors x samples x 8 bytes), counted twice so that the blocks pool
+        # from 512 KiB of it against the 1 MiB unit gate. Measured on 2 cores
+        # with OpenBLAS on one thread, 64 trials in 8-row blocks, pooled
+        # against inline: the paper shape (4 MiB) 1.7-1.85x faster, the same
+        # with n_t 8 (512 KiB) 1.2-1.65x, while desk-shape blocks (192 KiB)
+        # hold the GIL for most of their time and gained nothing (0.96-1.15x)
+        conv_bytes = 2 * rows * np.size(x[0]) * self.cfg.stem.n_t * 8
         parts = ad.run_units([functools.partial(block, s) for s in blocks], conv_bytes,
                              "tmknet-eval")
         return [np.concatenate(arrays) for arrays in zip(*parts)]

@@ -302,22 +302,21 @@ class TestBlockRunner:
         alive = [t.name for t in threading.enumerate() if t.name.startswith("tmknet")]
         assert alive == []
 
-    def test_worker_starts_no_nested_executor(self, primed, monkeypatch):
-        model, x, _ = primed
+    @pytest.mark.parametrize("call", ["predict_logits", "adapt_batch"])
+    def test_worker_starts_no_nested_executor(self, primed, monkeypatch, call):
+        model, x, ids = primed
+        # every gate open: only the 0 bytes that a node recording nothing
+        # passes keep the stem's units on the eval worker that runs them
         monkeypatch.setattr(ad, "_pooled", lambda unit_bytes: True)
         workers = _executors(monkeypatch)
         units = _unit_threads(monkeypatch)
-
-        def block(s):
-            # a training step, whose stem nodes would split on the main thread
-            rows = len(x[s])
-            copy.deepcopy(model).loss_and_grads(x[s], np.arange(rows) % 4, ["0/0"] * rows)
-            return [np.zeros(1)]
-
-        model._run_blocks(block, x)
+        if call == "predict_logits":
+            model.predict_logits(x, ids)
+        else:
+            model.adapt_batch(x, ["0/2"] * 20)
         assert workers == [min(ad._POOL_WORKERS, ad._cpus())]
-        assert [f for f, _ in units].count("block") == 3
-        assert {"conv_block", "branch_grads", "kernel_out", "add_taps"} <= {f for f, _ in units}
+        funcs = [f for f, _ in units]
+        assert funcs.count("block") == 3 and {"conv_block", "kernel_out"} <= set(funcs)
         assert all(n.startswith("tmknet-eval") for _, n in units)
 
     @pytest.mark.parametrize("case", ["unknown-domain", "stem-bn-uninitialized"])
@@ -371,9 +370,30 @@ class TestBlockRunner:
         monkeypatch.setattr(ad, "_cpus", lambda: 2)
         names = _threads(model)
         model.predict_logits(x, ids)
-        # 8 rows x 8 sensors x 64 samples x n_t 8 x 3 branches x 8 bytes
-        assert 8 * 8 * 64 * 8 * 3 * 8 < ad._POOL_UNIT_BYTES
+        # twice 8 rows x 8 sensors x 64 samples x n_t 8 x 8 bytes
+        assert 2 * 8 * 8 * 64 * 8 * 8 < ad._POOL_UNIT_BYTES
         assert names == ["MainThread"] * 3
+
+    @pytest.mark.parametrize("branches", [1, 3])
+    @pytest.mark.parametrize("samples,pooled", [(128, True), (112, False)])
+    def test_blocks_pool_from_512_kib_of_one_branch(self, rng, monkeypatch, branches, samples,
+                                                    pooled):
+        # 8 rows x 8 sensors x 128 samples x n_t 8 x 8 bytes is 512 KiB, of
+        # each temporal branch, whatever the number of branches
+        stem = stem_config(
+            fs=512.0, r_data=0.25, r_resolution=(1 / 16, 1 / 32, 1 / 64)[:branches],
+            n_t=8, n_s=6, flexor_ids=tuple(range(4)), extensor_ids=tuple(range(4, 8)),
+            proximal_ids=tuple(range(0, 8, 2)), distal_ids=tuple(range(1, 8, 2)), pool_size=4)
+        model = TMKNet(model_config(stem, n_b=4, n_c=4), seed=0)
+        model.register_domains(["0/0"], [])
+        x = rng.normal(size=(16, 8, samples))
+        model.prime_stats(x, ["0/0"] * 16)
+        monkeypatch.setattr(ad, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(ad, "_cpus", lambda: 2)
+        names = _threads(model)
+        model.predict_logits(x, ["0/0"] * 16)
+        assert len(names) == 2
+        assert [n.startswith("tmknet-eval") for n in names] == [pooled] * 2
 
 
 class TestStemSplit:
@@ -421,7 +441,7 @@ class TestStemSplit:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            # 4 callers, each with 2 workers per split node, on 2 cores
+            # 4 callers, each making an executor per split node
             callers = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
             for t in callers:
                 t.start()

@@ -651,7 +651,9 @@ class TestMrtBlocks:
     @pytest.mark.parametrize("bsz", [1, 3, 4, 5, 9, 50])
     def test_blocked_forward_equals_whole_batch(self, rng, monkeypatch, bsz):
         # paper shape: 64 channels x 8 sensors x conv outputs of up to 128
-        # samples, 512 KiB a trial
+        # samples, 512 KiB a trial; inline, so the blocks run in order (the
+        # `_split` modes of `TestStemMatchesChain` check the threaded bytes)
+        monkeypatch.setattr(ad, "_pooled", lambda unit_bytes: False)
         cfg = make_cfg(fs=512.0, r_data=0.2, n_t=64)
         params = {k: v for k, v in stem_params(cfg).items() if k.startswith("mrt.branch")}
         x = rng.normal(size=(bsz, 1, cfg.sensors, 128))
@@ -670,8 +672,7 @@ class TestMrtBlocks:
         blocked = run()
         step = ad._MRT_BLOCK_BYTES // (64 * 8 * 128 * 8)
         assert 1 < step < 50
-        # sorted: a training step's blocks may run on worker threads
-        assert sorted(rows) == sorted([min(step, bsz - lo) for lo in range(0, bsz, step)] * 3)
+        assert rows == [min(step, bsz - lo) for lo in range(0, bsz, step)] * 3
         monkeypatch.setattr(ad, "_MRT_BLOCK_BYTES", 1 << 62)
         whole = run()
         assert len(rows) == 3 * len(range(0, bsz, step)) + 3
