@@ -32,7 +32,6 @@ __all__ = [
     "reeig",
     "logeig",
     "batch_stats",
-    "spdbn_normalize",
     "dsbn_forward",
     "classify",
 ]
@@ -102,26 +101,6 @@ def _rescale(logm: Variable, v_ref: Variable, g_phi: Variable, v_phi: Variable,
     powed = ad.sym_fn(ad.mul(logm, p), "exp")
     sqrt_phi = ad.sym_fn(g_phi, "sqrt")
     return ad.matmul(ad.matmul(sqrt_phi, powed), sqrt_phi)
-
-
-def spdbn_normalize(
-    z: Variable,
-    w_ref: Variable,
-    v_ref: Variable,
-    g_phi: Variable,
-    v_phi: Variable,
-    eps_var: float,
-) -> Variable:
-    """Transport the batch to identity, rescale dispersion, re-bias at g_phi.
-
-    Computes g_phi^{1/2} (w_ref Z w_ref)^p g_phi^{1/2} with w_ref =
-    g_ref^{-1/2}, the reference base's inverse square root, and p = v_phi /
-    (v_ref + eps_var); the matrix power runs as exp(p * log M) so the exponent
-    stays differentiable. The reference statistics broadcast against the
-    batch: one (n, n) factor and a scalar for the whole batch, or per-sample
-    factors (b, n, n) and dispersions (b, 1, 1) as eval passes them.
-    """
-    return _rescale(_log_whitened(z, w_ref), v_ref, g_phi, v_phi, eps_var)
 
 
 # --- domain-specific running statistics -----------------------------------------
@@ -207,8 +186,11 @@ def dsbn_forward(
     adapt: the same grouping for target domains; folds the batch statistics
       into the running ones and returns None (no output, so g_phi, v_phi and
       eps_var are not read, and g_phi and v_phi may be None).
-    eval: normalize each sample with its domain's stored running statistics:
-      the inverse square root of each distinct domain's running mean is
+    eval: normalize each sample with its domain's stored running statistics,
+      g_phi^{1/2} (w Z w)^p g_phi^{1/2} with w = g_run^{-1/2} and p = v_phi /
+      (v_run + eps_var), the power taken as exp(p log(w Z w)) by the same
+      `_log_whitened` and `_rescale` that train applies after `batch_stats`.
+      The inverse square root of each distinct domain's running mean is
       computed once and gathered per sample into (b, n, n), the dispersions
       into (b, 1, 1). A stacked eigendecomposition gives each matrix the bits
       of its own, so this equals factoring every sample's copy.
@@ -225,8 +207,8 @@ def dsbn_forward(
         stats = [state.stats(d) for d in keys]
         w_run = linalg.sym_fn(np.stack([g for g, _ in stats]), "inv_sqrt")[grp]
         v_run = np.array([v for _, v in stats])[grp, None, None]
-        return spdbn_normalize(h, h.tape.leaf(w_run), h.tape.leaf(v_run),
-                               g_phi, v_phi, eps_var)
+        return _rescale(_log_whitened(h, h.tape.leaf(w_run)), h.tape.leaf(v_run),
+                        g_phi, v_phi, eps_var)
 
     kind = "source" if mode == "train" else "target"
     for d in keys:

@@ -207,7 +207,7 @@ def train(cfg: RunConfig, manifest: DatasetManifest,
             if cfg.adaptation == "interleaved" and target_signals is not None:
                 k = min(batch, len(target_signals))
                 picks = rng_target.choice(len(target_signals), size=k, replace=False)
-                adapt(model, target_signals[picks], plan.target, batch_size=k)
+                adapt(model, target_signals[picks], plan.target, batch_size=batch)
 
         if val_trials:
             # select on validation loss: small validation sets quantize
@@ -256,11 +256,14 @@ def adapt(model: TMKNet, signals: np.ndarray, domain: tuple[int, int],
     this path. Weights are untouched. Each `batch_size` batch updates the
     statistics once; within it the stem runs in `model.eval_blocks` slices
     (see `TMKNet.adapt_batch`). ConfigError for a model with shared batch
-    normalization, which keeps no statistics per target domain.
+    normalization, which keeps no statistics per target domain, and for a
+    `batch_size` below 2, which cannot form batch statistics.
     """
     if model.cfg.shared_bn:
         raise ConfigError("the model uses shared batch normalization (ablation "
                           "shared_bn), so it has no target-domain statistics to adapt")
+    if batch_size < 2:
+        raise ConfigError(f"adapt batch_size must be at least 2, got {batch_size}")
     signals = np.asarray(signals, dtype=np.float64)
     if signals.ndim != 3:
         raise DataError(f"expected an (n, c, t) signal stack, got {signals.shape}")

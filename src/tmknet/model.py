@@ -217,9 +217,12 @@ class TMKNet:
 
         A block computes the same bytes on any thread, so the blocks are the
         units of one `autodiff.run_units` call; the result does not depend on
-        the worker count. Zero rows run as one empty block.
+        the worker count. Raises ValueError for zero signals, before any
+        block runs.
         """
-        blocks = eval_blocks(len(x)) or [slice(0, 0)]
+        if len(x) == 0:
+            raise ValueError("at least one signal is required")
+        blocks = eval_blocks(len(x))
         rows = blocks[0].stop  # the first block is a largest one
         # a largest block's temporal conv output of one branch (rows x n_t x
         # sensors x samples x 8 bytes), counted twice so that the blocks pool
@@ -242,6 +245,7 @@ class TMKNet:
         float64 and run on its own tape (see `_run_blocks`), so memory does
         not grow with b beyond the input and outputs. `capture`, if given,
         receives the pre- and post-DSBN matrices of all rows in order.
+        Raises ValueError for zero signals.
         """
         if len(domain_ids) != len(x):
             raise ValueError("one domain id per sample is required")
@@ -271,6 +275,7 @@ class TMKNet:
         over `eval_blocks` slices of the batch (see `_run_blocks`), each on a
         tape that records nothing for differentiation. DSBN then folds the
         statistics of the whole batch, as one forward of all rows would.
+        Raises ValueError for zero signals.
         """
         def block(s):
             tape = Tape()

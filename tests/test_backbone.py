@@ -12,7 +12,6 @@ from tmknet.backbone import (
     dsbn_forward,
     logeig,
     reeig,
-    spdbn_normalize,
 )
 from tmknet.errors import ConfigError
 from tmknet.geometry import airm_dist, geo_mean
@@ -131,11 +130,17 @@ class TestLogEig:
 
 
 class TestSpdbnNormalize:
+    """SPD batch normalization at stored reference statistics: eval-mode
+    `dsbn_forward`, with (g_ref, v_ref) installed by one `DsbnState.update`,
+    whose first update adopts them exactly."""
+
     def _run(self, z, g_ref, v_ref, g_phi, v_phi, eps=1e-5):
+        st = dsbn_state(len(g_ref))
+        st.register("r", "target")
+        st.update("r", g_ref, v_ref)
         tape = Tape()
-        out = spdbn_normalize(const(tape, z), const(tape, linalg.sym_fn(g_ref, "inv_sqrt")),
-                              const(tape, v_ref),
-                              const(tape, g_phi), const(tape, v_phi), eps)
+        out = dsbn_forward(const(tape, z), ["r"] * len(z), st, "eval",
+                           const(tape, g_phi), const(tape, v_phi), eps)
         return out.value
 
     def test_batch_mean_with_identity_bias_maps_to_identity(self, rng):

@@ -141,6 +141,28 @@ class TestAdapt:
         with pytest.raises(DataError):
             adapt(model, np.zeros((1, 8, 64)), (0, 2), batch_size=50)
 
+    @pytest.mark.parametrize("batch_size", [1, 0, -3])
+    def test_batch_size_below_two_rejected(self, trained, batch_size):
+        _, model, _ = trained
+        signals = np.stack([t.signal for t in TRIALS if t.domain == (0, 2)]
+                           ).astype(np.float64)
+        with pytest.raises(ConfigError, match="batch_size"):
+            adapt(model, signals, (0, 2), batch_size=batch_size)
+
+    def test_trailing_single_trial_is_skipped(self):
+        model, _ = train(quick_cfg(epochs=0), MANIFEST, TRIALS)
+        signals = np.stack([t.signal for t in TRIALS if t.domain == (0, 2)][:7]
+                           ).astype(np.float64)
+        key = domain_key((0, 2))
+        stats = []
+        for n in (7, 6):
+            adapted = copy.deepcopy(model)
+            adapt(adapted, signals[:n], (0, 2), batch_size=3)
+            assert adapted.dsbn.domains[key].steps == 2
+            g_run, v_run = adapted.dsbn.stats(key)
+            stats.append((g_run.tobytes(), v_run))
+        assert stats[0] == stats[1]
+
     def test_no_labels_in_signature(self):
         import inspect
 
@@ -202,6 +224,13 @@ class TestInterleavedAdaptation:
         cfg = quick_cfg(epochs=1, adaptation="interleaved", ablation=("shared_bn",))
         model, _ = train(cfg, MANIFEST, TRIALS)
         assert model.dsbn_domain_kinds() == {"shared": "source"}
+
+    def test_single_target_trial_is_a_data_error(self):
+        cfg = quick_cfg(epochs=1, adaptation="interleaved")
+        one_target = [t for t in TRIALS if t.domain != (0, 2)] + \
+            [next(t for t in TRIALS if t.domain == (0, 2))]
+        with pytest.raises(DataError, match="at least 2 target trials"):
+            train(cfg, MANIFEST, one_target)
 
 
 class TestSaliency:

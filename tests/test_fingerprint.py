@@ -1,5 +1,7 @@
 import re
 
+from tmknet import autodiff as ad
+
 from fingerprint import combined, main, probes
 
 PROBES = ["train_steps", "adapted_state", "eval_b64", "eval_b1", "saliency",
@@ -14,6 +16,15 @@ def test_desk_probes_repeat_in_one_process():
     # every probe sees the seed: none hashes a constant
     other = probes("desk", 2)
     assert all(other[k] != first[k] for k in PROBES)
+
+
+def test_worker_threads_leave_every_probe_unchanged(monkeypatch):
+    # eval blocks, stem units, adapt, saliency and the checkpoint, end to end
+    digests = []
+    for pooled in (False, True):
+        monkeypatch.setattr(ad, "_pooled", lambda unit_bytes: pooled)
+        digests.append(probes("desk", 1))
+    assert digests[0] == digests[1]
 
 
 def test_script_prints_each_probe_then_combined_then_environment(capsys):

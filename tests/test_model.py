@@ -225,6 +225,17 @@ def _executors(monkeypatch):
 class TestBlockRunner:
     """`TMKNet._run_blocks` gives the same bytes on the worker pool as inline."""
 
+    @pytest.mark.parametrize("call", ["array", "list", "adapt"])
+    def test_zero_signals_rejected_before_any_block(self, primed, call):
+        model = primed[0]
+        blocks = _threads(model, "features")
+        with pytest.raises(ValueError, match="at least one signal"):
+            if call == "adapt":
+                model.adapt_batch(np.zeros((0, 8, 64)), [])
+            else:
+                model.predict_logits(np.zeros((0, 8, 64)) if call == "array" else [], [])
+        assert blocks == []
+
     def test_predict_logits_pooled_equals_inline(self, primed, monkeypatch):
         model, x, ids = primed
         inline_cap, pooled_cap = {}, {}
