@@ -112,10 +112,6 @@ class _DomainStats:
     v_run: float = field(default=1.0, init=False)
     steps: int = field(default=0, init=False)
 
-    @property
-    def initialized(self) -> bool:
-        return self.steps > 0
-
 
 @dataclass
 class DsbnState:
@@ -161,7 +157,7 @@ class DsbnState:
 
     def stats(self, domain_id: str) -> tuple[np.ndarray, float]:
         st = self._get(domain_id)
-        if not st.initialized:
+        if st.steps == 0:
             raise ConfigError(f"domain {domain_id!r} has no accumulated statistics; "
                               "train or adapt on it first")
         return st.g_run, st.v_run

@@ -139,11 +139,21 @@ def _environment() -> dict:
             "blas_threads": _blas_threads()}
 
 
-def _write_run_dir(out: Path, cfg: RunConfig) -> None:
+def _write_run_dir(out: str, cfg: RunConfig) -> Path:
+    """The run directory `out`, made if missing, with `cfg`'s config.json."""
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     snapshot = {"config": asdict(cfg), "seed": cfg.seed, "config_hash": cfg.hash(),
                 "build_id": build_id(cfg.hash()), "environment": _environment()}
     (out / "config.json").write_text(json.dumps(snapshot, indent=2))
+    return out
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # manifest fields a trained model depends on: trial shape, sensor groups, classes
@@ -195,8 +205,7 @@ def _cmd_train(args) -> int:
     cfg = _run_config(args)
     manifest, trials = load_dataset(args.data)
     build_model_config(manifest, cfg)  # reject the config before the run directory exists
-    out = Path(args.out)
-    _write_run_dir(out, cfg)
+    out = _write_run_dir(args.out, cfg)
     if args.eval_target:
         model, val_report, target_report = run_uda(cfg, manifest, trials)
         (out / "target_metrics.json").write_text(target_report.to_json())
@@ -216,8 +225,7 @@ def _cmd_adapt(args) -> int:
     if not signals:
         raise DataError(f"no trials for target domain {target} in {args.data}")
     adapt(model, np.stack(signals).astype(np.float64), target, batch_size=cfg.batch_size)
-    out = Path(args.out)
-    _write_run_dir(out, cfg)
+    out = _write_run_dir(args.out, cfg)
     save_checkpoint(out / "checkpoint.tmk", model, cfg, manifest)
     print(f"adapted statistics for domain {domain_key(target)}; "
           f"checkpoint under {out}")
@@ -233,8 +241,7 @@ def _cmd_eval(args) -> int:
     report = evaluate(model, chosen, manifest)
     report.seed = cfg.seed
     report.config_hash = cfg.hash()
-    out = Path(args.out)
-    _write_run_dir(out, cfg)
+    out = _write_run_dir(args.out, cfg)
     (out / "metrics.json").write_text(report.to_json())
     print(f"domain {domain_key(domain)}: accuracy {report.accuracy:.4f}, "
           f"macro-F1 {report.macro_f1:.4f}")
@@ -246,15 +253,11 @@ def _cmd_ablate(args) -> int:
     manifest, trials = load_dataset(args.data)
     variants = [v for v in (args.variants.split(",") if args.variants else []) if v]
     results = ablate(cfg, manifest, trials, variants)
-    out = Path(args.out)
-    _write_run_dir(out, cfg)
+    out = _write_run_dir(args.out, cfg)
     table = ablation_table(results)
     (out / "ablation.txt").write_text(table + "\n")
-    with open(out / "ablation.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "accuracy", "macro_f1"])
-        for name, rep in results:
-            writer.writerow([name, rep.accuracy, rep.macro_f1])
+    _write_csv(out / "ablation.csv", ["variant", "accuracy", "macro_f1"],
+               [(name, rep.accuracy, rep.macro_f1) for name, rep in results])
     for name, rep in results:
         (out / f"metrics_{name}.json").write_text(rep.to_json())
     print(table)
@@ -267,14 +270,10 @@ def _cmd_saliency(args) -> int:
     if not match:
         raise DataError(f"trial id {args.trial_id} not present in {args.data}")
     sal, per_sensor = saliency(model, match[0], args.target_class)
-    out = Path(args.out)
-    _write_run_dir(out, cfg)
+    out = _write_run_dir(args.out, cfg)
     np.savetxt(out / "saliency.csv", sal, delimiter=",")
-    with open(out / "saliency_per_sensor.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sensor", "max_saliency"])
-        for i, v in enumerate(per_sensor):
-            writer.writerow([i, v])
+    _write_csv(out / "saliency_per_sensor.csv", ["sensor", "max_saliency"],
+               enumerate(per_sensor))
     print(f"saliency for trial {args.trial_id}, class {args.target_class} "
           f"written under {out}")
     return 0
@@ -283,12 +282,8 @@ def _cmd_saliency(args) -> int:
 def _cmd_export_features(args) -> int:
     model, cfg, _, trials = _load_checkpoint_and_data(args)
     header, rows = export_features(model, trials)
-    out = Path(args.out)
-    _write_run_dir(out, cfg)
-    with open(out / "features.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    out = _write_run_dir(args.out, cfg)
+    _write_csv(out / "features.csv", header, rows)
     print(f"exported {len(rows)} feature rows to {out / 'features.csv'}")
     return 0
 

@@ -82,6 +82,20 @@ def _json_object(raw: bytes, what: str) -> dict:
     return doc
 
 
+def _check_montage(sensors: int, flexor_ids, extensor_ids, proximal_ids, distal_ids) -> None:
+    """ConfigError unless the muscle groups fit `sensors` sensors: an even
+    count, flexor and extensor each half of it, and flexor + extensor and
+    proximal + distal each a partition of range(sensors)."""
+    if sensors % 2 != 0:
+        raise ConfigError(f"sensor count must be even, got {sensors}")
+    if len(flexor_ids) != sensors // 2 or len(extensor_ids) != sensors // 2:
+        raise ConfigError("flexor and extensor lists must each cover half the sensors")
+    if sorted([*flexor_ids, *extensor_ids]) != list(range(sensors)):
+        raise ConfigError("flexor + extensor lists must partition the sensors")
+    if sorted([*proximal_ids, *distal_ids]) != list(range(sensors)):
+        raise ConfigError("proximal + distal lists must partition the sensors")
+
+
 @dataclass
 class DatasetManifest:
     name: str
@@ -104,9 +118,8 @@ class DatasetManifest:
             raise ConfigError(
                 f"need window_ms > overlap_ms > 0, got {self.window_ms}, {self.overlap_ms}"
             )
-        for ids in (self.flexor_ids, self.extensor_ids, self.proximal_ids, self.distal_ids):
-            if any(not 0 <= i < self.sensors for i in ids):
-                raise ConfigError("muscle-group indices must lie in [0, sensors)")
+        _check_montage(self.sensors, self.flexor_ids, self.extensor_ids,
+                       self.proximal_ids, self.distal_ids)
 
     @property
     def n_classes(self) -> int:

@@ -244,8 +244,8 @@ def _logits(model: TMKNet, trials: list[Trial], capture: dict | None = None) -> 
 
 def _validation_loss(model: TMKNet, trials: list[Trial]) -> float:
     """Mean eval-mode cross-entropy over a labeled trial list."""
-    logp = ad.log_softmax(Tape().leaf(_logits(model, trials))).value
-    return -logp[np.arange(len(trials)), [t.label for t in trials]].sum() / len(trials)
+    return float(ad.cross_entropy(Tape().leaf(_logits(model, trials)),
+                                  [t.label for t in trials]).value)
 
 
 def adapt(model: TMKNet, signals: np.ndarray, domain: tuple[int, int],

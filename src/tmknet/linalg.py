@@ -92,7 +92,7 @@ _SPECTRAL = {
 }
 
 
-def _spectral(tag: str, lam: np.ndarray, param):
+def _spectral(tag: str, lam: np.ndarray):
     """The table's (f, f') for `tag`, once `lam` is checked against its domain."""
     if tag not in _SPECTRAL:
         raise ValueError(f"unknown spectral function tag {tag!r}")
@@ -113,7 +113,7 @@ def sym_fn(m: np.ndarray, tag: str, param=None,
     :func:`sym_eig` to reuse a factorization.
     """
     lam, u = sym_eig(m) if eig is None else eig
-    f = _spectral(tag, lam, param)[0](lam, param)
+    f = _spectral(tag, lam)[0](lam, param)
     return symmetrize((u * f[..., None, :]) @ np.swapaxes(u, -1, -2))
 
 
@@ -131,7 +131,7 @@ def sym_fn_vjp(
     |lam_i - lam_j| <= EIG_GAP_RTOL * max|lam|.
     """
     lam, u = eig
-    fn, deriv = _spectral(tag, lam, param)
+    fn, deriv = _spectral(tag, lam)
     f, d = fn(lam, param), deriv(lam, param)
 
     gap = lam[..., :, None] - lam[..., None, :]

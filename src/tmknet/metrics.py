@@ -88,16 +88,9 @@ EXACT_PAIRS = 25  # most non-zero pairs whose p-value enumerates the null exactl
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i: j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks of `values`, each tie group given the mean of its ranks."""
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[group]
 
 
 def _exact_two_sided_p(ranks2: np.ndarray, w2: int) -> float:
@@ -131,15 +124,18 @@ def wilcoxon_signed_rank(a, b) -> tuple[float, float]:
     """Paired Wilcoxon signed-rank test.
 
     Returns (W, p) where W is the sum of the ranks of positive differences
-    a - b and p is two-sided. Zero differences are dropped; at least 5 pairs
-    must remain. Up to EXACT_PAIRS pairs the p-value enumerates the
-    sign-flip null exactly; beyond that a normal approximation with midrank
-    tie correction and continuity correction is used.
+    a - b and p is two-sided. DataError for a non-finite value. Zero
+    differences are dropped; at least 5 pairs must remain. Up to EXACT_PAIRS
+    pairs the p-value enumerates the sign-flip null exactly; beyond that a
+    normal approximation with midrank tie correction and continuity
+    correction is used.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("wilcoxon_signed_rank expects two equal-length 1-D arrays")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DataError("wilcoxon_signed_rank needs finite values")
     d = a - b
     d = d[d != 0.0]
     if d.size == 0:

@@ -153,8 +153,7 @@ class TMKNet:
             for name, p in self.params.items()
         }
 
-    def features(self, tape: Tape, x: Variable, mode: str,
-                 pvars: dict[str, Variable]) -> Variable:
+    def features(self, x: Variable, mode: str, pvars: dict[str, Variable]) -> Variable:
         """Stem, covariance pooling, BiMap and ReEig on (b, c, t) input
         signals: the SPD matrices that enter DSBN. `mode` is the stem's."""
         b, c, t = x.value.shape
@@ -185,7 +184,7 @@ class TMKNet:
             raise ValueError(f"unknown forward mode {mode!r}")
         if pvars is None:
             pvars = self.param_vars(tape, trainable=(mode == "train"))
-        h = self.features(tape, x, mode, pvars)
+        h = self.features(x, mode, pvars)
         if capture is not None:
             capture["pre_dsbn"] = h.value.copy()
         v_phi = ad.exp(pvars["dsbn.log_v_phi"])
@@ -280,7 +279,7 @@ class TMKNet:
         def block(s):
             tape = Tape()
             pvars = self.param_vars(tape, trainable=False)
-            return [self.features(tape, tape.leaf(x[s]), "eval", pvars).value]
+            return [self.features(tape.leaf(x[s]), "eval", pvars).value]
 
         (h,) = self._run_blocks(block, x)
         bk.dsbn_forward(Tape().leaf(h), self._bn_ids(domain_ids), self.dsbn, "adapt",

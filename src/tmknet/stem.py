@@ -19,6 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Variable
+from .data import _check_montage
 from .errors import ConfigError
 
 MSS_KERNELS = ("global", "flexor", "extensor", "proximal_distal", "dilated")
@@ -47,15 +48,8 @@ class StemConfig:
         if not all(0.0 < r <= 1.0 for r in ratios):
             raise ConfigError(f"ratios must lie in (0, 1], got r_data={self.r_data}, "
                               f"r_resolution={self.r_resolution}")
-        c = self.sensors
-        if c % 2 != 0:
-            raise ConfigError(f"sensor count must be even, got {c}")
-        if len(self.flexor_ids) != c // 2 or len(self.extensor_ids) != c // 2:
-            raise ConfigError("flexor and extensor lists must each cover half the sensors")
-        if sorted(self.flexor_ids + self.extensor_ids) != list(range(c)):
-            raise ConfigError("flexor + extensor lists must partition the sensors")
-        if sorted(self.proximal_ids + self.distal_ids) != list(range(c)):
-            raise ConfigError("proximal + distal lists must partition the sensors")
+        _check_montage(self.sensors, self.flexor_ids, self.extensor_ids,
+                       self.proximal_ids, self.distal_ids)
         unknown = set(self.mss_kernels) - set(MSS_KERNELS)
         if unknown:
             raise ConfigError(f"unknown spatial kernels: {sorted(unknown)}")

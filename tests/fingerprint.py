@@ -24,9 +24,7 @@ returns the probe digests to a caller in the same process.
 from __future__ import annotations
 
 import argparse
-import gc
 import hashlib
-import importlib.util
 import struct
 import sys
 import tempfile
@@ -37,6 +35,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
+from tmknet.cli import _environment  # noqa: E402
 from tmknet.data import (DomainBatchSampler, SynthSpec, leave_one_session_out,  # noqa: E402
                          synth_generate)
 from tmknet.experiment import (DIGEST_LEN, RunConfig, adapt, build_model_config,  # noqa: E402
@@ -90,7 +89,6 @@ def probes(shape: str, seed: int) -> dict[str, str]:
         adam_step(model.params, grads, lr=cfg.lr, weight_decay=cfg.weight_decay)
         steps.append(_digest(np.float64(loss), *(grads[k] for k in model.params),
                              *model.arrays().values()))
-        gc.collect()  # a step's tape is cyclic garbage
     out["train_steps"] = hashlib.sha256("".join(steps).encode()).hexdigest()
 
     signals = np.stack([t.signal for t in target]).astype(np.float64)
@@ -102,7 +100,6 @@ def probes(shape: str, seed: int) -> dict[str, str]:
         captured = {}
         logits = model.predict_logits(x, [domain_key(t.domain) for t in rows], captured)
         out[name] = _digest(logits, captured["pre_dsbn"], captured["post_dsbn"])
-        gc.collect()
 
     out["saliency"] = _digest(*saliency(model, target[0], 0))
 
@@ -122,13 +119,10 @@ def combined(digests: dict[str, str]) -> str:
 
 
 def environment() -> str:
-    """numpy version, BLAS build and BLAS thread count, as perfbench reads them."""
-    spec = importlib.util.spec_from_file_location("perfbench_run",
-                                                  ROOT / "perfbench" / "run.py")
-    run = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run)
-    info = run.blas_info()
-    return f"numpy {np.__version__} | BLAS {info['blas']} | threads {info['blas_threads']}"
+    """numpy version, BLAS build and BLAS thread count, as a run's config.json
+    records them."""
+    env = _environment()
+    return f"numpy {env['numpy']} | BLAS {env['blas']} | threads {env['blas_threads']}"
 
 
 def main(argv=None) -> int:

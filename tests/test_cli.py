@@ -455,6 +455,17 @@ class TestErrorPaths:
         assert main(["import", "--src", str(data), "--out", str(tmp_path / "o")]) == 2
         assert "data error:" in capsys.readouterr().err
 
+    def test_muscle_groups_not_partitioning_exit_two(self, dataset, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        doc = json.loads((data / "manifest.json").read_text())
+        doc["extensor_ids"] = doc["flexor_ids"]
+        (data / "manifest.json").write_text(json.dumps(doc))
+        assert main(["import", "--src", str(data), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "data error:" in err and "must partition the sensors" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("name", ["index.csv", "trials.f32"])
     def test_missing_store_file_exits_two(self, dataset, tmp_path, capsys, name):
         data = tmp_path / "data"

@@ -243,10 +243,12 @@ class TestStoreIO:
     @pytest.mark.parametrize("edit", [{"overlap_ms": 900.0}, {"flexor_ids": [0, 7]},
                                       {"fs": "fast"}, {"fs": float("inf")}, {"domains": [5]},
                                       {"sensors": 0}, {"class_names": "ab"},
-                                      {"flexor_ids": [0.0, 1]}],
+                                      {"flexor_ids": [0.0, 1]}, {"extensor_ids": [0, 1]},
+                                      {"distal_ids": [0, 2]}],
                              ids=["overlap-exceeds-window", "index-out-of-range",
                                   "fs-string", "fs-inf", "domain-int", "no-sensors",
-                                  "class-names-string", "flexor-id-float"])
+                                  "class-names-string", "flexor-id-float",
+                                  "extensor-is-flexor", "distal-is-proximal"])
     def test_invalid_manifest_is_data_error(self, tmp_path, edit):
         ds = self._small_store(tmp_path / "ds")
         doc = json.loads((ds / "manifest.json").read_text())
@@ -321,6 +323,18 @@ class TestManifestValidation:
     def test_indices_in_range(self):
         with pytest.raises(ConfigError):
             make_manifest(flexor_ids=[0, 9])
+
+    @pytest.mark.parametrize("edit,message", [
+        (dict(sensors=3, flexor_ids=[0], extensor_ids=[1], proximal_ids=[0],
+              distal_ids=[1, 2]), "must be even"),
+        (dict(flexor_ids=[0], extensor_ids=[1, 2, 3]), "each cover half"),
+        (dict(extensor_ids=[0, 1]), r"flexor \+ extensor lists must partition"),
+        (dict(proximal_ids=[0, 1], distal_ids=[1, 3]), r"proximal \+ distal lists must"),
+    ], ids=["odd-count", "unequal-halves", "extensor-is-flexor", "proximal-distal-overlap"])
+    def test_muscle_groups_partition_the_sensors(self, edit, message):
+        """The checks the stem makes of its config, made when the data loads."""
+        with pytest.raises(ConfigError, match=message):
+            make_manifest(**edit)
 
     @pytest.mark.parametrize("edit,field", [
         ({"domains": [(0, 0, 1)]}, "domains"), ({"domains": [(0, "a")]}, "domains"),

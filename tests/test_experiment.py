@@ -402,9 +402,9 @@ class TestBlockedForwards:
         rows = []
         features = blocked.features
 
-        def spy(tape, x, mode, pvars):
+        def spy(x, mode, pvars):
             rows.append(len(x.value))
-            return features(tape, x, mode, pvars)
+            return features(x, mode, pvars)
 
         blocked.features = spy
         start = 0
@@ -413,8 +413,7 @@ class TestBlockedForwards:
             start += n
             blocked.adapt_batch(x, ids)
             tape = Tape()
-            h = oracle.features(tape, tape.leaf(x), "eval",
-                                oracle.param_vars(tape, trainable=False))
+            h = oracle.features(tape.leaf(x), "eval", oracle.param_vars(tape, trainable=False))
             dsbn_forward(h, ids, oracle.dsbn, "adapt", None, None, 1e-5)
         assert max(rows) <= EVAL_BLOCK and sum(rows) == sum(sizes)
         got, want = blocked.dsbn.domains["0/3"], oracle.dsbn.domains["0/3"]

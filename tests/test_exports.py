@@ -1,7 +1,7 @@
 """Design rules: every definition in the package has a caller outside the
 tests, every default has a call that leaves it out and one that passes it,
-no default copies a `RunConfig` default, every import is used, and so `src/`
-holds only what a run uses.
+no default copies a `RunConfig` default, every import and every parameter is
+used, and so `src/` holds only what a run uses.
 
 Each module-level function or class in `src/tmknet/*.py`, and each public
 method of a module-level class, must be referenced somewhere in `src/` or
@@ -37,6 +37,12 @@ name. And each name that an import in `src/tmknet/*.py` binds must be used
 in its module, or listed in its `__all__`. No function there rebinds a
 module-level name through a `global` statement: state that outlives a call
 belongs to an object its caller holds.
+
+Every parameter of a function or method there, nested ones included, is
+read somewhere in its body, a closure's read included: a parameter that
+nothing reads is a value each caller computes for nothing. A method's
+`self` or `cls` is exempt, as are lambdas, whose parameters the spectral
+table's rows share by contract.
 """
 
 from __future__ import annotations
@@ -373,3 +379,27 @@ def test_no_global_statement():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.Global)]
     assert not rebinds, f"module state rebound by functions: {rebinds}"
+
+
+def _unread_parameters():
+    """Yield module.function.parameter per parameter of a `def` in
+    `src/tmknet/*.py` that no name in its body loads."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scope = {id(item): f"{node.name}." for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef) for item in node.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            a = fn.args
+            params = [arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                          a.vararg, a.kwarg) if arg is not None]
+            read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            yield from (f"{path.stem}.{scope.get(id(fn), '')}{fn.name}.{p}" for p in params
+                        if p not in ("self", "cls") and p not in read)
+
+
+def test_every_parameter_is_read():
+    unread = list(_unread_parameters())
+    assert not unread, f"parameters their function never reads: {unread}"

@@ -107,6 +107,15 @@ class TestWilcoxon:
         assert w == w_ref
         assert abs(p - p_ref) < 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_non_finite_input_rejected(self, bad, side):
+        a, b = [bad, 1.0, 2.0, 3.0, 4.0, 5.5], [0.0] * 6
+        if side == "b":
+            a, b = b, a
+        with pytest.raises(DataError, match="finite"):
+            wilcoxon_signed_rank(a, b)
+
     def test_too_few_pairs(self):
         with pytest.raises(DataError):
             wilcoxon_signed_rank([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0])
