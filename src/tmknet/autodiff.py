@@ -19,8 +19,7 @@ so its values and gradients are the chain's bit for bit:
 - `batch_norm`, per-channel batch normalization (the mean, sub, mul, power
   and add chain). It allocates two full-size arrays in forward where the
   chain allocates five, and keeps one of them for backward where the chain
-  keeps four. Its backward frees each full-size temporary after its last
-  use.
+  keeps four. Its backward allocates at most three.
 - `mrt_block`, the temporal layer's branches (per branch a time
   convolution, LeakyReLU and max-pooling, then a concat along time). Its
   forward runs over blocks of trials; for backward it keeps only the pooling
@@ -30,11 +29,15 @@ so its values and gradients are the chain's bit for bit:
   along the sensors). For backward it keeps only its output; backward
   rebuilds each kernel's patch matrix from the input, one kernel at a time.
 
-The two stem nodes split their work into independent units, each computing
-its products exactly as inline, and when they record for backward they run
+The fused nodes split their work into independent units, each computing
+exactly what it computes inline, and when they record for backward they run
 the units on worker threads, one per CPU up to `_POOL_WORKERS`
 (`run_units`), which gradient-free evaluation blocks
-(`model.TMKNet._run_blocks`) also use.
+(`model.TMKNet._run_blocks`) also use. The units are of three kinds: the
+temporal node's branches and blocks of trials, the spatial node's kernels and
+taps, and batch norm's groups of channels. A group's reductions over
+(batch, height, time) read its channel slice of a full-size array, with the
+whole array's strides, and so add in the whole array's order.
 
 Allocator policy: importing this module sets glibc's malloc, once, to keep
 freed memory in the process (`_keep_freed_memory`). A training step frees
@@ -96,9 +99,10 @@ _keep_freed_memory()
 
 # --- worker threads -------------------------------------------------------------
 
-# least bytes of conv output one unit computes for `run_units` to send the
-# units to worker threads. Measured on 2 cores with OpenBLAS on one thread: in
-# a desk-shape training step (32 trials, n_t 6), splitting the temporal node
+# least bytes one unit computes for `run_units` to send the units to worker
+# threads: conv output for a stem block's unit, input for a batch norm's
+# channel group. Measured on 2 cores with OpenBLAS on one thread: in a
+# desk-shape training step (32 trials, n_t 6), splitting the temporal node
 # into its 0.75 MiB branches took its forward from 3.4 to 4.3 ms. Eval blocks
 # count their bytes so that they pool from the size measured for them
 # (`model.TMKNet._run_blocks`)
@@ -729,6 +733,20 @@ def mss_block(z: Variable, convs: list[tuple[tuple[int, ...] | None, Variable, V
     return z.tape.record((z, *(p for _, w, b, _, _ in convs for p in (w, b))), out, backward)
 
 
+def _result_like(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """An uninitialised array with the shape and strides numpy gives the
+    result of an elementwise ufunc of the float64 arrays `a` and `b`: C- or
+    Fortran-ordered when both have one shape and that order (numpy's
+    single-loop case), otherwise in its iterator's memory order."""
+    if a.shape == b.shape:
+        if a.flags.c_contiguous and b.flags.c_contiguous:
+            return np.empty(a.shape)
+        if a.flags.f_contiguous and b.flags.f_contiguous:
+            return np.empty(a.shape, order="F")
+    return np.nditer((a, b, None), ("zerosize_ok",),
+                     (("readonly",), ("readonly",), ("writeonly", "allocate"))).operands[2]
+
+
 def batch_norm(x: Variable, gamma: Variable, beta: Variable, eps: float,
                stats: tuple[np.ndarray, np.ndarray] | None = None,
                ) -> tuple[Variable, np.ndarray, np.ndarray]:
@@ -740,70 +758,120 @@ def batch_norm(x: Variable, gamma: Variable, beta: Variable, eps: float,
     variance. Returns the output and the (c,) mean and variance it used.
 
     Forward and backward evaluate the expressions of the equivalent node
-    chain (mean, sub, mul, mean, add, power, mul, mul, add) in its order, and
-    allocate each array a reduction reads in the memory order the chain
-    would, so values and gradients equal the chain's bit for bit. Forward
-    keeps the centred input for backward. Backward drops each full-size
-    temporary once its reduction or last use has run, and writes a later
-    result into a spent buffer only where that buffer has the result's
-    memory order. With a C-ordered upstream gradient, as the layers above
-    hand it back, at most two full-size arrays of its own are live at a
-    time, the input gradient included; three otherwise.
+    chain (mean, sub, mul, mean, add, power, mul, mul, add) in its order,
+    each into an array allocated up front with the shape and strides numpy
+    gives that expression (`_result_like`), so values, gradients and memory
+    order equal the chain's bit for bit. Forward keeps the centred input for
+    backward. Backward computes the gamma product and the centred input's
+    gradient in one buffer, and writes a later result into a spent buffer
+    only where that buffer has the result's memory order. With a C-ordered
+    upstream gradient, as the layers above hand it back, at most two
+    full-size arrays of its own are live at a time, the input gradient
+    included; three otherwise.
+
+    When the node records for backward it runs as contiguous groups of
+    channels, one per CPU up to `_POOL_WORKERS` and at least two channels
+    each, the units of `run_units`, on worker threads where one group's
+    input passes its gate; otherwise the whole channel range is one group,
+    run inline. Each group writes its channel slices of the full-size
+    arrays, whose strides are the whole call's. A reduction over axes
+    (0, 2, 3) of such a slice adds in the whole array's order: pairwise
+    along each C-ordered (b, c) row and running along b, or running per
+    channel when channels are fastest. A single-channel slice would not:
+    numpy reduces it to one value in another order. Hence two channels or
+    more per group.
     """
     vx = x.value
     ch = vx.shape[1]
     shape = (1, ch, 1, 1)
     axes = (0, 2, 3)
-    gr = gamma.value.reshape(shape)
+    gr, bt = gamma.value.reshape(shape), beta.value.reshape(shape)
     if stats is None:
-        mu = vx.mean(axis=axes, keepdims=True)
-        xc = vx - mu
-        out = xc * xc
-        var = out.mean(axis=axes, keepdims=True)
-        ve = var + eps
-        r = ve ** -0.5
-        np.multiply(xc, r, out=out)
+        mu, var, ve, r = (np.empty(shape) for _ in range(4))
     else:
         mu, var = (s.reshape(shape) for s in stats)
-        xc = vx - mu
         r = (var + eps) ** -0.5
-        out = xc * r
-    np.multiply(out, gr, out=out)
-    np.add(out, beta.value.reshape(shape), out=out)
+    xc = _result_like(vx, mu)
+    out = _result_like(xc, xc if stats is None else r)
+
+    # a node that records nothing (an eval forward, maybe itself on a
+    # worker) is one group; so is one whose groups are under the gate
+    recording = x.requires_grad or gamma.requires_grad or beta.requires_grad
+    parts = min(_POOL_WORKERS, _cpus(), ch // 2) if recording else 1
+    unit_bytes = vx.nbytes // ch * -(-ch // parts) if parts > 1 else 0  # the largest group's input
+    if not (unit_bytes and _pooled(unit_bytes)):
+        parts = 1
+    bounds = [ch * i // parts for i in range(parts + 1)]
+    groups = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    def run(unit):
+        """`unit` on each group: inline for one, through `run_units` for more."""
+        if parts == 1:
+            unit(groups[0])
+        else:
+            run_units([functools.partial(unit, sl) for sl in groups], unit_bytes, "tmknet-stem")
+
+    def norm_channels(sl):
+        """The output, centred input and statistics of the channels `sl`."""
+        xs, cs, os = vx[:, sl], xc[:, sl], out[:, sl]
+        if stats is None:
+            m = xs.mean(axis=axes, keepdims=True, out=mu[:, sl])
+            np.subtract(xs, m, out=cs)
+            np.multiply(cs, cs, out=os)
+            v = os.mean(axis=axes, keepdims=True, out=var[:, sl])
+            np.power(np.add(v, eps, out=ve[:, sl]), -0.5, out=r[:, sl])
+        else:
+            np.subtract(xs, mu[:, sl], out=cs)
+        np.multiply(cs, r[:, sl], out=os)
+        np.multiply(os, gr[:, sl], out=os)
+        np.add(os, bt[:, sl], out=os)
+
+    run(norm_channels)
 
     def backward(g):
-        g_gamma = g_beta = None
-        if beta.requires_grad:
-            g_beta = _unbroadcast(g, shape).reshape(ch)
-        if gamma.requires_grad:
-            # named: numpy would write `g * (xc * r)` into the temporary,
-            # in xc's memory order rather than the chain's
-            xn = xc * r
-            g_gamma = _unbroadcast(g * xn, shape).reshape(ch)
-            del xn
-        if not x.requires_grad:
-            return None, g_gamma, g_beta
-        g_xn = g * gr
-        if stats is not None:
-            return np.multiply(g_xn, r, out=g_xn), g_gamma, g_beta
-        g_xc = g_xn * xc
-        g_r = _unbroadcast(g_xc, shape)
-        g_ve = g_r * -0.5 * ve ** -1.5
-        count = xc.size // ch
-        # numpy orders a result C-first when its operands' orders disagree;
-        # the chain's g_sq is a C-ordered broadcast copy, so its t = g_sq * xc,
-        # its xc gradient (g_xn * r + t) + t and its x gradient are C-ordered.
-        # Each reuses a spent full-size buffer only where that one is C-ordered
-        t = np.multiply(g_ve / count, xc,
-                        out=g_xc if g_xc.flags.c_contiguous else np.empty(xc.shape))
-        del g_xc
-        gx = np.multiply(g_xn, r, out=g_xn if g_xn.flags.c_contiguous else np.empty(xc.shape))
-        del g_xn
-        gx += t
-        gx += t
-        g_mu = _unbroadcast(np.negative(gx, out=t), shape)
-        del t
-        gx += g_mu / count
+        train = x.requires_grad and stats is None
+        # the gamma product g * (xc * r), then the centred input's gradient
+        # (g * gamma) * xc, each in the memory order numpy gives it
+        prod = _result_like(g, xc) if gamma.requires_grad or train else None
+        # the chain's x gradient is g * gamma, times r in place with fixed
+        # statistics, and C-ordered in training
+        gx = _result_like(g, gr) if x.requires_grad else None
+        if train and not gx.flags.c_contiguous:
+            del gx  # before its C-ordered replacement is allocated
+            gx = np.empty(vx.shape)
+        # the chain's t = g_sq * xc is C-ordered (g_sq is a C-ordered
+        # broadcast copy), and its buffer then holds -gx for the mean's
+        # gradient; the spent prod serves where it is C-ordered
+        t = (prod if prod.flags.c_contiguous else np.empty(vx.shape)) if train else None
+        g_gamma = np.empty(ch) if gamma.requires_grad else None
+        g_beta = np.empty(ch) if beta.requires_grad else None
+        count = vx.size // ch
+
+        def channel_grads(sl):
+            """The gradients of the channels `sl`, into their slices."""
+            gs, cs, rs = g[:, sl], xc[:, sl], r[:, sl]
+            sh = (1, cs.shape[1], 1, 1)
+            if g_beta is not None:
+                g_beta[sl] = _unbroadcast(gs, sh).reshape(-1)
+            if g_gamma is not None:
+                ps = np.multiply(cs, rs, out=prod[:, sl])
+                g_gamma[sl] = _unbroadcast(np.multiply(gs, ps, out=ps), sh).reshape(-1)
+            if gx is None:
+                return
+            gxs = np.multiply(gs, gr[:, sl], out=gx[:, sl])
+            if not train:
+                np.multiply(gxs, rs, out=gxs)
+                return
+            g_r = _unbroadcast(np.multiply(gxs, cs, out=prod[:, sl]), sh)
+            g_ve = g_r * -0.5 * ve[:, sl] ** -1.5
+            ts = np.multiply(g_ve / count, cs, out=t[:, sl])
+            np.multiply(gxs, rs, out=gxs)
+            gxs += ts
+            gxs += ts
+            g_mu = _unbroadcast(np.negative(gxs, out=ts), sh)
+            gxs += g_mu / count
+
+        run(channel_grads)
         return gx, g_gamma, g_beta
 
     return x.tape.record((x, gamma, beta), out, backward), mu.reshape(ch), var.reshape(ch)

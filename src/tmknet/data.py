@@ -259,8 +259,8 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sensors % 2 != 0:
-            raise ConfigError("synthetic generator needs an even sensor count")
+        # the montage `synth_generate` builds, checked before any generation
+        _check_montage(self.sensors, **_synth_montage(self.sensors))
         if min(self.n_classes, self.n_domains, self.trials_per_cell) < 1:
             raise ConfigError("classes, domains and trials_per_cell must be positive")
         if self.seed < 0:
@@ -276,6 +276,14 @@ class SynthSpec:
         if not (samples < math.inf and round(samples) >= 2):
             raise ConfigError(f"a window of {self.window_ms} ms at {self.fs} Hz holds "
                               f"{samples:g} samples; it needs a finite count of at least 2")
+
+
+def _synth_montage(sensors: int) -> dict[str, list[int]]:
+    """The synthetic montage's muscle groups: the first half of the sensors
+    flexor, the second extensor, even ones proximal and odd ones distal."""
+    half = sensors // 2
+    return {"flexor_ids": list(range(half)), "extensor_ids": list(range(half, sensors)),
+            "proximal_ids": list(range(0, sensors, 2)), "distal_ids": list(range(1, sensors, 2))}
 
 
 def _class_mixing(spec: SynthSpec, rng: np.random.Generator) -> list[np.ndarray]:
@@ -372,17 +380,13 @@ def synth_generate(spec: SynthSpec) -> tuple[DatasetManifest, list[Trial]]:
     """
     rng = np.random.default_rng(spec.seed)
     c = spec.sensors
-    half = c // 2
     manifest = DatasetManifest(
         name=f"synthetic-{spec.seed}",
         fs=spec.fs,
         sensors=c,
         class_names=[f"gesture{k}" for k in range(spec.n_classes)],
         domains=[(0, s) for s in range(spec.n_domains)],
-        flexor_ids=list(range(half)),
-        extensor_ids=list(range(half, c)),
-        proximal_ids=list(range(0, c, 2)),
-        distal_ids=list(range(1, c, 2)),
+        **_synth_montage(c),
         window_ms=spec.window_ms,
         overlap_ms=spec.overlap_ms,
         notes=f"synthetic generator, domain_shift={spec.domain_shift}, seed={spec.seed}",

@@ -172,7 +172,8 @@ class TestSynthGenerate:
         assert np.mean(dists) > 0.1
 
     def test_odd_sensor_count_rejected(self):
-        with pytest.raises(ConfigError):
+        # the manifest's own montage check, at construction
+        with pytest.raises(ConfigError, match="^sensor count must be even, got 7$"):
             SynthSpec(sensors=7)
 
     def test_negative_seed_rejected(self):

@@ -420,10 +420,13 @@ class TestStemSplit:
         assert units and all(n == "MainThread" for _, n in units)  # the toy shape is inline
         del units[:]
         monkeypatch.setattr(ad, "_pooled", lambda unit_bytes: True)
+        # two CPUs, so that the batch norms split their channels in two
+        monkeypatch.setattr(ad, "_cpus", lambda: 2)
         got_loss, got = split.loss_and_grads(*step)
-        # both nodes split, forward and backward
+        # all four nodes split, forward and backward
         assert {f for f, n in units if n.startswith("tmknet-stem")} == {
-            "conv_block", "branch_grads", "kernel_out", "add_taps"}
+            "conv_block", "branch_grads", "kernel_out", "add_taps", "norm_channels",
+            "channel_grads"}
         assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
         assert list(got) == list(want)
         for name in want:

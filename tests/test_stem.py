@@ -1,3 +1,4 @@
+import concurrent.futures  # before any tracemalloc.start(): `ad.run_units` imports it lazily
 import dataclasses
 import inspect
 import os
@@ -291,12 +292,30 @@ def chain_batchnorm(x, gamma, beta, state, mode):
     return ad.add(ad.mul(xn, ad.reshape(gamma, shape)), ad.reshape(beta, shape))
 
 
+def _split_channels(monkeypatch, cpus):
+    """Force `ad.batch_norm` to split its channels into groups on worker
+    threads, as on `cpus` CPUs; returns the unit count of each `ad.run_units`
+    call from now on."""
+    counts = []
+    run_units = ad.run_units
+
+    def counted(units, *args):
+        counts.append(len(units))
+        return run_units(units, *args)
+
+    monkeypatch.setattr(ad, "_pooled", lambda unit_bytes: True)
+    monkeypatch.setattr(ad, "_cpus", lambda: cpus)
+    monkeypatch.setattr(ad, "run_units", counted)
+    return counts
+
+
 class TestBatchnormMatchesChain:
     """The one-node batch norm gives the chain's bits and memory order: output,
-    every gradient and the running statistics. Shapes are odd; the large one crosses numpy's
-    temporary-reuse threshold (256 KiB). The input and the upstream gradient
-    come C-ordered or channel-fastest, the layout of a lone MSS kernel's conv
-    output."""
+    every gradient and the running statistics, inline and split into channel
+    groups on worker threads. Shapes are odd; the large one crosses numpy's
+    temporary-reuse threshold (256 KiB), and one has a single channel. The
+    input and the upstream gradient come C-ordered or channel-fastest, the
+    layout of a lone MSS kernel's conv output."""
 
     LAYOUTS = {"c": (0, 1, 2, 3), "channel_fastest": (0, 2, 3, 1)}
 
@@ -315,10 +334,10 @@ class TestBatchnormMatchesChain:
 
     @pytest.mark.parametrize("x_layout,g_layout", [("c", "c"), ("channel_fastest", "c"),
                                                    ("c", "channel_fastest")])
-    @pytest.mark.parametrize("shape", [(3, 5, 2, 7), (21, 16, 9, 31)])
+    @pytest.mark.parametrize("shape", [(3, 5, 2, 7), (21, 16, 9, 31), (4, 1, 3, 9)])
     @pytest.mark.parametrize("mode,gamma_grad", [("train", True), ("eval", False),
                                                  ("eval", True)])
-    def test_bit_identical(self, rng, shape, x_layout, g_layout, mode, gamma_grad):
+    def test_bit_identical(self, rng, monkeypatch, shape, x_layout, g_layout, mode, gamma_grad):
         ch = shape[1]
         x_perm, g_perm = self.LAYOUTS[x_layout], self.LAYOUTS[g_layout]
         x = rng.normal(loc=1.5, scale=2.0, size=[shape[i] for i in x_perm])
@@ -326,15 +345,25 @@ class TestBatchnormMatchesChain:
         g = rng.normal(size=[shape[i] for i in g_perm])
         gamma, beta = rng.normal(size=ch), rng.normal(size=ch)
         mean, var = rng.normal(size=ch), rng.uniform(0.5, 2.0, size=ch)
-        results = []
-        for bn in (chain_batchnorm, euclid_batchnorm):
+
+        def run(bn):
             state = BnState(mean=mean.copy(), var=var.copy())
             state.initialized = True
-            results.append(self._run(bn, x, gamma, beta, g_perm, g, state, mode, gamma_grad))
-        (_, want), (nodes, got) = results
-        # strides too: upstream ops round by the memory order of what they get
-        assert [(a.strides, a.tobytes()) for a in got] == [(a.strides, a.tobytes()) for a in want]
-        assert nodes == 1
+            return self._run(bn, x, gamma, beta, g_perm, g, state, mode, gamma_grad)
+
+        _, want = run(chain_batchnorm)
+        # inline, then in groups of at least two channels: 5 channels split
+        # 2/3 on any count of CPUs; 16 split 8/8 on 2 CPUs, 5/5/6 on 3 and
+        # 4/4/4/4 on 64; a single channel stays one group
+        for cpus in (None, 2, 3, 64):
+            counts = [] if cpus is None else _split_channels(monkeypatch, cpus)
+            nodes, got = run(euclid_batchnorm)
+            # strides too: upstream ops round by the memory order of what they get
+            assert [(a.strides, a.tobytes()) for a in got] == \
+                [(a.strides, a.tobytes()) for a in want], cpus
+            assert nodes == 1
+            groups = min(ad._POOL_WORKERS, cpus or 1, ch // 2)
+            assert counts == ([groups] * 2 if groups > 1 else [])
 
     def test_frozen_input_still_gives_affine_grads(self, rng):
         x = rng.normal(size=(3, 5, 2, 7))
@@ -600,24 +629,54 @@ class TestNodeMemory:
         assert len(tape._nodes) == 1 and out.value.nbytes < z.value.nbytes
         assert held < 2 * z.value.nbytes
 
-    @pytest.mark.parametrize("layout", ["c", "channel_fastest"])
-    def test_batch_norm_backward_peak(self, rng, layout):
+    @staticmethod
+    def _batch_norm_input(rng, monkeypatch, layout, pooled):
+        """A (8, 16, 9, 64) input in `layout`, and the node's unit counts,
+        split into two channel groups on worker threads if `pooled`."""
         shape = (8, 16, 9, 64)
         perm = TestBatchnormMatchesChain.LAYOUTS[layout]
         x = rng.normal(size=[shape[i] for i in perm]).transpose(np.argsort(perm))
+        return x, _split_channels(monkeypatch, 2) if pooled else []
+
+    # the inline cases keep the ids of the cases before channel groups
+    PEAK_CASES = pytest.mark.parametrize(
+        "layout,pooled", [("c", False), ("channel_fastest", False), ("c", True),
+                          ("channel_fastest", True)],
+        ids=["c", "channel_fastest", "c-pooled", "channel_fastest-pooled"])
+
+    @PEAK_CASES
+    def test_batch_norm_forward_peak(self, rng, monkeypatch, layout, pooled):
+        x, counts = self._batch_norm_input(rng, monkeypatch, layout, pooled)
+        tape = Tape()
+        xv = tape.leaf(x, requires_grad=True)
+        gamma, beta = (tape.leaf(rng.normal(size=16), requires_grad=True) for _ in range(2))
+        tracemalloc.start()
+        try:
+            out, _, _ = ad.batch_norm(xv, gamma, beta, BN_EPS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts == ([2] if pooled else [])
+        # the output and the centred input kept for backward
+        assert out.value.shape == x.shape and peak <= 3 * x.nbytes
+
+    @PEAK_CASES
+    def test_batch_norm_backward_peak(self, rng, monkeypatch, layout, pooled):
+        x, counts = self._batch_norm_input(rng, monkeypatch, layout, pooled)
         tape = Tape()
         xv = tape.leaf(x, requires_grad=True)
         ad.batch_norm(xv, tape.leaf(rng.normal(size=16), requires_grad=True),
                       tape.leaf(rng.normal(size=16), requires_grad=True), BN_EPS)
         (_, _, backward), = tape._nodes
-        g = rng.normal(size=shape)  # C-ordered, as the layer above hands it back
+        g = rng.normal(size=x.shape)  # C-ordered, as the layer above hands it back
         tracemalloc.start()
         try:
             grads = backward(g)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert grads[0].shape == shape
+        assert counts == ([2, 2] if pooled else [])
+        assert grads[0].shape == x.shape
         # the x gradient it returns is one of the three
         assert peak <= 3 * x.nbytes
 
