@@ -773,13 +773,13 @@ def batch_norm(x: Variable, gamma: Variable, beta: Variable, eps: float,
     channels, one per CPU up to `_POOL_WORKERS` and at least two channels
     each, the units of `run_units`, on worker threads where one group's
     input passes its gate; otherwise the whole channel range is one group,
-    run inline. Each group writes its channel slices of the full-size
-    arrays, whose strides are the whole call's. A reduction over axes
-    (0, 2, 3) of such a slice adds in the whole array's order: pairwise
-    along each C-ordered (b, c) row and running along b, or running per
-    channel when channels are fastest. A single-channel slice would not:
-    numpy reduces it to one value in another order. Hence two channels or
-    more per group.
+    which `run_units` runs inline. Each group writes its channel slices of
+    the full-size arrays, whose strides are the whole call's. A reduction
+    over axes (0, 2, 3) of such a slice adds in the whole array's order:
+    pairwise along each C-ordered (b, c) row and running along b, or
+    running per channel when channels are fastest. A single-channel slice
+    would not: numpy reduces it to one value in another order. Hence two
+    channels or more per group.
     """
     vx = x.value
     ch = vx.shape[1]
@@ -804,13 +804,6 @@ def batch_norm(x: Variable, gamma: Variable, beta: Variable, eps: float,
     bounds = [ch * i // parts for i in range(parts + 1)]
     groups = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
-    def run(unit):
-        """`unit` on each group: inline for one, through `run_units` for more."""
-        if parts == 1:
-            unit(groups[0])
-        else:
-            run_units([functools.partial(unit, sl) for sl in groups], unit_bytes, "tmknet-stem")
-
     def norm_channels(sl):
         """The output, centred input and statistics of the channels `sl`."""
         xs, cs, os = vx[:, sl], xc[:, sl], out[:, sl]
@@ -826,19 +819,16 @@ def batch_norm(x: Variable, gamma: Variable, beta: Variable, eps: float,
         np.multiply(os, gr[:, sl], out=os)
         np.add(os, bt[:, sl], out=os)
 
-    run(norm_channels)
+    run_units([functools.partial(norm_channels, sl) for sl in groups], unit_bytes, "tmknet-stem")
 
     def backward(g):
         train = x.requires_grad and stats is None
         # the gamma product g * (xc * r), then the centred input's gradient
         # (g * gamma) * xc, each in the memory order numpy gives it
         prod = _result_like(g, xc) if gamma.requires_grad or train else None
-        # the chain's x gradient is g * gamma, times r in place with fixed
-        # statistics, and C-ordered in training
-        gx = _result_like(g, gr) if x.requires_grad else None
-        if train and not gx.flags.c_contiguous:
-            del gx  # before its C-ordered replacement is allocated
-            gx = np.empty(vx.shape)
+        # the chain's x gradient is C-ordered in training, and g * gamma,
+        # times r in place, with fixed statistics
+        gx = (np.empty(vx.shape) if train else _result_like(g, gr)) if x.requires_grad else None
         # the chain's t = g_sq * xc is C-ordered (g_sq is a C-ordered
         # broadcast copy), and its buffer then holds -gx for the mean's
         # gradient; the spent prod serves where it is C-ordered
@@ -871,7 +861,7 @@ def batch_norm(x: Variable, gamma: Variable, beta: Variable, eps: float,
             g_mu = _unbroadcast(np.negative(gxs, out=ts), sh)
             gxs += g_mu / count
 
-        run(channel_grads)
+        run_units([functools.partial(channel_grads, sl) for sl in groups], unit_bytes, "tmknet-stem")
         return gx, g_gamma, g_beta
 
     return x.tape.record((x, gamma, beta), out, backward), mu.reshape(ch), var.reshape(ch)

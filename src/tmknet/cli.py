@@ -224,7 +224,7 @@ def _cmd_adapt(args) -> int:
     signals = [t.signal for t in trials if t.domain == target]
     if not signals:
         raise DataError(f"no trials for target domain {target} in {args.data}")
-    adapt(model, np.stack(signals).astype(np.float64), target, batch_size=cfg.batch_size)
+    adapt(model, signals, target, batch_size=cfg.batch_size)
     out = _write_run_dir(args.out, cfg)
     save_checkpoint(out / "checkpoint.tmk", model, cfg, manifest)
     print(f"adapted statistics for domain {domain_key(target)}; "
@@ -407,6 +407,10 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # every read raises DataError, so an output failed
+        print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -181,8 +181,7 @@ def train(cfg: RunConfig, manifest: DatasetManifest,
     batch = cfg.batch_size - cfg.batch_size % d_per_batch
     sampler = DomainBatchSampler(train_trials, batch, d_per_batch, rng_batches)
     # a model with shared batch normalization has no target statistics to adapt
-    target_signals = np.stack([t.signal for t in target_trials]).astype(np.float64) \
-        if target_trials and not model.cfg.shared_bn else None
+    target_signals = [] if model.cfg.shared_bn else [t.signal for t in target_trials]
 
     if cfg.epochs == 0:
         # zero-epoch runs still deliver an evaluable checkpoint: prime the
@@ -204,10 +203,10 @@ def train(cfg: RunConfig, manifest: DatasetManifest,
                 )
             loss_curve.append(loss)
             adam_step(model.params, grads, lr=cfg.lr, weight_decay=cfg.weight_decay)
-            if cfg.adaptation == "interleaved" and target_signals is not None:
+            if cfg.adaptation == "interleaved" and target_signals:
                 k = min(batch, len(target_signals))
                 picks = rng_target.choice(len(target_signals), size=k, replace=False)
-                adapt(model, target_signals[picks], plan.target, batch_size=batch)
+                adapt(model, [target_signals[i] for i in picks], plan.target, batch_size=batch)
 
         if val_trials:
             # select on validation loss: small validation sets quantize
@@ -248,14 +247,15 @@ def _validation_loss(model: TMKNet, trials: list[Trial]) -> float:
                                   [t.label for t in trials]).value)
 
 
-def adapt(model: TMKNet, signals: np.ndarray, domain: tuple[int, int],
-          batch_size: int) -> None:
+def adapt(model: TMKNet, signals: np.ndarray | list[np.ndarray],
+          domain: tuple[int, int], batch_size: int) -> None:
     """Accumulate target-domain normalization statistics from unlabeled data.
 
-    `signals` is a bare (n, c, t) stack; labels are structurally absent from
-    this path. Weights are untouched. Each `batch_size` batch updates the
-    statistics once; within it the stem runs in `model.eval_blocks` slices
-    (see `TMKNet.adapt_batch`). ConfigError for a model with shared batch
+    `signals` is an (n, c, t) array or a sequence of n (c, t) arrays, of
+    any float dtype; labels are structurally absent from this path. Weights
+    are untouched. Each `batch_size` batch updates the statistics once;
+    within it the stem runs in `model.eval_blocks` slices (see
+    `TMKNet.adapt_batch`). ConfigError for a model with shared batch
     normalization, which keeps no statistics per target domain, and for a
     `batch_size` below 2, which cannot form batch statistics.
     """
@@ -301,8 +301,7 @@ def run_uda(cfg: RunConfig, manifest: DatasetManifest,
     if not target_trials:
         raise DataError(f"no trials for target domain {plan.target}")
     if cfg.adaptation == "posthoc" and not model.cfg.shared_bn:
-        signals = np.stack([t.signal for t in target_trials]).astype(np.float64)
-        adapt(model, signals, plan.target, batch_size=cfg.batch_size)
+        adapt(model, [t.signal for t in target_trials], plan.target, batch_size=cfg.batch_size)
     target_report = evaluate(model, target_trials, manifest)
     target_report.seed = cfg.seed
     target_report.config_hash = cfg.hash()
@@ -316,9 +315,8 @@ def saliency(model: TMKNet, trial: Trial, target_class: int) -> tuple[np.ndarray
     n_c = model.cfg.n_c
     if not 0 <= target_class < n_c:
         raise ConfigError(f"class id {target_class} out of range [0, {n_c})")
-    x = trial.signal.astype(np.float64)[None]
     tape = Tape()
-    xv = tape.leaf(x, requires_grad=True)
+    xv = tape.leaf(trial.signal[None], requires_grad=True)
     logits = model.forward(tape, xv, [domain_key(trial.domain)], "eval")
     tape.backward(ad.gather(logits, [target_class], axis=1))
     sal = np.abs(xv.grad[0])

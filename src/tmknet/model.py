@@ -301,14 +301,11 @@ class TMKNet:
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """All non-parameter numeric state, flat-named, for checkpointing."""
-        out = {
-            "state.mrt_bn.mean": self.mrt_bn.mean,
-            "state.mrt_bn.var": self.mrt_bn.var,
-            "state.mrt_bn.flag": np.array([float(self.mrt_bn.initialized)]),
-            "state.mss_bn.mean": self.mss_bn.mean,
-            "state.mss_bn.var": self.mss_bn.var,
-            "state.mss_bn.flag": np.array([float(self.mss_bn.initialized)]),
-        }
+        out = {}
+        for name, bn in (("mrt_bn", self.mrt_bn), ("mss_bn", self.mss_bn)):
+            out[f"state.{name}.mean"] = bn.mean
+            out[f"state.{name}.var"] = bn.var
+            out[f"state.{name}.flag"] = np.array([float(bn.initialized)])
         for d, st in self.dsbn.domains.items():
             key = f"state.dsbn.{d}"
             out[f"{key}.g_run"] = st.g_run
@@ -320,12 +317,10 @@ class TMKNet:
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray],
                           domain_kinds: dict[str, str]) -> None:
-        self.mrt_bn.mean = arrays["state.mrt_bn.mean"].copy()
-        self.mrt_bn.var = arrays["state.mrt_bn.var"].copy()
-        self.mrt_bn.initialized = bool(arrays["state.mrt_bn.flag"][0])
-        self.mss_bn.mean = arrays["state.mss_bn.mean"].copy()
-        self.mss_bn.var = arrays["state.mss_bn.var"].copy()
-        self.mss_bn.initialized = bool(arrays["state.mss_bn.flag"][0])
+        for name, bn in (("mrt_bn", self.mrt_bn), ("mss_bn", self.mss_bn)):
+            bn.mean = arrays[f"state.{name}.mean"].copy()
+            bn.var = arrays[f"state.{name}.var"].copy()
+            bn.initialized = bool(arrays[f"state.{name}.flag"][0])
         self.dsbn.domains.clear()
         for d, kind in domain_kinds.items():
             self.dsbn.register(d, kind)

@@ -1,6 +1,7 @@
 """Bit-identity fingerprint of tmknet: one SHA-256 per probe.
 
     python3 tests/fingerprint.py --shape desk|paper --seed N
+    python3 tests/fingerprint.py --diff A B
 
 Run from the repository root. `--seed` seeds the synthetic dataset, the
 model's initialization and the batch sampler. Each probe hashes the dtype,
@@ -19,6 +20,11 @@ shape, strides and bytes of its arrays in a fixed order:
 A combined digest over all probes follows, then the numpy version, BLAS build
 and BLAS thread count, on which the digests depend. `probes(shape, seed)`
 returns the probe digests to a caller in the same process.
+
+`--diff A B` compares two saved outputs of the script: it prints each probe
+whose digest differs, in probe order, so the first line names the probe where
+a change enters, and says whether the environment lines differ. It exits 0
+when every probe matches, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -125,11 +131,40 @@ def environment() -> str:
     return f"numpy {env['numpy']} | BLAS {env['blas']} | threads {env['blas_threads']}"
 
 
+def _saved(path: str) -> tuple[dict[str, str], str]:
+    """The probe digests and the environment line of a saved output."""
+    *probe_lines, _combined, env = Path(path).read_text().splitlines()
+    return dict(line.split() for line in probe_lines), env
+
+
+def diff(a: str, b: str) -> int:
+    """Print each probe whose digest differs between the saved outputs `a`
+    and `b` (a probe missing from one shows "-"), then whether their
+    environment lines differ; 0 when every probe matches, else 1."""
+    (digests_a, env_a), (digests_b, env_b) = _saved(a), _saved(b)
+    names = [*digests_a, *(k for k in digests_b if k not in digests_a)]
+    changed = [k for k in names if digests_a.get(k) != digests_b.get(k)]
+    width = max(map(len, names)) + 2
+    for name in changed:
+        print(f"{name:<{width}}{digests_a.get(name, '-')} {digests_b.get(name, '-')}")
+    if not changed:
+        print(f"all {len(names)} probes match")
+    print(f"environment differs:\n  {env_a}\n  {env_b}" if env_a != env_b
+          else "environment matches")
+    return 1 if changed else 0
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--shape", required=True, choices=sorted(SHAPES))
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--shape", choices=sorted(SHAPES))
+    p.add_argument("--seed", type=int)
+    p.add_argument("--diff", nargs=2, metavar=("A", "B"),
+                   help="compare two saved outputs of this script")
     args = p.parse_args(argv)
+    if args.diff:
+        return diff(*args.diff)
+    if args.shape is None or args.seed is None:
+        p.error("--shape and --seed are required without --diff")
     digests = probes(args.shape, args.seed)
     width = max(map(len, digests)) + 2
     for name, value in digests.items():

@@ -225,6 +225,31 @@ class TestBatchStats:
         assert abs(v1 - v2) < 1e-8
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: one Karcher step from the identity "
+                   "gives the log-Euclidean mean, which a congruence does not commute with")
+def test_adapt_is_congruence_equivariant(rng):
+    # an electrode shift acts on a session's matrices as Z -> A Z A^T; DSBN
+    # exists to remove it, so the running mean must move to A g_run A^T and
+    # eval outputs must agree up to a rotation
+    n, batches, k = 6, 8, 16
+    zs = [np.stack([random_spd(rng, n) for _ in range(k)]) for _ in range(batches)]
+    a = np.eye(n) + 0.6 * rng.normal(size=(n, n))
+    states, outs = [], []
+    for congruence in (np.eye(n), a):
+        st = dsbn_state(n)
+        st.register("t", "target")
+        for z in zs:
+            dsbn_forward(const(Tape(), congruence @ z @ congruence.T), ["t"] * k, st, "adapt",
+                         None, None, 1e-5)
+        tape = Tape()
+        out = dsbn_forward(const(tape, congruence @ zs[0] @ congruence.T), ["t"] * k, st,
+                           "eval", const(tape, np.eye(n)), const(tape, 1.0), 1e-5)
+        states.append(st.stats("t")[0])
+        outs.append(np.linalg.eigvalsh(out.value))
+    assert airm_dist(states[1], a @ states[0] @ a.T) < 1e-9
+    assert np.abs(outs[1] - outs[0]).max() < 1e-9
+
+
 class TestDsbnForward:
     def _phi(self, tape, n):
         return const(tape, np.eye(n)), const(tape, 1.0)

@@ -18,6 +18,7 @@ from tmknet.cli import main
 from tmknet.data import SynthSpec, save_dataset, synth_generate
 from tmknet.experiment import load_checkpoint
 from tmknet.metrics import MetricsReport, wilcoxon_signed_rank
+from tmknet.model import TMKNet
 
 
 TRAIN_FLAGS = ["--n-t", "4", "--n-s", "6", "--n-b", "4", "--batch-size", "16",
@@ -199,6 +200,27 @@ class TestErrorPaths:
             main([command, "--help"])
         assert exited.value.code == 0
         assert "--seed SEED default TMKNET_SEED or 0" in " ".join(capsys.readouterr().out.split())
+
+    @pytest.mark.parametrize("command", ["synth", "train", "import"])
+    @pytest.mark.parametrize("below,reason", [(False, "File exists"),
+                                              (True, "Not a directory")],
+                             ids=["file", "below-file"])
+    def test_unwritable_out_exits_one(self, dataset, tmp_path, capsys, monkeypatch, command,
+                                      below, reason):
+        def fail(*args):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(TMKNet, "loss_and_grads", fail)
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        out = blocker / "x" if below else blocker
+        args = {"synth": ["--classes", "2", "--domains", "2", "--trials-per-cell", "2"],
+                "train": ["--data", str(dataset), *TRAIN_FLAGS],
+                "import": ["--src", str(dataset)]}[command]
+        assert main([command, *args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out}: {reason}\n"
+        assert "Traceback" not in err
 
     def test_missing_data_dir_exits_two(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "missing"),

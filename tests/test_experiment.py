@@ -163,6 +163,19 @@ class TestAdapt:
             stats.append((g_run.tobytes(), v_run))
         assert stats[0] == stats[1]
 
+    def test_float32_trial_signals_match_their_float64_stack(self):
+        # run_uda, train and `tmknet adapt` hand adapt the stored signals
+        model, _ = train(quick_cfg(epochs=0), MANIFEST, TRIALS)
+        signals = [t.signal for t in TRIALS if t.domain == (0, 2)]
+        assert all(s.dtype == np.float32 for s in signals)
+        states = []
+        for given in (signals, np.stack(signals).astype(np.float64)):
+            adapted = copy.deepcopy(model)
+            adapt(adapted, given, (0, 2), batch_size=5)
+            states.append({k: v.tobytes() for k, v in adapted.state_arrays().items()})
+        assert states[0] == states[1]
+        assert adapted.dsbn.domains[domain_key((0, 2))].steps > 1
+
     def test_no_labels_in_signature(self):
         import inspect
 

@@ -362,8 +362,8 @@ class TestBatchnormMatchesChain:
             assert [(a.strides, a.tobytes()) for a in got] == \
                 [(a.strides, a.tobytes()) for a in want], cpus
             assert nodes == 1
-            groups = min(ad._POOL_WORKERS, cpus or 1, ch // 2)
-            assert counts == ([groups] * 2 if groups > 1 else [])
+            groups = max(1, min(ad._POOL_WORKERS, cpus or 1, ch // 2))
+            assert counts == ([] if cpus is None else [groups] * 2)
 
     def test_frozen_input_still_gives_affine_grads(self, rng):
         x = rng.normal(size=(3, 5, 2, 7))
