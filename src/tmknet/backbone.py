@@ -151,7 +151,8 @@ class DsbnState:
     def update(self, domain_id: str, g_batch: np.ndarray, v_batch: float) -> None:
         st = self._get(domain_id)
         g = self.gamma(domain_id)
-        st.g_run = geometry.geo_mean(st.g_run, g_batch, g)
+        # weight 1 adopts the batch mean as is: nothing to factor
+        st.g_run = g_batch.copy() if g == 1.0 else geometry.geo_mean(st.g_run, g_batch, g)
         st.v_run = (1.0 - g) * st.v_run + g * float(v_batch)
         st.steps += 1
 

@@ -217,10 +217,10 @@ def train(cfg: RunConfig, manifest: DatasetManifest,
         # ties go to the later epoch: the model keeps refining its domain
         # alignment after the source score saturates
         if score >= best[0]:
-            best = (score, {k: v.copy() for k, v in model.arrays().items()})
+            best = (score, {k: v.copy() for k, v in model.state_arrays().items()})
 
     if best[1] is not None:
-        model.load_arrays(best[1])
+        model.load_state_arrays(best[1], model.dsbn_domain_kinds())
 
     if val_trials:
         val_report = evaluate(model, val_trials, manifest)
@@ -293,13 +293,14 @@ def run_uda(cfg: RunConfig, manifest: DatasetManifest,
 
     Returns (model, source-validation report, target report). Under shared
     batch normalization the target is evaluated on the statistics accumulated
-    during training, without any adaptation pass.
+    during training, without any adaptation pass. DataError before any
+    training when the dataset holds no trial of the target session.
     """
-    model, val_report = train(cfg, manifest, trials)
     plan = leave_one_session_out(manifest, cfg.subject, cfg.target_session)
     target_trials = [t for t in trials if t.domain == plan.target]
     if not target_trials:
         raise DataError(f"no trials for target domain {plan.target}")
+    model, val_report = train(cfg, manifest, trials)
     if cfg.adaptation == "posthoc" and not model.cfg.shared_bn:
         adapt(model, [t.signal for t in target_trials], plan.target, batch_size=cfg.batch_size)
     target_report = evaluate(model, target_trials, manifest)
@@ -407,7 +408,7 @@ def save_checkpoint(path: str | Path, model: TMKNet, cfg: RunConfig,
                          "domain_kinds": model.dsbn_domain_kinds()}, sort_keys=True).encode()
     body = b"".join([CHECKPOINT_MAGIC, struct.pack("<IQ", CHECKPOINT_VERSION, len(header)),
                      header, *(np.ascontiguousarray(a, dtype="<f8").tobytes()
-                               for a in model.arrays().values())])
+                               for a in model.state_arrays().values())])
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(body + hashlib.sha256(body).digest())
@@ -446,21 +447,19 @@ def load_checkpoint(path: str | Path) -> tuple[TMKNet, RunConfig, DatasetManifes
         if len(payload) != 8 * sum(sizes):
             raise DataError(f"{path}: checkpoint payload holds {len(payload)} bytes, "
                             f"the model its header describes needs {8 * sum(sizes)}")
+        values = np.frombuffer(payload, dtype="<f8")
+        if not np.isfinite(values).all():
+            raise DataError(f"{path}: checkpoint payload holds a non-finite value")
+        chunks = np.split(values, np.cumsum(sizes)[:-1])
+        arrays = {name: chunk.reshape(shape) for (name, shape, _), chunk in zip(rows, chunks)}
+        for name, _, tag in rows:
+            problem = _state_problem(name, tag, arrays[name])
+            if problem:
+                raise DataError(f"{path}: checkpoint array {name!r} {problem}")
         model = TMKNet(model_cfg, seed=cfg.seed)
-        for d, kind in header["domain_kinds"].items():
-            model.dsbn.register(d, kind)
+        model.load_state_arrays(arrays, header["domain_kinds"])
     except (TypeError, ValueError, ArithmeticError, ConfigError) as exc:
         raise DataError(f"{path}: checkpoint header does not describe a model ({exc})") from exc
-    values = np.frombuffer(payload, dtype="<f8")
-    if not np.isfinite(values).all():
-        raise DataError(f"{path}: checkpoint payload holds a non-finite value")
-    chunks = np.split(values, np.cumsum(sizes)[:-1])
-    arrays = {name: chunk.reshape(shape) for (name, shape, _), chunk in zip(rows, chunks)}
-    for name, _, tag in rows:
-        problem = _state_problem(name, tag, arrays[name])
-        if problem:
-            raise DataError(f"{path}: checkpoint array {name!r} {problem}")
-    model.load_arrays(arrays)
     return model, cfg, manifest
 
 

@@ -4,8 +4,7 @@ All functions use the affine-invariant metric. Inputs may be batched over
 leading axes; an SPD batch has shape (K, n, n).
 
 An SPD argument is checked once, by the eigendecomposition that factors it
-(z2 as z1^{-1/2} z2 z1^{-1/2}, SPD exactly when z2 is); `check_spd` runs only
-on both arguments of `geo_mean` at w = 0 and w = 1, where nothing is factored.
+(z2 as z1^{-1/2} z2 z1^{-1/2}, SPD exactly when z2 is).
 The whitened z2 is symmetrized before it is factored, which would hide an
 asymmetric z2, so z2 first passes `linalg.check_sym` (the eigensolver's own
 input checks, O(n^2)) and must have z1's size: either argument fails the
@@ -20,20 +19,11 @@ from .errors import NumericalError
 from .linalg import check_sym, sym_eig, sym_fn, symmetrize
 
 __all__ = [
-    "check_spd",
     "airm_dist",
     "geo_mean",
     "parallel_transport",
     "exp_map",
 ]
-
-
-def check_spd(m: np.ndarray, name: str) -> np.ndarray:
-    """`m` as float64; NumericalError unless it is SPD (see `linalg.sym_eig`)."""
-    lam = sym_eig(m)[0]
-    if lam.min(initial=np.inf) <= 0.0:
-        raise NumericalError(f"{name} is not positive definite (min eig {lam.min():.3e})")
-    return np.asarray(m, dtype=np.float64)
 
 
 def _check_z2(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
@@ -85,9 +75,6 @@ def geo_mean(z1: np.ndarray, z2: np.ndarray, w: float) -> np.ndarray:
     """
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"weight w must lie in [0, 1], got {w}")
-    if w in (0.0, 1.0):
-        z1, z2 = check_spd(z1, "z1"), check_spd(_check_z2(z1, z2), "z2")
-        return (z1 if w == 0.0 else z2).copy()
     return _at_base(z1, z2, "pow", w)
 
 

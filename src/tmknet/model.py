@@ -287,41 +287,34 @@ class TMKNet:
 
     # --- array snapshot ---------------------------------------------------------
 
-    def arrays(self) -> dict[str, np.ndarray]:
-        """Every parameter and state array by name, in `layout` order; the
-        parameters are the live arrays."""
-        return {**{name: p.value for name, p in self.params.items()},
-                **dict(sorted(self.state_arrays().items()))}
-
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Inverse of `arrays`: copy every parameter and state array in."""
-        for name, p in self.params.items():
-            p.value = np.asarray(arrays[name], dtype=np.float64).reshape(p.value.shape).copy()
-        self.load_state_arrays(arrays, self.dsbn_domain_kinds())
-
     def state_arrays(self) -> dict[str, np.ndarray]:
-        """All non-parameter numeric state, flat-named, for checkpointing."""
-        out = {}
+        """The model's one snapshot: every parameter and state array by name,
+        in `layout` order (a checkpoint's payload order). Most are the live
+        arrays; copy them to keep a snapshot across updates."""
+        params, state = {name: p.value for name, p in self.params.items()}, {}
         for name, bn in (("mrt_bn", self.mrt_bn), ("mss_bn", self.mss_bn)):
-            out[f"state.{name}.mean"] = bn.mean
-            out[f"state.{name}.var"] = bn.var
-            out[f"state.{name}.flag"] = np.array([float(bn.initialized)])
+            state[f"state.{name}.mean"] = bn.mean
+            state[f"state.{name}.var"] = bn.var
+            state[f"state.{name}.flag"] = np.array([float(bn.initialized)])
         for d, st in self.dsbn.domains.items():
-            key = f"state.dsbn.{d}"
-            out[f"{key}.g_run"] = st.g_run
-            out[f"{key}.scalars"] = np.array([st.v_run, float(st.steps)])
-        return out
+            state[f"state.dsbn.{d}.g_run"] = st.g_run
+            state[f"state.dsbn.{d}.scalars"] = np.array([st.v_run, float(st.steps)])
+        return {**params, **dict(sorted(state.items()))}
 
     def dsbn_domain_kinds(self) -> dict[str, str]:
         return {d: st.kind for d, st in self.dsbn.domains.items()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray],
                           domain_kinds: dict[str, str]) -> None:
+        """Inverse of `state_arrays`: copy every parameter and state array in
+        and register each domain of `domain_kinds`. ConfigError for a domain
+        the model holds with another kind."""
+        for name, p in self.params.items():
+            p.value = np.asarray(arrays[name], dtype=np.float64).reshape(p.value.shape).copy()
         for name, bn in (("mrt_bn", self.mrt_bn), ("mss_bn", self.mss_bn)):
             bn.mean = arrays[f"state.{name}.mean"].copy()
             bn.var = arrays[f"state.{name}.var"].copy()
             bn.initialized = bool(arrays[f"state.{name}.flag"][0])
-        self.dsbn.domains.clear()
         for d, kind in domain_kinds.items():
             self.dsbn.register(d, kind)
             st = self.dsbn.domains[d]

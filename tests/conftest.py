@@ -110,7 +110,7 @@ def reseal_checkpoint(path, header=None, payload=None):
 def set_array_value(model, name, index, value):
     """A `reseal_checkpoint` payload edit for a checkpoint of `model`: sets
     entry `index` of the array `name` to `value`."""
-    arrays = model.arrays()
+    arrays = model.state_arrays()
     names = list(arrays)
     start = sum(arrays[k].size for k in names[:names.index(name)])
 

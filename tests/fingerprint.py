@@ -94,12 +94,13 @@ def probes(shape: str, seed: int) -> dict[str, str]:
         loss, grads = model.loss_and_grads(x, y, [domain_key(d) for d in doms])
         adam_step(model.params, grads, lr=cfg.lr, weight_decay=cfg.weight_decay)
         steps.append(_digest(np.float64(loss), *(grads[k] for k in model.params),
-                             *model.arrays().values()))
+                             *model.state_arrays().values()))
     out["train_steps"] = hashlib.sha256("".join(steps).encode()).hexdigest()
 
     signals = np.stack([t.signal for t in target]).astype(np.float64)
     adapt(model, signals, plan.target, batch_size=cfg.batch_size)
-    out["adapted_state"] = _digest(*dict(sorted(model.state_arrays().items())).values())
+    arrays = model.state_arrays()
+    out["adapted_state"] = _digest(*(arrays[k] for k in sorted(arrays) if k.startswith("state.")))
 
     for name, rows in (("eval_b64", target[:EVAL_BATCH]), ("eval_b1", target[:1])):
         x = np.stack([t.signal for t in rows]).astype(np.float64)

@@ -241,7 +241,7 @@ def test_criterion_02_gradient_suite():
     def loss_with(values):
         probe = TMKNet(mc, seed=1)
         probe.register_domains(["0/0", "0/1"], [])
-        probe.load_arrays({**probe.arrays(), **values})
+        probe.load_state_arrays({**probe.state_arrays(), **values}, probe.dsbn_domain_kinds())
         tape = Tape()
         logits = probe.forward(tape, tape.leaf(x), ids, "train",
                                probe.param_vars(tape, trainable=False))

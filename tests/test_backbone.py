@@ -176,12 +176,25 @@ class TestSpdbnNormalize:
 class TestDsbnState:
     def test_first_update_adopts_batch_stats(self, rng):
         st = dsbn_state(3)
-        st.register("d0", "target")
-        g_b = random_spd(rng, 3)
-        st.update("d0", g_b, 0.7)
-        g_run, v_run = st.stats("d0")
-        assert np.allclose(g_run, g_b)  # gamma(0 steps) = 1
-        assert abs(v_run - 0.7) < 1e-12
+        for kind in ("source", "target"):
+            st.register(kind, kind)
+            g_b = random_spd(rng, 3)
+            st.update(kind, g_b, 0.7)
+            g_run, v_run = st.stats(kind)
+            assert np.array_equal(g_run, g_b)  # gamma(0 steps) = 1
+            assert g_run is not g_b
+            assert abs(v_run - 0.7) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["source", "target"])
+    def test_floor_one_adopts_every_batch(self, rng, kind):
+        st = DsbnState(3, gamma_source=1.0, gamma_target=1.0)
+        st.register("d0", kind)
+        for _ in range(3):
+            g_b, v_b = random_spd(rng, 3), rng.uniform(0.5, 2.0)
+            st.update("d0", g_b, v_b)
+            g_run, v_run = st.stats("d0")
+            assert np.array_equal(g_run, g_b)
+            assert v_run == v_b
 
     def test_constant_stream_fixed_point(self, rng):
         st = dsbn_state(3)

@@ -269,7 +269,7 @@ class TestErrorPaths:
         shutil.copy(trained_run / "checkpoint.tmk", bad)
         model, _, _ = load_checkpoint(bad)
         name = "state.dsbn.0/0.g_run"
-        moved = model.arrays()[name][0, 1] + 1e-3
+        moved = model.state_arrays()[name][0, 1] + 1e-3
         reseal_checkpoint(bad, payload=set_array_value(model, name, (0, 1), moved))
         assert main(["eval", "--checkpoint", str(bad), "--data", str(dataset),
                      "--domain", "0/0", "--out", str(tmp_path / "e")]) == 2

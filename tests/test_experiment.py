@@ -176,6 +176,24 @@ class TestAdapt:
         assert states[0] == states[1]
         assert adapted.dsbn.domains[domain_key((0, 2))].steps > 1
 
+    def test_session_reset_restores_every_array(self):
+        # a fresh session on one model: snapshot, adapt, load the snapshot back
+        model, _ = train(quick_cfg(epochs=0), MANIFEST, TRIALS)
+        signals = [t.signal for t in TRIALS if t.domain == (0, 2)]
+        snap = {k: v.copy() for k, v in model.state_arrays().items()}
+        adapt(model, signals, (0, 2), batch_size=12)
+        first = {k: v.copy() for k, v in model.state_arrays().items()}
+        assert first["state.dsbn.0/2.g_run"].tobytes() != snap["state.dsbn.0/2.g_run"].tobytes()
+        model.load_state_arrays(snap, model.dsbn_domain_kinds())
+        got = model.state_arrays()
+        assert list(got) == list(snap)
+        assert all(got[k].tobytes() == snap[k].tobytes() for k in snap)
+        assert model.dsbn.domains[domain_key((0, 2))].steps == 0
+        adapt(model, signals, (0, 2), batch_size=12)
+        again = model.state_arrays()
+        assert list(again) == list(first)
+        assert all(again[k].tobytes() == first[k].tobytes() for k in first)
+
     def test_no_labels_in_signature(self):
         import inspect
 
@@ -219,6 +237,17 @@ class TestRunUda:
         assert 0.0 <= tgt_rep.accuracy <= 1.0
         assert tgt_rep.config_hash == cfg.hash()
         assert val_rep.accuracy > 0.5  # source-fit sanity on the quick config
+
+    def test_missing_target_trials_rejected_before_training(self, monkeypatch):
+        # the manifest lists the target session (0, 2); the trials hold none of it
+        steps = []
+        step = TMKNet.loss_and_grads
+        monkeypatch.setattr(TMKNet, "loss_and_grads",
+                            lambda model, *args: steps.append(1) or step(model, *args))
+        sources = [t for t in TRIALS if t.domain != (0, 2)]
+        with pytest.raises(DataError, match=r"no trials for target domain \(0, 2\)"):
+            run_uda(quick_cfg(epochs=3), MANIFEST, sources)
+        assert steps == []
 
 
 class TestInterleavedAdaptation:
@@ -577,11 +606,12 @@ class TestBuildModelConfig:
         # overwrite an array that the checkpoint then misses
         names = [name for name, _, _ in rows]
         assert len(set(names)) == len(names)
-        arrays = model.arrays()
+        arrays = model.state_arrays()
         assert ([(name, shape) for name, shape, _ in rows]
                 == [(k, a.shape) for k, a in arrays.items()])
         params = [(k, p.value.shape, p.tag) for k, p in model.params.items()]
-        state = [(k, a.shape, "state") for k, a in sorted(model.state_arrays().items())]
+        state = [(k, a.shape, "state") for k, a in sorted(arrays.items())
+                 if k.startswith("state.")]
         assert rows == params + state
         count = sum(math.prod(shape) for _, shape, _ in rows)
         assert count == sum(a.size for a in arrays.values())
@@ -604,8 +634,7 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "ck.tmk", model, cfg, MANIFEST)
         loaded, _, _ = load_checkpoint(tmp_path / "ck.tmk")
         assert loaded.dsbn_domain_kinds() == model.dsbn_domain_kinds()
-        arrays = [[p.value for _, p in m.params.items()]
-                  + [a for _, a in sorted(m.state_arrays().items())] for m in (model, loaded)]
+        arrays = [list(m.state_arrays().values()) for m in (model, loaded)]
         assert [a.shape for a in arrays[0]] == [a.shape for a in arrays[1]]
         assert [a.tobytes() for a in arrays[0]] == [a.tobytes() for a in arrays[1]]
         blob = (tmp_path / "ck.tmk").read_bytes()
@@ -765,9 +794,19 @@ class TestCheckpoint:
     def test_asymmetric_spd_state(self, tmp_path, trained, name):
         cfg, model, _ = trained
         save_checkpoint(tmp_path / "ck.tmk", model, cfg, MANIFEST)
-        moved = model.arrays()[name][0, 1] + 1e-3
+        moved = model.state_arrays()[name][0, 1] + 1e-3
         reseal_checkpoint(tmp_path / "ck.tmk", payload=set_array_value(model, name, (0, 1), moved))
         with pytest.raises(DataError, match=f"checkpoint array '{name}' is not a symmetric"):
+            load_checkpoint(tmp_path / "ck.tmk")
+
+    def test_shared_bn_header_with_a_target_kind(self, tmp_path):
+        # the shared bucket is registered as a source domain when the model is built
+        cfg = quick_cfg(ablation=("shared_bn",))
+        model = TMKNet(build_model_config(MANIFEST, cfg), seed=cfg.seed)
+        save_checkpoint(tmp_path / "ck.tmk", model, cfg, MANIFEST)
+        reseal_checkpoint(tmp_path / "ck.tmk",
+                          header=lambda h: h.update(domain_kinds={"shared": "target"}))
+        with pytest.raises(DataError, match="does not describe a model"):
             load_checkpoint(tmp_path / "ck.tmk")
 
     def test_payload_cut_inside_a_value(self, tmp_path, trained):

@@ -183,9 +183,8 @@ class TestLogExpMap:
 
 
 class TestNonSpdArguments:
-    """Every SPD argument is rejected through NumericalError, whether it is
-    checked by the eigendecomposition that factors it or, where nothing is
-    factored, by check_spd."""
+    """Every SPD argument is rejected through NumericalError by the
+    eigendecomposition that factors it, at every weight of geo_mean."""
 
     BAD = {"indefinite": np.diag([1.0, -1.0, 2.0]), "singular": np.diag([1.0, 0.0, 1.0]),
            "nan": np.diag([np.nan, 1.0, 1.0]), "inf": np.diag([np.inf, 1.0, 1.0])}

@@ -160,8 +160,9 @@ class TestForward:
         kinds = toy_model.dsbn_domain_kinds()
 
         clone = TMKNet(toy_config(), seed=99)
-        clone.load_arrays({**clone.arrays(),
-                           **{k: p.value.copy() for k, p in toy_model.params.items()}})
+        clone.load_state_arrays({**clone.state_arrays(),
+                                 **{k: p.value.copy() for k, p in toy_model.params.items()}},
+                                clone.dsbn_domain_kinds())
         clone.load_state_arrays(arrays, kinds)
         a = toy_model.predict_logits(x, ["0/2"] * 4)
         b = clone.predict_logits(x, ["0/2"] * 4)
@@ -547,7 +548,8 @@ class TestEndToEndGradients:
         def loss_with(values):
             probe = TMKNet(toy_config(), seed=1)
             probe.register_domains(["0/0", "0/1"], [])
-            probe.load_arrays({**probe.arrays(), **values})
+            probe.load_state_arrays({**probe.state_arrays(), **values},
+                                    probe.dsbn_domain_kinds())
             tape = Tape()
             pvars = probe.param_vars(tape, trainable=False)
             logits = probe.forward(tape, tape.leaf(x), ids, "train", pvars)
