@@ -1,12 +1,18 @@
 """Tape-based reverse-mode automatic differentiation over float64 numpy arrays.
 
 A Tape records operations as they execute; Tape.backward replays them in
-reverse, accumulating vector-Jacobian products into Variable.grad. One tape
-serves one forward/backward pair: backward releases the recorded graph as it
-goes, dropping each op's saved arrays and each intermediate gradient once
-they have been passed on. Afterwards only the grad-requiring leaves keep
-`.grad`, and the tape holds no reference to any Variable, so a step's memory
-is freed by reference counting, without the cyclic collector.
+reverse, accumulating vector-Jacobian products into the gradient slots of the
+recorded nodes and handing the leaves theirs as Variable.grad. A node holds
+only what its backward reads: a gradient slot for its output and for each
+parent that needs a gradient, and a closure over the arrays its product reads
+and the shapes and flags of everything else. It holds no Variable, so a
+forward value the caller drops is freed before backward unless a product
+reads it. One tape serves one forward/backward pair: backward releases the
+recorded graph as it goes, dropping each op's saved arrays and each
+intermediate gradient once they have been passed on. Afterwards only the
+grad-requiring leaves keep `.grad`, and nothing references the tape from
+inside it, so a step's memory is freed by reference counting, without the
+cyclic collector.
 
 Operations are plain functions (`add(a, b)`, `matmul(a, b)`, ...); Variable
 has no arithmetic operator overloads. They cover the network end to end:
@@ -23,11 +29,12 @@ so its values and gradients are the chain's bit for bit:
 - `mrt_block`, the temporal layer's branches (per branch a time
   convolution, LeakyReLU and max-pooling, then a concat along time). Its
   forward runs over blocks of trials; for backward it keeps only the pooling
-  winners' indices.
+  winners' indices and a one-byte mask of its output's sign.
 - `mss_block`, the spatial layer's kernels (per kernel a row gather, a
   strided or dilated sensor-axis convolution and LeakyReLU, then a concat
-  along the sensors). For backward it keeps only its output; backward
-  rebuilds each kernel's patch matrix from the input, one kernel at a time.
+  along the sensors). For backward it keeps only a one-byte mask of its
+  output's sign; backward rebuilds each kernel's patch matrix from the input,
+  one kernel at a time.
 
 The fused nodes split their work into independent units, each computing
 exactly what it computes inline, and when they record for backward they run
@@ -178,26 +185,42 @@ def run_units(units, unit_bytes: int, name: str) -> list:
     return [f.result() for f in futures]
 
 
-class Variable:
-    """A node in the recorded computation: a value plus its place on the tape."""
+class _Slot:
+    """Where backward accumulates one grad-requiring Variable's gradient."""
 
-    __slots__ = ("value", "tape", "requires_grad", "grad")
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad: np.ndarray | None = None
+
+
+class Variable:
+    """A node in the recorded computation: a value plus its place on the tape
+    (`_slot`, its gradient slot, None where it needs no gradient)."""
+
+    __slots__ = ("value", "tape", "requires_grad", "grad", "_slot")
 
     def __init__(self, value: np.ndarray, tape: "Tape", requires_grad: bool):
         self.value = np.asarray(value, dtype=np.float64)
         self.tape = tape
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
+        self._slot = _Slot() if requires_grad else None
 
     def __repr__(self):
         return f"Variable(shape={self.value.shape}, requires_grad={self.requires_grad})"
 
 
 class Tape:
-    """Ordered record of operations; parents always precede children."""
+    """Ordered record of operations; parents always precede children.
+
+    Each node is (output slot, parent slots, backward function), with None for
+    a parent that needs no gradient; no node holds a Variable. Only the
+    grad-requiring leaves are kept as Variables, to receive `.grad`.
+    """
 
     def __init__(self):
-        self._nodes: list[tuple[Variable, tuple[Variable, ...], object]] = []
+        self._nodes: list[tuple[_Slot, tuple[_Slot | None, ...], object]] = []
         self._grad_leaves: list[Variable] = []
         self._consumed = False
 
@@ -215,7 +238,7 @@ class Tape:
                 raise ValueError("cannot mix Variables from different tapes")
         out = Variable(value, self, any(p.requires_grad for p in parents))
         if out.requires_grad:
-            self._nodes.append((out, parents, backward_fn))
+            self._nodes.append((out._slot, tuple(p._slot for p in parents), backward_fn))
         return out
 
     def backward(self, loss: Variable) -> None:
@@ -223,10 +246,12 @@ class Tape:
 
         Unreachable leaves receive zeros. A tape can run backward once: it
         consumes the recorded graph, so every op's saved arrays are released
-        as soon as its vector-Jacobian product has run, and intermediate
-        Variables are left with `grad` None. Only leaves keep `.grad`. The
-        first contribution to a gradient is kept by reference (`add` hands one
-        array to both parents) and later ones make a new sum, never in place.
+        as soon as its vector-Jacobian product has run. Gradients accumulate
+        in the nodes' slots, and each is dropped once its node has passed it
+        on; only leaves get `.grad`, and intermediate Variables keep `grad`
+        None. The first contribution to a gradient is kept by reference
+        (`add` hands one array to both parents) and later ones make a new
+        sum, never in place.
         """
         if loss.tape is not self:
             raise ValueError("loss was recorded on a different tape")
@@ -236,7 +261,8 @@ class Tape:
             raise RuntimeError("backward already ran on this tape; re-record the forward pass")
         self._consumed = True
 
-        loss.grad = np.ones_like(loss.value)
+        if loss.requires_grad:
+            loss._slot.grad = np.ones_like(loss.value)
         nodes = self._nodes
         while nodes:
             out, parents, backward_fn = nodes.pop()
@@ -244,14 +270,16 @@ class Tape:
             if g is None:
                 continue
             for p, gp in zip(parents, backward_fn(g)):
-                if gp is not None and p.requires_grad:
+                if gp is not None and p is not None:
                     p.grad = gp if p.grad is None else p.grad + gp
             g = gp = None  # hold no gradient into the next op's backward
         for leaf in self._grad_leaves:
-            if leaf.grad is None:
-                leaf.grad = np.zeros_like(leaf.value)
-            elif leaf.grad.base is not None or not leaf.grad.flags.owndata:
-                leaf.grad = leaf.grad.copy()
+            g, leaf._slot.grad = leaf._slot.grad, None
+            if g is None:
+                g = np.zeros_like(leaf.value)
+            elif g.base is not None or not g.flags.owndata:
+                g = g.copy()
+            leaf.grad = g
         self._grad_leaves = []
 
 
@@ -274,28 +302,33 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Variable, b) -> Variable:
     b = _lift(a.tape, b)
-    va, vb = a.value, b.value
+    sa, sb = a.value.shape, b.value.shape
     return a.tape.record(
-        (a, b), va + vb,
-        lambda g: (_unbroadcast(g, va.shape), _unbroadcast(g, vb.shape)),
+        (a, b), a.value + b.value,
+        lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)),
     )
 
 
 def sub(a: Variable, b) -> Variable:
     b = _lift(a.tape, b)
-    va, vb = a.value, b.value
+    sa, sb = a.value.shape, b.value.shape
     return a.tape.record(
-        (a, b), va - vb,
-        lambda g: (_unbroadcast(g, va.shape), _unbroadcast(-g, vb.shape)),
+        (a, b), a.value - b.value,
+        lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)),
     )
 
 
 def mul(a: Variable, b) -> Variable:
     b = _lift(a.tape, b)
     va, vb = a.value, b.value
+    sa, sb = va.shape, vb.shape
+    # each operand is kept only for the other's gradient
+    ka = va if b.requires_grad else None
+    kb = vb if a.requires_grad else None
     return a.tape.record(
         (a, b), va * vb,
-        lambda g: (_unbroadcast(g * vb, va.shape), _unbroadcast(g * va, vb.shape)),
+        lambda g: (None if kb is None else _unbroadcast(g * kb, sa),
+                   None if ka is None else _unbroadcast(g * ka, sb)),
     )
 
 
@@ -367,21 +400,21 @@ def _bcast_reduced(g, shape, axis, keepdims):
 
 
 def sum_(a: Variable, axis=None, keepdims: bool = False) -> Variable:
-    va = a.value
+    shape = a.value.shape
     return a.tape.record(
-        (a,), va.sum(axis=axis, keepdims=keepdims),
-        lambda g: (_bcast_reduced(g, va.shape, axis, keepdims),),
+        (a,), a.value.sum(axis=axis, keepdims=keepdims),
+        lambda g: (_bcast_reduced(g, shape, axis, keepdims),),
     )
 
 
 def mean(a: Variable, axis=None, keepdims: bool = False) -> Variable:
-    va = a.value
-    count = va.size if axis is None else np.prod(
-        [va.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
+    shape = a.value.shape
+    count = a.value.size if axis is None else np.prod(
+        [shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
     )
     return a.tape.record(
-        (a,), va.mean(axis=axis, keepdims=keepdims),
-        lambda g: (_bcast_reduced(g / count, va.shape, axis, keepdims),),
+        (a,), a.value.mean(axis=axis, keepdims=keepdims),
+        lambda g: (_bcast_reduced(g / count, shape, axis, keepdims),),
     )
 
 
@@ -486,13 +519,14 @@ def mrt_block(x: Variable, convs: list[tuple[Variable, Variable]], slope: float,
     run their units through `run_units`, on worker threads where it allows;
     the bytes are the same on any thread. LeakyReLU runs in place as
     max(z, z * slope), which equals the chain's z * factor because
-    (1 - slope) + slope == 1.0. A branch that needs a gradient keeps only its
-    winner indices: in backward the factor at each winner is read off the
-    pooled output, whose sign is the conv output's, and per pool offset one
-    branch-free select (`_winners`) writes the pooled gradient at the
-    winners, +0.0 elsewhere, into a conv-shaped gradient in the conv output's
-    channel-fastest memory order. The caller checks that each kernel and
-    pooling window fits.
+    (1 - slope) + slope == 1.0. A recording node keeps the one-byte mask
+    out > 0, not its output, and a branch that needs a gradient keeps its
+    winner indices: in backward the factor at each winner is
+    mask * (1 - slope) + slope, read off the pooled output's sign, which is
+    the conv output's, and per pool offset one branch-free select
+    (`_winners`) writes the pooled gradient at the winners, +0.0 elsewhere,
+    into a conv-shaped gradient in the conv output's channel-fastest memory
+    order. The caller checks that each kernel and pooling window fits.
     """
     vx = x.value
     bsz, _, h, t = vx.shape
@@ -527,6 +561,9 @@ def mrt_block(x: Variable, convs: list[tuple[Variable, Variable]], slope: float,
     # runs its units inline
     run_units([functools.partial(conv_block, i, blk) for i in range(len(convs)) for blk in blocks],
               unit_bytes if recording else 0, "tmknet-stem")
+    # backward reads the output only for its sign, the LeakyReLU factor's
+    mask = out > 0 if recording else None
+    x_grad = x.requires_grad
 
     def branch_grads(g, i):
         """Branch i's weight, bias and input gradients (None where not needed)."""
@@ -534,7 +571,7 @@ def mrt_block(x: Variable, convs: list[tuple[Variable, Variable]], slope: float,
         vw = w.value
         kw = vw.shape[3]
         # the winner gets g * factor bit for bit, the others +0.0
-        factor = (out[..., lo:hi] > 0) * (1.0 - slope)
+        factor = mask[..., lo:hi] * (1.0 - slope)
         factor += slope
         gp = np.multiply(g[..., lo:hi], factor, out=np.empty_like(arg, dtype=np.float64))
         del factor
@@ -549,7 +586,7 @@ def mrt_block(x: Variable, convs: list[tuple[Variable, Variable]], slope: float,
             gw = np.tensordot(gz, _windows(vx, 1, kw), axes=([0, 2, 3], [0, 2, 3]))
         if b.requires_grad:
             gb = gz.sum(axis=(0, 2, 3))
-        if x.requires_grad:
+        if x_grad:
             gxb = np.zeros_like(vx)
             for j in range(kw):
                 contrib = np.tensordot(gz, vw[:, :, 0, j], axes=([1], [0]))
@@ -599,8 +636,10 @@ def mss_block(z: Variable, convs: list[tuple[tuple[int, ...] | None, Variable, V
 
     Values and gradients are those of the chain gather → conv2d → leaky_relu
     per kernel, then concat, bit for bit. Each kernel builds the patch matrix
-    that conv2d's `tensordot` forms and drops it after its product. The node
-    keeps no patch matrix for backward: where a weight needs a gradient,
+    that conv2d's `tensordot` forms and drops it after its product. For
+    backward the node keeps the one-byte mask out > 0, laid out as its
+    output, for the LeakyReLU factor mask * (1 - slope) + slope, and no
+    patch matrix: where a weight needs a gradient,
     backward rebuilds that kernel's patch matrix from z with the forward's
     expression, uses it for the weight gradient and drops it before the next
     kernel. Backward puts the output gradient of a kernel in the (b·oh·t,
@@ -670,8 +709,8 @@ def mss_block(z: Variable, convs: list[tuple[tuple[int, ...] | None, Variable, V
     mem = np.empty((bsz, top, t, cout))
     # the bytes of a largest kernel's output
     unit_bytes = 8 * bsz * max(oh for _, oh, _, _ in plans) * t * cout
-    recording = z.requires_grad or any(w.requires_grad or b.requires_grad
-                                       for _, w, b, _, _ in convs)
+    z_grad = z.requires_grad
+    recording = z_grad or any(w.requires_grad or b.requires_grad for _, w, b, _, _ in convs)
 
     def kernel_out(i):
         """Kernel i's output, into its rows of `mem`."""
@@ -687,6 +726,8 @@ def mss_block(z: Variable, convs: list[tuple[tuple[int, ...] | None, Variable, V
     run_units([functools.partial(kernel_out, i) for i in range(len(convs))],
               unit_bytes if recording else 0, "tmknet-stem")
     out = mem.transpose(0, 3, 1, 2)
+    # backward reads the output only for its sign, the LeakyReLU factor's
+    mask = out > 0 if recording else None
 
     def add_taps(i, gz_rows, gz_total, part):
         """Add the product np.tensordot(gz, w_tap, ([1], [0])) of each tap of
@@ -699,11 +740,11 @@ def mss_block(z: Variable, convs: list[tuple[tuple[int, ...] | None, Variable, V
 
     def backward(g):
         grads = [None] * (2 * len(convs))
-        gz_total = np.zeros_like(vz) if z.requires_grad else None
+        gz_total = np.zeros_like(vz) if z_grad else None
         for i in reversed(range(len(convs))):
             (_, w, b, _, _), (lo, oh, taps, _) = convs[i], plans[i]
             vw = w.value
-            factor = (out[:, :, lo:lo + oh] > 0) * (1.0 - slope)
+            factor = mask[:, :, lo:lo + oh] * (1.0 - slope)
             factor += slope
             gz = g[:, :, lo:lo + oh] * factor
             del factor
@@ -762,12 +803,12 @@ def batch_norm(x: Variable, gamma: Variable, beta: Variable, eps: float,
     each into an array allocated up front with the shape and strides numpy
     gives that expression (`_result_like`), so values, gradients and memory
     order equal the chain's bit for bit. Forward keeps the centred input for
-    backward. Backward computes the gamma product and the centred input's
-    gradient in one buffer, and writes a later result into a spent buffer
-    only where that buffer has the result's memory order. With a C-ordered
-    upstream gradient, as the layers above hand it back, at most two
-    full-size arrays of its own are live at a time, the input gradient
-    included; three otherwise.
+    backward, and of the input only its shape. Backward computes the gamma
+    product and the centred input's gradient in one buffer, and writes a
+    later result into a spent buffer only where that buffer has the result's
+    memory order. With a C-ordered upstream gradient, as the layers above
+    hand it back, at most two full-size arrays of its own are live at a time,
+    the input gradient included; three otherwise.
 
     When the node records for backward it runs as contiguous groups of
     channels, one per CPU up to `_POOL_WORKERS` and at least two channels
@@ -796,7 +837,8 @@ def batch_norm(x: Variable, gamma: Variable, beta: Variable, eps: float,
 
     # a node that records nothing (an eval forward, maybe itself on a
     # worker) is one group; so is one whose groups are under the gate
-    recording = x.requires_grad or gamma.requires_grad or beta.requires_grad
+    x_grad, gamma_grad, beta_grad = x.requires_grad, gamma.requires_grad, beta.requires_grad
+    recording = x_grad or gamma_grad or beta_grad
     parts = min(_POOL_WORKERS, _cpus(), ch // 2) if recording else 1
     unit_bytes = vx.nbytes // ch * -(-ch // parts) if parts > 1 else 0  # the largest group's input
     if not (unit_bytes and _pooled(unit_bytes)):
@@ -821,21 +863,23 @@ def batch_norm(x: Variable, gamma: Variable, beta: Variable, eps: float,
 
     run_units([functools.partial(norm_channels, sl) for sl in groups], unit_bytes, "tmknet-stem")
 
+    # of x, backward reads only its shape and its flag
+    xshape, count = vx.shape, vx.size // ch
+
     def backward(g):
-        train = x.requires_grad and stats is None
+        train = x_grad and stats is None
         # the gamma product g * (xc * r), then the centred input's gradient
         # (g * gamma) * xc, each in the memory order numpy gives it
-        prod = _result_like(g, xc) if gamma.requires_grad or train else None
+        prod = _result_like(g, xc) if gamma_grad or train else None
         # the chain's x gradient is C-ordered in training, and g * gamma,
         # times r in place, with fixed statistics
-        gx = (np.empty(vx.shape) if train else _result_like(g, gr)) if x.requires_grad else None
+        gx = (np.empty(xshape) if train else _result_like(g, gr)) if x_grad else None
         # the chain's t = g_sq * xc is C-ordered (g_sq is a C-ordered
         # broadcast copy), and its buffer then holds -gx for the mean's
         # gradient; the spent prod serves where it is C-ordered
-        t = (prod if prod.flags.c_contiguous else np.empty(vx.shape)) if train else None
-        g_gamma = np.empty(ch) if gamma.requires_grad else None
-        g_beta = np.empty(ch) if beta.requires_grad else None
-        count = vx.size // ch
+        t = (prod if prod.flags.c_contiguous else np.empty(xshape)) if train else None
+        g_gamma = np.empty(ch) if gamma_grad else None
+        g_beta = np.empty(ch) if beta_grad else None
 
         def channel_grads(sl):
             """The gradients of the channels `sl`, into their slices."""

@@ -128,15 +128,19 @@ class DsbnState:
     gamma_target: float
     domains: dict[str, _DomainStats] = field(default_factory=dict, init=False)
 
-    def register(self, domain_id: str, kind: str) -> None:
+    def check_kind(self, domain_id: str, kind: str) -> None:
+        """ConfigError unless `register(domain_id, kind)` would succeed: a
+        known kind, and the one the domain holds if it is registered."""
         if kind not in ("source", "target"):
             raise ConfigError(f"domain kind must be source or target, got {kind!r}")
-        if domain_id in self.domains:
-            if self.domains[domain_id].kind != kind:
-                raise ConfigError(f"domain {domain_id!r} already registered as "
-                                  f"{self.domains[domain_id].kind}")
-            return
-        self.domains[domain_id] = _DomainStats(kind=kind, g_run=np.eye(self.n))
+        held = self.domains.get(domain_id)
+        if held is not None and held.kind != kind:
+            raise ConfigError(f"domain {domain_id!r} already registered as {held.kind}")
+
+    def register(self, domain_id: str, kind: str) -> None:
+        self.check_kind(domain_id, kind)
+        if domain_id not in self.domains:
+            self.domains[domain_id] = _DomainStats(kind=kind, g_run=np.eye(self.n))
 
     def _get(self, domain_id: str) -> _DomainStats:
         if domain_id not in self.domains:

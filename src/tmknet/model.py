@@ -308,7 +308,9 @@ class TMKNet:
                           domain_kinds: dict[str, str]) -> None:
         """Inverse of `state_arrays`: copy every parameter and state array in
         and register each domain of `domain_kinds`. ConfigError for a domain
-        the model holds with another kind."""
+        the model holds with another kind, raised before anything is loaded."""
+        for d, kind in domain_kinds.items():
+            self.dsbn.check_kind(d, kind)
         for name, p in self.params.items():
             p.value = np.asarray(arrays[name], dtype=np.float64).reshape(p.value.shape).copy()
         for name, bn in (("mrt_bn", self.mrt_bn), ("mss_bn", self.mss_bn)):

@@ -118,6 +118,37 @@ class TestTapeMechanics:
                 gc.enable()
         assert grad.shape == (3,)
 
+    def test_operands_read_for_shape_are_not_kept(self, rng):
+        # add, sub, mean and sum_ read an operand only for its shape, and mul
+        # by a constant keeps only the constant, so an intermediate value is
+        # freed as soon as the caller drops its Variable, before backward
+        av, bv = rng.normal(size=(3, 4)), rng.normal(size=4)
+
+        def step(hold):
+            tape = Tape()
+            a, b = (tape.leaf(v, requires_grad=True) for v in (av, bv))
+            refs, held = [], []
+
+            def watch(v):
+                refs.append(weakref.ref(v.value))
+                if hold:
+                    held.append(v)
+                return v
+
+            loss = ad.sum_(watch(ad.mean(watch(ad.sub(watch(ad.add(watch(ad.mul(a, 2.0)), 1.0)),
+                                                      b)), axis=0)))
+            alive = [r() is not None for r in refs]
+            tape.backward(loss)
+            return alive, a.grad, b.grad
+
+        alive, ga, gb = step(hold=False)
+        assert alive == [False] * 4
+        # the reference: the same chain with every intermediate held
+        alive, ga_ref, gb_ref = step(hold=True)
+        assert alive == [True] * 4
+        assert ga.tobytes() == ga_ref.tobytes() and gb.tobytes() == gb_ref.tobytes()
+        assert np.allclose(ga, 2.0 / 3.0) and np.allclose(gb, -1.0)
+
     def test_sum_grad_is_ones(self, rng):
         tape = Tape()
         x = tape.leaf(rng.normal(size=(5,)), requires_grad=True)

@@ -115,6 +115,45 @@ class TestForward:
                 gc.enable()
         assert np.isfinite(loss) and set(grads) == {name for name, _ in toy_model.params.items()}
 
+    def test_train_forward_keeps_no_stem_output(self, toy_model, rng, monkeypatch):
+        # backward reads the stem nodes' outputs only for their signs, and the
+        # second batch norm's output (covariance pooling's input) only for
+        # its shape: none of the three outlives the forward
+        x, labels, ids = rng.normal(size=(4, 8, 64)), np.arange(4), ["0/0", "0/0", "0/1", "0/1"]
+        reference = copy.deepcopy(toy_model)
+        refs = {}
+
+        def watch(name):
+            fn = getattr(ad, name)
+
+            def wrapper(*args, **kwargs):
+                res = fn(*args, **kwargs)
+                v = (res[0] if isinstance(res, tuple) else res).value
+                refs.setdefault(name, []).append(
+                    [weakref.ref(a) for a in (v, v.base) if a is not None])
+                return res
+
+            monkeypatch.setattr(ad, name, wrapper)
+
+        for name in ("mrt_block", "mss_block", "batch_norm"):
+            watch(name)
+        tape = Tape()
+        pvars = toy_model.param_vars(tape, trainable=True)
+        loss = ad.cross_entropy(toy_model.forward(tape, tape.leaf(x), ids, "train", pvars), labels)
+        outs = (refs["mrt_block"][0], refs["mss_block"][0], refs["batch_norm"][1])
+        assert [[r() is None for r in out] for out in outs] == [[True] * len(out) for out in outs]
+        tape.backward(loss)
+
+        # the reference: the same step with every forward value held to the end
+        held = []
+        record = Tape.record
+        monkeypatch.setattr(Tape, "record", lambda tape, parents, value, backward_fn: (
+            held.append(record(tape, parents, value, backward_fn)) or held[-1]))
+        _, want = reference.loss_and_grads(x, labels, ids)
+        assert held and set(want) == set(pvars)
+        for name, g in want.items():
+            assert pvars[name].grad.tobytes() == g.tobytes(), name
+
     def test_adapt_then_eval_on_target(self, toy_model, rng):
         x = rng.normal(size=(4, 8, 64))
         toy_model.loss_and_grads(x, np.zeros(4, dtype=int), ["0/0"] * 4)
@@ -167,6 +206,19 @@ class TestForward:
         a = toy_model.predict_logits(x, ["0/2"] * 4)
         b = clone.predict_logits(x, ["0/2"] * 4)
         assert np.array_equal(a, b)
+
+    def test_conflicting_domain_kind_loads_nothing(self, toy_model, rng):
+        x = rng.normal(size=(4, 8, 64))
+        toy_model.loss_and_grads(x, np.zeros(4, dtype=int), ["0/0"] * 4)
+        before = {k: v.tobytes() for k, v in toy_model.state_arrays().items()}
+        kinds = toy_model.dsbn_domain_kinds()
+        # a new source domain first, then one the model holds as a target
+        other = TMKNet(toy_config(), seed=99)
+        other.register_domains(["0/3", "0/2"], [])
+        with pytest.raises(ConfigError, match="already registered as target"):
+            toy_model.load_state_arrays(other.state_arrays(), other.dsbn_domain_kinds())
+        assert {k: v.tobytes() for k, v in toy_model.state_arrays().items()} == before
+        assert toy_model.dsbn_domain_kinds() == kinds
 
 
 @pytest.fixture
